@@ -12,7 +12,9 @@
 //! E2 experiment reproduces the paper's remark that `Algorithm_5/3` and
 //! `Algorithm_3/2` beat them from `m = 6` resp. `m = 4` machines on.
 
-use msrs_core::{bounds::lower_bound, Assignment, Instance, JobId, Schedule, Time};
+use msrs_core::{
+    bounds::lower_bound, Assignment, ClassId, Instance, JobId, MachineId, Schedule, Time,
+};
 
 use crate::common::{trivial, ApproxResult};
 
@@ -60,17 +62,32 @@ pub fn merged_lpt(inst: &Instance) -> ApproxResult {
 /// Busy intervals per machine/class used by the insertion baselines.
 #[derive(Debug, Default, Clone)]
 struct Busy {
-    /// Sorted, disjoint `[start, end)` intervals.
+    /// Sorted, disjoint `[start, end)` intervals; no two touch.
     iv: Vec<(Time, Time)>,
 }
 
 impl Busy {
+    /// Marks `[s, e)` busy. Callers only insert slots that avoid every
+    /// stored interval; a slot touching a neighbour is merged into it.
+    /// A fit query depends only on the union of busy time (see
+    /// [`earliest_fit_merged`]), so merging changes no answer — it keeps a
+    /// machine packed back to back down to one interval.
     fn insert(&mut self, s: Time, e: Time) {
         if s == e {
             return;
         }
         let pos = self.iv.partition_point(|&(a, _)| a < s);
-        self.iv.insert(pos, (s, e));
+        let joins_prev = pos > 0 && self.iv[pos - 1].1 == s;
+        let joins_next = pos < self.iv.len() && self.iv[pos].0 == e;
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                self.iv[pos - 1].1 = self.iv[pos].1;
+                self.iv.remove(pos);
+            }
+            (true, false) => self.iv[pos - 1].1 = e,
+            (false, true) => self.iv[pos].0 = s,
+            (false, false) => self.iv.insert(pos, (s, e)),
+        }
     }
 
     /// Earliest `t ≥ from` such that `[t, t+p)` avoids all intervals.
@@ -90,16 +107,26 @@ impl Busy {
 }
 
 /// Earliest `t ≥ from` such that `[t, t+p)` avoids every interval of both
-/// lists. Equivalent to concatenating, sorting, and scanning (the scan only
+/// lists, or `None` as soon as that start is known to be `≥ bound`.
+/// Equivalent to concatenating, sorting, and scanning (the scan only
 /// needs intervals in ascending order, and ties commute through the
 /// `max`-accumulation) — but walks the two already-sorted lists with two
 /// cursors instead: no allocation, no sort. This sits in the innermost
-/// (job × machine) loop of [`hebrard_greedy`], where the merge-and-sort
-/// formulation dominated the whole portfolio's runtime.
-fn earliest_fit_merged(a: &Busy, b: &Busy, from: Time, p: Time) -> Time {
+/// (job × machine) loop of [`hebrard_greedy`].
+///
+/// The scan keeps `t` at the earliest start not yet ruled out, so for
+/// `p > 0` the answer is the earliest gap of length `p` in the *union* of
+/// busy time, however that union is split into intervals; for `p = 0` it
+/// is `from`. And `t` never decreases, so once it reaches `bound` the
+/// answer cannot fall below it. A positive-length job cannot start at
+/// `Time::MAX`, so `bound = Time::MAX` never gives up.
+fn earliest_fit_merged(a: &Busy, b: &Busy, from: Time, p: Time, bound: Time) -> Option<Time> {
     let (mut i, mut j) = (0, 0);
     let mut t = from;
     loop {
+        if t >= bound {
+            return None;
+        }
         let next = match (a.iv.get(i), b.iv.get(j)) {
             (Some(&x), Some(&y)) => {
                 if x <= y {
@@ -118,11 +145,11 @@ fn earliest_fit_merged(a: &Busy, b: &Busy, from: Time, p: Time) -> Time {
                 j += 1;
                 y
             }
-            (None, None) => return t,
+            (None, None) => return Some(t),
         };
         let (s, e) = next;
         if t + p <= s {
-            return t;
+            return Some(t);
         }
         if e > t {
             t = e;
@@ -133,6 +160,11 @@ fn earliest_fit_merged(a: &Busy, b: &Busy, from: Time, p: Time) -> Time {
 /// Hebrard-style greedy insertion: repeatedly pick the unscheduled job with
 /// the largest `p_j + p(remaining jobs of its class)` and insert it at the
 /// earliest feasible start over all machines (ties: lower machine index).
+///
+/// Each machine's fit is bounded by the best start found so far: only a
+/// strictly earlier start displaces the lower-indexed machine holding it,
+/// so a scan that reaches that start is abandoned without changing the
+/// chosen machine.
 pub fn hebrard_greedy(inst: &Instance) -> ApproxResult {
     if let Some(r) = trivial(inst) {
         return r;
@@ -141,18 +173,20 @@ pub fn hebrard_greedy(inst: &Instance) -> ApproxResult {
     let m = inst.machines();
     let mut machine_busy = vec![Busy::default(); m];
     let mut class_busy = vec![Busy::default(); inst.num_classes()];
-    let mut remaining: Vec<Time> = (0..inst.num_classes())
+    let load: Vec<Time> = (0..inst.num_classes())
         .map(|c| inst.class_load(c))
         .collect();
 
     // Priority order: p_j + remaining class load, recomputed lazily — since
     // p_j + remaining only decreases as the class drains, a one-shot sort by
     // (class load + size, size) matches the intent closely and is O(n log n).
+    let priority: Vec<(Time, Time)> = inst
+        .jobs()
+        .iter()
+        .map(|job| (load[job.class] + job.size, job.size))
+        .collect();
     let mut order: Vec<JobId> = (0..inst.num_jobs()).collect();
-    order.sort_unstable_by_key(|&j| {
-        let c = inst.class_of(j);
-        std::cmp::Reverse((inst.class_load(c) + inst.size(j), inst.size(j)))
-    });
+    order.sort_unstable_by_key(|&j| std::cmp::Reverse(priority[j]));
 
     let mut assignments = vec![
         Assignment {
@@ -164,21 +198,19 @@ pub fn hebrard_greedy(inst: &Instance) -> ApproxResult {
     for j in order {
         let c = inst.class_of(j);
         let p = inst.size(j);
-        let mut best: Option<(Time, usize)> = None;
+        let mut best = (Time::MAX, 0);
         for (q, busy) in machine_busy.iter().enumerate() {
-            let s = earliest_fit_merged(busy, &class_busy[c], 0, p);
-            if best.is_none_or(|(bs, _)| s < bs) {
-                best = Some((s, q));
+            if let Some(s) = earliest_fit_merged(busy, &class_busy[c], 0, p, best.0) {
+                best = (s, q);
             }
         }
-        let (s, q) = best.expect("m ≥ 1");
+        let (s, q) = best;
         assignments[j] = Assignment {
             machine: q,
             start: s,
         };
         machine_busy[q].insert(s, s + p);
         class_busy[c].insert(s, s + p);
-        remaining[c] -= p;
     }
     let schedule = Schedule::new(assignments);
     let horizon = schedule.makespan(inst);
@@ -193,26 +225,48 @@ pub fn hebrard_greedy(inst: &Instance) -> ApproxResult {
 /// becomes idle, start the largest unscheduled job whose class is not
 /// currently running; if none is available the machine idles until the next
 /// class completion.
+///
+/// Three heaps replace the per-step scans over machines and classes, with
+/// keys that reproduce the scans' tie rules exactly:
+///
+/// * machines keyed `(free, index)`: the first machine to free up, lowest
+///   index on ties (the first minimum, as `min_by_key` picks);
+/// * ready classes keyed `(largest remaining size, remaining load, class)`:
+///   on ties the highest class id (the last maximum, as `max_by_key` picks);
+/// * blocked classes keyed `(free time, class)`.
+///
+/// `now` is the least machine free time and never decreases, so a class
+/// whose free time has passed stays ready until it is picked, and a class
+/// leaves the blocked heap at most once per job: `O(n log(m + |C|))`
+/// in all.
 pub fn list_scheduler(inst: &Instance) -> ApproxResult {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
     if let Some(r) = trivial(inst) {
         return r;
     }
     let t = lower_bound(inst);
-    let m = inst.machines();
-    let mut machine_free: Vec<Time> = vec![0; m];
-    let mut class_free: Vec<Time> = vec![0; inst.num_classes()];
-    // Per class: jobs sorted ascending by size (drained from the back,
-    // largest first) plus the remaining class load for tie-breaking.
-    let mut per_class: Vec<Vec<JobId>> = (0..inst.num_classes())
-        .map(|c| {
-            let mut v = inst.class_jobs(c).to_vec();
-            v.sort_unstable_by_key(|&j| inst.size(j));
-            v
-        })
-        .collect();
+    // Per class: its flat slot range holds its jobs sorted ascending by
+    // size, drained from `top[c]` downwards (largest first).
+    let mut jobs = inst.flat_job_ids().to_vec();
+    let mut top = Vec::with_capacity(inst.num_classes());
+    for c in 0..inst.num_classes() {
+        let range = inst.class_range(c);
+        jobs[range.clone()].sort_unstable_by_key(|&j| inst.size(j));
+        top.push(range.end);
+    }
     let mut remaining: Vec<Time> = (0..inst.num_classes())
         .map(|c| inst.class_load(c))
         .collect();
+
+    let mut machines: BinaryHeap<Reverse<(Time, MachineId)>> =
+        (0..inst.machines()).map(|q| Reverse((0, q))).collect();
+    let mut ready: BinaryHeap<(Time, Time, ClassId)> = inst
+        .nonempty_classes()
+        .map(|c| (inst.size(jobs[top[c] - 1]), remaining[c], c))
+        .collect();
+    let mut blocked: BinaryHeap<Reverse<(Time, ClassId)>> = BinaryHeap::new();
 
     let mut assignments = vec![
         Assignment {
@@ -224,40 +278,35 @@ pub fn list_scheduler(inst: &Instance) -> ApproxResult {
     let mut done = 0usize;
     while done < inst.num_jobs() {
         // Pick the machine that frees up first.
-        let q = (0..m).min_by_key(|&q| machine_free[q]).expect("m ≥ 1");
-        let now = machine_free[q];
+        let Reverse((now, q)) = machines.pop().expect("m ≥ 1");
+        // Release every class whose last job has finished by `now`.
+        while let Some(&Reverse((free, c))) = blocked.peek() {
+            if free > now {
+                break;
+            }
+            blocked.pop();
+            ready.push((inst.size(jobs[top[c] - 1]), remaining[c], c));
+        }
         // Largest available job; ties broken towards the class with the most
         // remaining load (this is what interleaves the conflict classes).
-        let pick = (0..inst.num_classes())
-            .filter(|&c| class_free[c] <= now && !per_class[c].is_empty())
-            .max_by_key(|&c| {
-                (
-                    inst.size(*per_class[c].last().expect("non-empty")),
-                    remaining[c],
-                )
-            });
-        match pick {
-            Some(c) => {
-                let j = per_class[c].pop().expect("non-empty checked");
-                let p = inst.size(j);
-                assignments[j] = Assignment {
+        match ready.pop() {
+            Some((p, _, c)) => {
+                top[c] -= 1;
+                assignments[jobs[top[c]]] = Assignment {
                     machine: q,
                     start: now,
                 };
                 done += 1;
                 remaining[c] -= p;
-                machine_free[q] = now + p;
-                class_free[c] = class_free[c].max(now + p);
+                machines.push(Reverse((now + p, q)));
+                if top[c] > inst.class_range(c).start {
+                    blocked.push(Reverse((now + p, c)));
+                }
             }
             None => {
                 // Idle until the earliest class completion after `now`.
-                let next = (0..inst.num_classes())
-                    .filter(|&c| !per_class[c].is_empty())
-                    .map(|c| class_free[c])
-                    .filter(|&f| f > now)
-                    .min()
-                    .expect("some blocked class must free up");
-                machine_free[q] = next;
+                let &Reverse((next, _)) = blocked.peek().expect("some blocked class must free up");
+                machines.push(Reverse((next, q)));
             }
         }
     }
@@ -335,10 +384,266 @@ pub fn list_scheduler_naive(inst: &Instance) -> ApproxResult {
     }
 }
 
+/// The straightforward kernels the fast ones replaced, kept as the oracle
+/// of the differential tests: the fast kernels must return exactly these
+/// schedules.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// Busy list without merging: one interval per inserted job.
+    fn insert(iv: &mut Vec<(Time, Time)>, s: Time, e: Time) {
+        if s == e {
+            return;
+        }
+        let pos = iv.partition_point(|&(a, _)| a < s);
+        iv.insert(pos, (s, e));
+    }
+
+    /// The unbounded two-cursor fit over unmerged lists.
+    fn earliest_fit(a: &[(Time, Time)], b: &[(Time, Time)], p: Time) -> Time {
+        let (mut i, mut j) = (0, 0);
+        let mut t = 0;
+        loop {
+            let next = match (a.get(i), b.get(j)) {
+                (Some(&x), Some(&y)) => {
+                    if x <= y {
+                        i += 1;
+                        x
+                    } else {
+                        j += 1;
+                        y
+                    }
+                }
+                (Some(&x), None) => {
+                    i += 1;
+                    x
+                }
+                (None, Some(&y)) => {
+                    j += 1;
+                    y
+                }
+                (None, None) => return t,
+            };
+            let (s, e) = next;
+            if t + p <= s {
+                return t;
+            }
+            if e > t {
+                t = e;
+            }
+        }
+    }
+
+    /// Greedy insertion, every machine scanned to the end.
+    pub(super) fn hebrard_greedy(inst: &Instance) -> ApproxResult {
+        if let Some(r) = trivial(inst) {
+            return r;
+        }
+        let t = lower_bound(inst);
+        let m = inst.machines();
+        let mut machine_busy = vec![Vec::new(); m];
+        let mut class_busy = vec![Vec::new(); inst.num_classes()];
+        let mut order: Vec<JobId> = (0..inst.num_jobs()).collect();
+        order.sort_unstable_by_key(|&j| {
+            let c = inst.class_of(j);
+            std::cmp::Reverse((inst.class_load(c) + inst.size(j), inst.size(j)))
+        });
+        let mut assignments = vec![
+            Assignment {
+                machine: 0,
+                start: 0
+            };
+            inst.num_jobs()
+        ];
+        for j in order {
+            let c = inst.class_of(j);
+            let p = inst.size(j);
+            let mut best: Option<(Time, usize)> = None;
+            for (q, busy) in machine_busy.iter().enumerate() {
+                let s = earliest_fit(busy, &class_busy[c], p);
+                if best.is_none_or(|(bs, _)| s < bs) {
+                    best = Some((s, q));
+                }
+            }
+            let (s, q) = best.expect("m ≥ 1");
+            assignments[j] = Assignment {
+                machine: q,
+                start: s,
+            };
+            insert(&mut machine_busy[q], s, s + p);
+            insert(&mut class_busy[c], s, s + p);
+        }
+        let schedule = Schedule::new(assignments);
+        let horizon = schedule.makespan(inst);
+        ApproxResult {
+            schedule,
+            lower_bound: t,
+            horizon,
+        }
+    }
+
+    /// List scheduling by linear scans over machines and classes.
+    pub(super) fn list_scheduler(inst: &Instance) -> ApproxResult {
+        if let Some(r) = trivial(inst) {
+            return r;
+        }
+        let t = lower_bound(inst);
+        let m = inst.machines();
+        let mut machine_free: Vec<Time> = vec![0; m];
+        let mut class_free: Vec<Time> = vec![0; inst.num_classes()];
+        let mut per_class: Vec<Vec<JobId>> = (0..inst.num_classes())
+            .map(|c| {
+                let mut v = inst.class_jobs(c).to_vec();
+                v.sort_unstable_by_key(|&j| inst.size(j));
+                v
+            })
+            .collect();
+        let mut remaining: Vec<Time> = (0..inst.num_classes())
+            .map(|c| inst.class_load(c))
+            .collect();
+        let mut assignments = vec![
+            Assignment {
+                machine: 0,
+                start: 0
+            };
+            inst.num_jobs()
+        ];
+        let mut done = 0usize;
+        while done < inst.num_jobs() {
+            let q = (0..m).min_by_key(|&q| machine_free[q]).expect("m ≥ 1");
+            let now = machine_free[q];
+            let pick = (0..inst.num_classes())
+                .filter(|&c| class_free[c] <= now && !per_class[c].is_empty())
+                .max_by_key(|&c| {
+                    (
+                        inst.size(*per_class[c].last().expect("non-empty")),
+                        remaining[c],
+                    )
+                });
+            match pick {
+                Some(c) => {
+                    let j = per_class[c].pop().expect("non-empty checked");
+                    let p = inst.size(j);
+                    assignments[j] = Assignment {
+                        machine: q,
+                        start: now,
+                    };
+                    done += 1;
+                    remaining[c] -= p;
+                    machine_free[q] = now + p;
+                    class_free[c] = class_free[c].max(now + p);
+                }
+                None => {
+                    let next = (0..inst.num_classes())
+                        .filter(|&c| !per_class[c].is_empty())
+                        .map(|c| class_free[c])
+                        .filter(|&f| f > now)
+                        .min()
+                        .expect("some blocked class must free up");
+                    machine_free[q] = next;
+                }
+            }
+        }
+        let schedule = Schedule::new(assignments);
+        let horizon = schedule.makespan(inst);
+        ApproxResult {
+            schedule,
+            lower_bound: t,
+            horizon,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use msrs_core::validate;
+    use proptest::prelude::*;
+
+    /// Asserts the fast kernels return exactly what the reference kernels
+    /// return on `inst`.
+    fn assert_matches_reference(inst: &Instance, what: &str) {
+        for (name, fast, slow) in [
+            (
+                "hebrard_greedy",
+                hebrard_greedy(inst),
+                reference::hebrard_greedy(inst),
+            ),
+            (
+                "list_scheduler",
+                list_scheduler(inst),
+                reference::list_scheduler(inst),
+            ),
+        ] {
+            assert_eq!(fast.schedule, slow.schedule, "{name} on {what}");
+            assert_eq!(
+                (fast.lower_bound, fast.horizon),
+                (slow.lower_bound, slow.horizon),
+                "{name} on {what}"
+            );
+        }
+    }
+
+    /// Every `msrs gen` family, drawn with the shapes the CLI uses.
+    fn gen_families(seed: u64, m: usize) -> [(&'static str, Instance); 8] {
+        [
+            ("uniform", msrs_gen::uniform(seed, m, 40 * m, 6 * m, 1, 100)),
+            (
+                "zipf",
+                msrs_gen::zipf_classes(seed, m, 40 * m, 6 * m, 1, 100),
+            ),
+            ("satellite", msrs_gen::satellite(seed, m, 3 * m, 10)),
+            ("photolitho", msrs_gen::photolithography(seed, m, 3 * m, 8)),
+            (
+                "adversarial",
+                msrs_gen::adversarial_merged_lpt(m, 40 + (seed % 41) as usize),
+            ),
+            ("boundary", msrs_gen::boundary_stress(seed, m, 3 * m, 120)),
+            ("huge", msrs_gen::huge_heavy(seed, m, m, 2 * m, 96)),
+            ("traffic", msrs_gen::traffic(seed, m, 10)),
+        ]
+    }
+
+    #[test]
+    fn fast_kernels_match_the_reference_on_every_family() {
+        for m in 2..=6 {
+            for seed in 0..6 {
+                for (family, inst) in gen_families(seed, m) {
+                    assert_matches_reference(&inst, &format!("{family} seed {seed} m {m}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fast_kernels_match_the_reference_with_zero_sizes_and_ties() {
+        // Sizes 0..=3 over few classes: zero-size jobs everywhere and most
+        // priorities, fits and free times tied.
+        for seed in 0..150 {
+            let m = 2 + (seed % 5) as usize;
+            let n = 4 + (seed * 13 % 60) as usize;
+            let k = m + 1 + (seed % 7) as usize;
+            let hi = 1 + seed % 3;
+            let uniform = msrs_gen::uniform(seed, m, n, k, 0, hi);
+            assert_matches_reference(&uniform, &format!("uniform seed {seed}"));
+            let zipf = msrs_gen::zipf_classes(seed, m, n, k, 0, hi);
+            assert_matches_reference(&zipf, &format!("zipf seed {seed}"));
+        }
+    }
+
+    proptest! {
+        /// Arbitrary class structures, empty classes and zero-size jobs
+        /// included.
+        #[test]
+        fn fast_kernels_match_the_reference_on_arbitrary_instances(
+            m in 1usize..=6,
+            classes in prop::collection::vec(prop::collection::vec(0u64..=5, 0..=7), 1..=12),
+        ) {
+            let inst = Instance::from_classes(m, &classes).expect("valid instance");
+            assert_matches_reference(&inst, &format!("{classes:?} m {m}"));
+        }
+    }
 
     fn check_all(inst: &Instance) -> [ApproxResult; 3] {
         let rs = [merged_lpt(inst), hebrard_greedy(inst), list_scheduler(inst)];
@@ -447,6 +752,14 @@ mod tests {
         assert_eq!(b.earliest_fit(3, 2), 5);
         assert_eq!(b.earliest_fit(0, 4), 10);
         assert_eq!(b.earliest_fit(11, 7), 11);
+        // Touching slots merge into their neighbours.
+        b.insert(10, 12);
+        assert_eq!(b.iv, vec![(2, 5), (8, 12)]);
+        b.insert(1, 2);
+        b.insert(5, 8);
+        assert_eq!(b.iv, vec![(1, 12)]);
+        b.insert(14, 15);
+        assert_eq!(b.iv, vec![(1, 12), (14, 15)]);
     }
 
     #[test]
@@ -484,13 +797,24 @@ mod tests {
             let reference = Busy { iv };
             for p in 1..6 {
                 for from in 0..4 {
+                    let want = reference.earliest_fit(from, p);
                     assert_eq!(
-                        earliest_fit_merged(&a, &b, from, p),
-                        reference.earliest_fit(from, p),
+                        earliest_fit_merged(&a, &b, from, p, Time::MAX),
+                        Some(want),
                         "a={:?} b={:?} from={from} p={p}",
                         a.iv,
                         b.iv
                     );
+                    // A bound only ever withholds answers at or past it.
+                    for bound in 0..want + 2 {
+                        assert_eq!(
+                            earliest_fit_merged(&a, &b, from, p, bound),
+                            (want < bound).then_some(want),
+                            "a={:?} b={:?} from={from} p={p} bound={bound}",
+                            a.iv,
+                            b.iv
+                        );
+                    }
                 }
             }
         }

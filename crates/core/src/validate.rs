@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use crate::instance::{ClassId, Instance, JobId, MachineId};
+use crate::instance::{ClassId, Instance, JobId, MachineId, Time};
 use crate::schedule::Schedule;
 
 /// The ways a schedule can be infeasible.
@@ -94,8 +94,115 @@ impl std::error::Error for ValidationError {}
 
 /// Checks that `schedule` is a valid MSRS schedule for `inst`.
 ///
-/// Runs in `O(n log n)` (two sweeps over start-sorted job groups).
+/// Runs in `O(n log n)`: each machine's and each class's positive-size
+/// jobs are sorted by `(start, job)` and swept for overlapping neighbours.
+/// The first error is the first overlap in machine order, then in class
+/// order, each group read in `(start, job)` order.
 pub fn validate(inst: &Instance, schedule: &Schedule) -> Result<(), ValidationError> {
+    if schedule.len() != inst.num_jobs() {
+        return Err(ValidationError::WrongJobCount {
+            expected: inst.num_jobs(),
+            actual: schedule.len(),
+        });
+    }
+    let assignments = schedule.assignments();
+    for (j, a) in assignments.iter().enumerate() {
+        if a.machine >= inst.machines() {
+            return Err(ValidationError::MachineOutOfRange {
+                job: j,
+                machine: a.machine,
+                machines: inst.machines(),
+            });
+        }
+    }
+
+    // Machine-exclusivity: counting-sort the positive-size jobs into
+    // per-machine buckets, in machine order, then sort each bucket's
+    // `(start, job)` pairs. Job ids are distinct, so every pair order is
+    // total and the buckets read in turn are the one sort by
+    // `(machine, start, job)`: the first overlap found is the same.
+    let positive = || (0..assignments.len()).filter(|&j| inst.size(j) > 0);
+    let (count, used) = positive().fold((0, 0), |(count, used), j| {
+        (count + 1, usize::max(used, assignments[j].machine + 1))
+    });
+    // A schedule whose jobs sit on few machines with huge ids buckets by
+    // rank among the used ids, so buckets never outnumber jobs.
+    let ranks: Option<Vec<MachineId>> = (used > count).then(|| {
+        let mut ids: Vec<MachineId> = positive().map(|j| assignments[j].machine).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    });
+    let bucket_of = |machine: MachineId| match &ranks {
+        Some(ids) => ids
+            .binary_search(&machine)
+            .expect("every used id is ranked"),
+        None => machine,
+    };
+    let buckets = ranks.as_ref().map_or(used, Vec::len);
+    // A counting pass filling the bucket offsets, then a scatter pass
+    // placing each job (in id order) at its bucket's cursor.
+    let mut offsets = vec![0usize; buckets + 1];
+    for j in positive() {
+        offsets[bucket_of(assignments[j].machine) + 1] += 1;
+    }
+    for b in 0..buckets {
+        offsets[b + 1] += offsets[b];
+    }
+    let mut cursor = offsets.clone();
+    let mut pairs: Vec<(Time, JobId)> = vec![(0, 0); count];
+    for j in positive() {
+        let slot = &mut cursor[bucket_of(assignments[j].machine)];
+        pairs[*slot] = (assignments[j].start, j);
+        *slot += 1;
+    }
+    for w in offsets.windows(2) {
+        if let Some((a, b)) = first_overlap(inst, &mut pairs[w[0]..w[1]]) {
+            return Err(ValidationError::MachineOverlap {
+                machine: assignments[a].machine,
+                job_a: a,
+                job_b: b,
+            });
+        }
+    }
+
+    // Resource-exclusivity: the instance's flat storage already groups jobs
+    // by class, so the same buffer takes one class's pairs at a time.
+    for class in 0..inst.num_classes() {
+        pairs.clear();
+        pairs.extend(
+            inst.class_jobs(class)
+                .iter()
+                .zip(inst.class_sizes(class))
+                .filter(|&(_, &p)| p > 0)
+                .map(|(&j, _)| (assignments[j].start, j)),
+        );
+        if let Some((a, b)) = first_overlap(inst, &mut pairs) {
+            return Err(ValidationError::ClassConflict {
+                class,
+                job_a: a,
+                job_b: b,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Sorts one group's `(start, job)` pairs and returns the first
+/// neighbouring jobs that overlap in time.
+fn first_overlap(inst: &Instance, group: &mut [(Time, JobId)]) -> Option<(JobId, JobId)> {
+    group.sort_unstable();
+    group
+        .windows(2)
+        .find(|w| w[0].0 + inst.size(w[0].1) > w[1].0)
+        .map(|w| (w[0].1, w[1].1))
+}
+
+/// The single-sort validator the bucketed one replaced, kept as the oracle
+/// of the differential tests: [`validate`] must return exactly its result,
+/// down to which job pair an error names.
+#[cfg(test)]
+fn validate_reference(inst: &Instance, schedule: &Schedule) -> Result<(), ValidationError> {
     if schedule.len() != inst.num_jobs() {
         return Err(ValidationError::WrongJobCount {
             expected: inst.num_jobs(),
@@ -111,11 +218,6 @@ pub fn validate(inst: &Instance, schedule: &Schedule) -> Result<(), ValidationEr
             });
         }
     }
-
-    // Machine-exclusivity: one flat sort by (machine, start, job) — ties in
-    // start resolve by job id, matching what a per-machine stable sort over
-    // jobs pushed in id order produced — then a neighbour sweep within each
-    // machine run. One allocation instead of one per machine.
     let mut by_machine: Vec<JobId> = (0..schedule.len()).filter(|&j| inst.size(j) > 0).collect();
     by_machine.sort_unstable_by_key(|&j| {
         (
@@ -138,10 +240,6 @@ pub fn validate(inst: &Instance, schedule: &Schedule) -> Result<(), ValidationEr
             });
         }
     }
-
-    // Resource-exclusivity: the instance's flat storage already groups jobs
-    // by class (ascending job id within the class), so one reused scratch
-    // buffer per class span suffices.
     let mut jobs: Vec<JobId> = Vec::new();
     for class in 0..inst.num_classes() {
         jobs.clear();
@@ -169,8 +267,142 @@ pub fn validate(inst: &Instance, schedule: &Schedule) -> Result<(), ValidationEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::Instance;
+    use crate::instance::{Instance, Job};
     use crate::schedule::{Assignment, Schedule};
+
+    /// xorshift64: a seeded stream for the differential corpus.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// A random instance: sizes from `0..=hi` (zero-size jobs and ties
+    /// throughout), classes drawn uniformly or with a heavy head.
+    fn random_instance(rng: &mut Rng, m: usize) -> Instance {
+        let n = rng.below(40) as usize;
+        let k = 1 + rng.below(10);
+        let hi = [1, 3, 20][rng.below(3) as usize];
+        let zipf = rng.below(2) == 0;
+        let jobs = (0..n)
+            .map(|_| {
+                let class = if zipf {
+                    let head = 1 + rng.below(k);
+                    rng.below(head)
+                } else {
+                    rng.below(k)
+                };
+                Job::new(rng.below(hi + 1), class as usize)
+            })
+            .collect();
+        Instance::new(m, jobs).unwrap()
+    }
+
+    /// A valid schedule: jobs in id order, each on the first machine to
+    /// free up, no earlier than its class frees up.
+    fn greedy_schedule(inst: &Instance) -> Vec<Assignment> {
+        let mut machine_free = vec![0; inst.machines()];
+        let mut class_free = vec![0; inst.num_classes()];
+        (0..inst.num_jobs())
+            .map(|j| {
+                let machine = (0..inst.machines())
+                    .min_by_key(|&q| machine_free[q])
+                    .unwrap();
+                let c = inst.class_of(j);
+                let start = machine_free[machine].max(class_free[c]);
+                machine_free[machine] = start + inst.size(j);
+                class_free[c] = start + inst.size(j);
+                Assignment { machine, start }
+            })
+            .collect()
+    }
+
+    /// Asserts [`validate`] agrees with the reference; returns the result.
+    fn assert_matches_reference(
+        inst: &Instance,
+        assignments: Vec<Assignment>,
+    ) -> Result<(), ValidationError> {
+        let s = Schedule::new(assignments);
+        let got = validate(inst, &s);
+        assert_eq!(got, validate_reference(inst, &s), "{inst:?} {s:?}");
+        got
+    }
+
+    #[test]
+    fn bucketed_validate_matches_the_reference() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        // Outcomes seen: valid, overlap, conflict, out of range, count.
+        let mut seen = [0usize; 5];
+        for case in 0..3000 {
+            let m = 2 + case % 5;
+            let inst = random_instance(&mut rng, m);
+            let valid = greedy_schedule(&inst);
+            assert_eq!(assert_matches_reference(&inst, valid.clone()), Ok(()));
+            if inst.num_jobs() == 0 {
+                continue;
+            }
+            // Mutations: shifted starts, moved jobs, collisions, and the
+            // occasional out-of-range machine or missing job.
+            let mut broken = valid;
+            for _ in 0..1 + rng.below(4) {
+                let n = broken.len() as u64;
+                let (i, j) = (rng.below(n) as usize, rng.below(n) as usize);
+                match rng.below(8) {
+                    0..=2 => broken[j].start = broken[j].start.saturating_sub(rng.below(4)),
+                    3 | 4 => broken[j].machine = rng.below(m as u64) as usize,
+                    5 => broken[j] = broken[i],
+                    6 => broken[j].machine = m + rng.below(2) as usize,
+                    _ => {
+                        broken.pop();
+                    }
+                }
+                if broken.is_empty() {
+                    break;
+                }
+            }
+            seen[match assert_matches_reference(&inst, broken) {
+                Ok(()) => 0,
+                Err(ValidationError::MachineOverlap { .. }) => 1,
+                Err(ValidationError::ClassConflict { .. }) => 2,
+                Err(ValidationError::MachineOutOfRange { .. }) => 3,
+                Err(ValidationError::WrongJobCount { .. }) => 4,
+            }] += 1;
+        }
+        assert!(seen.iter().all(|&n| n >= 50), "outcomes {seen:?}");
+    }
+
+    #[test]
+    fn sparse_machine_ids_match_the_reference() {
+        // Few jobs spread over machine ids far beyond the job count: the
+        // buckets come from ranks of the used ids.
+        let mut rng = Rng(0x2545_f491_4f6c_dd1d);
+        let ids = [0, 7, 1 << 20, (1 << 40) - 1];
+        for _ in 0..500 {
+            let four = random_instance(&mut rng, 4);
+            let inst = Instance::new(1 << 40, four.jobs().to_vec()).unwrap();
+            // The four-machine greedy schedule moved onto the sparse ids.
+            let valid = greedy_schedule(&four)
+                .into_iter()
+                .map(|a| Assignment {
+                    machine: ids[a.machine],
+                    start: a.start,
+                })
+                .collect();
+            assert_eq!(assert_matches_reference(&inst, valid), Ok(()));
+            let random = (0..inst.num_jobs())
+                .map(|_| Assignment {
+                    machine: ids[rng.below(4) as usize],
+                    start: rng.below(30),
+                })
+                .collect();
+            let _ = assert_matches_reference(&inst, random);
+        }
+    }
 
     fn inst() -> Instance {
         // class 0: jobs 0 (p=3), 1 (p=2); class 1: job 2 (p=4)

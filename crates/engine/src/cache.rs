@@ -214,6 +214,7 @@ impl ReportCache {
     ) {
         let (tx, rx) = mpsc::sync_channel::<(u128, Arc<SolveReport>)>(PERSIST_QUEUE);
         let handle = std::thread::spawn(move || {
+            let mut payload = Vec::new();
             // recv drains messages queued before the sender dropped, so
             // everything enqueued is flushed before the thread exits.
             while let Ok(first) = rx.recv() {
@@ -229,8 +230,9 @@ impl ReportCache {
                     if !seen.insert(fp) {
                         continue; // already durable (warm load or earlier insert)
                     }
-                    let payload = report.to_store_json().to_string();
-                    match store.append(fp, config_fp, &payload) {
+                    report.write_store_json(&mut payload);
+                    let text = std::str::from_utf8(&payload).expect("JSON output is UTF-8");
+                    match store.append(fp, config_fp, text) {
                         Ok(()) => wrote = true,
                         Err(e) => eprintln!("msrs: cache store append failed: {e}"),
                     }

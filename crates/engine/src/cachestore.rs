@@ -64,7 +64,7 @@ use std::sync::Arc;
 
 use msrs_telemetry::registry;
 
-use crate::checkpoint::fnv1a_64;
+use crate::checkpoint::{fnv1a_64, fnv1a_64_extend};
 use crate::dispatch::{CacheFault, FaultSpec};
 use crate::json::Json;
 use crate::report::SolveReport;
@@ -118,9 +118,15 @@ pub struct CacheStore {
 
 /// FNV-1a over the record's key and payload: the canonical fingerprint
 /// (hex), the config fingerprint (decimal), and the report's store
-/// serialization, colon-separated.
+/// serialization, colon-separated. The short key is formatted on the
+/// stack and the payload hashed in place, never copied.
 fn record_checksum(fp: u128, config_fp: u64, payload: &str) -> u64 {
-    fnv1a_64(format!("{fp:032x}:{config_fp}:{payload}").as_bytes())
+    // 32 hex digits, at most 20 decimal digits, two colons.
+    let mut key = [0u8; 54];
+    let mut cursor = io::Cursor::new(&mut key[..]);
+    write!(cursor, "{fp:032x}:{config_fp}:").expect("the key fits its buffer");
+    let len = cursor.position() as usize;
+    fnv1a_64_extend(fnv1a_64(&key[..len]), payload.as_bytes())
 }
 
 fn header_line(config_fp: u64) -> String {
@@ -452,6 +458,18 @@ mod tests {
             store.append(i as u128 + 1, config_fp, &payload).unwrap();
         }
         store.sync().unwrap();
+    }
+
+    #[test]
+    fn checksum_hashes_the_joined_key_and_payload() {
+        for (fp, config) in [(0, 0), (1, 7), (u128::MAX, u64::MAX)] {
+            for payload in ["", "{\"jobs\":1}", "é✓"] {
+                assert_eq!(
+                    record_checksum(fp, config, payload),
+                    fnv1a_64(format!("{fp:032x}:{config}:{payload}").as_bytes())
+                );
+            }
+        }
     }
 
     #[test]

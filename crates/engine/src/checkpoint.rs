@@ -38,7 +38,12 @@ pub const CHECKPOINT_VERSION: u64 = 1;
 /// fingerprint each shard's raw line text so a resume detects a corpus
 /// that changed underneath the journal.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+    fnv1a_64_extend(0xcbf29ce484222325, bytes)
+}
+
+/// Continues an FNV-1a hash over more bytes: hashing `a` and then
+/// extending by `b` equals [`fnv1a_64`] of `a` followed by `b`.
+pub(crate) fn fnv1a_64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);

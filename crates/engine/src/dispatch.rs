@@ -121,8 +121,11 @@
 //! bit-identically to local hits. After solving, the worker sends a
 //! `#cachefill <fp> <payload>` for every probed miss it now holds
 //! (before `#done`, while its lease is live); the coordinator verifies,
-//! re-serializes, and persists each fill, and drops fills from zombie or
+//! re-serializes, and appends each fill, and drops fills from zombie or
 //! idle workers (counted as `msrs_dispatch_stale_fills_dropped_total`).
+//! It makes the appended fills durable with one `fsync` per drained
+//! event batch, so every fill is on disk before the checkpoint journals
+//! a later shard.
 //! Payloads are [`crate::report::SolveReport::to_store_json`] lines. The
 //! exchange is versioned through the remote handshake
 //! ([`crate::remote::REMOTE_PROTO_VERSION`]), so pre-cache workers are
@@ -756,12 +759,19 @@ fn solve_shard<W: Write + Send>(
             std::thread::sleep(Duration::from_millis(ms));
             hb_enabled.store(true, Ordering::Relaxed);
         }
-        let mut w = out.lock().expect("worker output lock");
+        // All fill lines go out in one write: a TCP worker's output is
+        // the unbuffered socket.
+        let (mut lines, mut payload) = (Vec::new(), Vec::new());
         for fp in &job.fills {
             if let Some(report) = engine.serve_cached_peek(*fp) {
-                writeln!(w, "#cachefill {fp:032x} {}", report.to_store_json())?;
+                report.write_store_json(&mut payload);
+                write!(lines, "#cachefill {fp:032x} ")?;
+                lines.extend_from_slice(&payload);
+                lines.push(b'\n');
             }
         }
+        let mut w = out.lock().expect("worker output lock");
+        w.write_all(&lines)?;
         w.flush()?;
     }
     let tail = match &outcome.error {
@@ -1192,6 +1202,21 @@ struct Completed {
 struct CacheAuthority {
     store: CacheStore,
     map: HashMap<u128, Arc<str>>,
+    /// Fills appended since the last `fsync`.
+    dirty: bool,
+}
+
+impl CacheAuthority {
+    /// Makes the fills appended since the last call durable with one
+    /// `fsync`. The coordinator calls it after each drained event batch,
+    /// before the next loop journals any shard, and once more on exit.
+    fn sync(&mut self) {
+        if std::mem::take(&mut self.dirty) {
+            if let Err(e) = self.store.sync() {
+                eprintln!("msrs: cache store sync failed: {e}");
+            }
+        }
+    }
 }
 
 struct Coordinator<'a> {
@@ -1800,15 +1825,16 @@ impl<'a> Coordinator<'a> {
         else {
             return; // unverifiable payload: never persist it
         };
-        let canonical: Arc<str> = report.to_store_json().to_string().into();
-        let append = cache
-            .store
-            .append(fp, self.cfg.config_fp, &canonical)
-            .and_then(|()| cache.store.sync());
-        if let Err(e) = append {
+        let mut bytes = Vec::new();
+        report.write_store_json(&mut bytes);
+        let canonical: Arc<str> = String::from_utf8(bytes)
+            .expect("JSON output is UTF-8")
+            .into();
+        if let Err(e) = cache.store.append(fp, self.cfg.config_fp, &canonical) {
             eprintln!("msrs: cache store append failed: {e}");
             return;
         }
+        cache.dirty = true;
         cache.map.insert(fp, canonical);
     }
 
@@ -1976,7 +2002,11 @@ pub fn dispatch_fleet<R: BufRead>(
             .into_iter()
             .map(|e| (e.fingerprint, e.payload))
             .collect();
-        coord.cache = Some(CacheAuthority { store, map });
+        coord.cache = Some(CacheAuthority {
+            store,
+            map,
+            dirty: false,
+        });
     }
     let mut next_emit = 0usize;
     let mut emitted_bytes = 0u64;
@@ -2215,12 +2245,20 @@ pub fn dispatch_fleet<R: BufRead>(
                 while let Ok(msg) = coord.rx.try_recv() {
                     coord.handle_msg(msg);
                 }
+                // One fsync for the whole batch's cache fills, before the
+                // next pass journals the shards they belong to.
+                if let Some(cache) = coord.cache.as_mut() {
+                    cache.sync();
+                }
             }
             Err(RecvTimeoutError::Timeout) => coord.enforce_deadlines(),
             Err(RecvTimeoutError::Disconnected) => unreachable!("coordinator holds a sender"),
         }
     }
 
+    if let Some(cache) = coord.cache.as_mut() {
+        cache.sync();
+    }
     out.flush()?;
     hub_stop.store(true, Ordering::Relaxed);
     coord.shutdown_fleet();

@@ -162,6 +162,34 @@ impl SolveReport {
         wall_micros: u64,
         out: &mut Vec<u8>,
     ) {
+        self.write_object(id, cache_hit, wall_micros, false, out);
+    }
+
+    /// Serializes the report for durable storage directly into a byte
+    /// buffer — byte-identical to `self.to_store_json().to_string()`, as
+    /// [`write_json_line`](Self::write_json_line) is to `to_json`. This is
+    /// what the cache store, the worker `#cachefill` lines and the
+    /// dispatch coordinator write.
+    pub fn write_store_json(&self, out: &mut Vec<u8>) {
+        self.write_object(
+            self.id.as_deref(),
+            self.cache_hit,
+            self.wall_micros,
+            true,
+            out,
+        );
+    }
+
+    /// The one byte writer behind both formats: `store` adds the fields
+    /// [`to_store_json`](Self::to_store_json) adds to the wire object.
+    fn write_object(
+        &self,
+        id: Option<&str>,
+        cache_hit: bool,
+        wall_micros: u64,
+        store: bool,
+        out: &mut Vec<u8>,
+    ) {
         use std::io::Write;
         out.clear();
         // `write!` into a Vec<u8> cannot fail and does not allocate beyond
@@ -206,9 +234,25 @@ impl SolveReport {
             if let Some(n) = r.nodes {
                 let _ = write!(w, ",\"nodes\":{n}");
             }
-            let _ = write!(w, ",\"wall_micros\":{}}}", r.wall_micros);
+            let _ = write!(w, ",\"wall_micros\":{}", r.wall_micros);
+            if let (true, RunStatus::Invalid(msg)) = (store, &r.status) {
+                w.extend_from_slice(b",\"error\":");
+                write_json_str(w, msg);
+            }
+            w.push(b'}');
         }
-        w.extend_from_slice(b"]}");
+        w.push(b']');
+        if store {
+            w.extend_from_slice(b",\"schedule\":[");
+            for (i, a) in self.schedule.assignments().iter().enumerate() {
+                if i > 0 {
+                    w.push(b',');
+                }
+                let _ = write!(w, "[{},{}]", a.machine, a.start);
+            }
+            w.push(b']');
+        }
+        w.push(b'}');
     }
 
     /// Serializes the report (without the schedule) as one JSON object.
@@ -500,6 +544,9 @@ mod tests {
         for id in [Some("x"), None] {
             r.id = id.map(str::to_owned);
             let text = r.to_store_json().to_string();
+            let mut bytes = Vec::new();
+            r.write_store_json(&mut bytes);
+            assert_eq!(std::str::from_utf8(&bytes).unwrap(), text);
             assert!(text.contains("\"schedule\":[[0,0],[1,3]]"), "{text}");
             assert!(text.contains("\"error\":\"ghost overlap on machine 1\""));
             let back = SolveReport::from_store_json(&Json::parse(&text).unwrap()).unwrap();
@@ -515,6 +562,42 @@ mod tests {
         }
         assert!(SolveReport::from_store_json(&Json::parse("{\"jobs\":1}").unwrap()).is_none());
         assert_eq!(RunStatus::from_label("bogus", None), None);
+    }
+
+    #[test]
+    fn store_byte_writer_matches_tree_serialization() {
+        use msrs_core::Assignment;
+        let mut r = sample_report();
+        let mut bytes = vec![b'x'; 3]; // stale contents are cleared
+        for runs in 0..3 {
+            r.runs.truncate(runs);
+            for id in [Some("esc \"x\"\\\n\té✓\u{1}"), None] {
+                r.id = id.map(str::to_owned);
+                for jobs in [0, 1, 3] {
+                    r.schedule = Schedule::new(
+                        (0..jobs)
+                            .map(|j| Assignment {
+                                machine: j,
+                                start: u64::MAX - j as u64,
+                            })
+                            .collect(),
+                    );
+                    r.write_store_json(&mut bytes);
+                    assert_eq!(
+                        std::str::from_utf8(&bytes).unwrap(),
+                        r.to_store_json().to_string()
+                    );
+                }
+            }
+            r.runs.push(SolverRun {
+                solver: SolverKind::Exact,
+                status: RunStatus::Invalid(format!("bad \"{runs}\"\n\u{7f}")),
+                makespan: Some(3),
+                certified_horizon: None,
+                nodes: Some(u64::MAX),
+                wall_micros: 1,
+            });
+        }
     }
 
     #[test]

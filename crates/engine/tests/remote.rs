@@ -31,6 +31,7 @@ use proptest::prelude::*;
 use msrs_engine::dispatch::DispatchConfig;
 use msrs_engine::json::Json;
 use msrs_engine::stream::JsonlServer;
+use msrs_engine::telemetry::registry;
 use msrs_engine::{dispatch, jsonl, Engine, EngineConfig, RemoteHub};
 
 /// The real `msrs` binary, built by Cargo for this test run.
@@ -237,12 +238,27 @@ fn mixed_local_and_remote_fleet_matches_batch_reference() {
 /// structured error, exits non-zero, and the run is unperturbed.
 #[test]
 fn mismatched_worker_is_rejected_at_the_handshake() {
-    // A longer corpus than the other tests: the listener must outlive the
-    // mismatched worker's handshake even when the test host is loaded.
-    let text = corpus_text(40);
+    let text = corpus_text(18);
     let reference = reference_run(&text, 4);
     let (hub, addr) = bind_hub();
-    let mut rejected = Command::new(MSRS_BIN)
+    let out = tmp("reject.jsonl");
+    let rejects = registry().dispatch_handshake_rejects_total.get();
+    // A remote-only fleet cannot finish before a worker joins, so the
+    // listener is still up whenever the mismatched worker dials.
+    let run = std::thread::spawn({
+        let out = out.clone();
+        move || {
+            dispatch::dispatch_fleet(
+                Cursor::new(text),
+                &out,
+                None,
+                &fleet_config(0, 4),
+                None,
+                Some(hub),
+            )
+        }
+    });
+    let rejected = Command::new(MSRS_BIN)
         .args([
             "worker",
             "--connect",
@@ -254,32 +270,86 @@ fn mismatched_worker_is_rejected_at_the_handshake() {
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
-        .spawn()
-        .expect("mismatched worker spawns");
-    let out = tmp("reject.jsonl");
-    let cfg = fleet_config(1, 4);
-    let outcome = dispatch::dispatch_fleet(Cursor::new(text), &out, None, &cfg, None, Some(hub))
-        .expect("dispatch runs despite the rejected worker");
-    assert!(outcome.error.is_none());
-    assert_eq!(read_redacted(&out), reference);
-    let status = rejected.wait().expect("rejected worker exits");
+        .output()
+        .expect("mismatched worker runs");
     assert!(
-        !status.success(),
-        "a rejected worker must exit non-zero, got {status:?}"
+        !rejected.status.success(),
+        "a rejected worker must exit non-zero, got {:?}",
+        rejected.status
     );
-    let mut stderr = String::new();
-    use std::io::Read as _;
-    rejected
-        .stderr
-        .take()
-        .expect("stderr piped")
-        .read_to_string(&mut stderr)
-        .expect("stderr readable");
+    let stderr = String::from_utf8_lossy(&rejected.stderr);
     assert!(
-        stderr.contains("handshake"),
+        stderr.contains("engine config fingerprint mismatch"),
         "rejection reason surfaces on stderr: {stderr:?}"
     );
+    assert_eq!(
+        registry().dispatch_handshake_rejects_total.get(),
+        rejects + 1
+    );
+    // A matching worker then runs the whole corpus.
+    let _worker = spawn_worker(&addr, None, &[]);
+    let outcome = run
+        .join()
+        .expect("dispatch thread")
+        .expect("dispatch runs despite the rejected worker");
+    assert!(outcome.error.is_none());
+    assert_eq!(outcome.remote_workers, 1, "only the matching worker joined");
+    assert_eq!(read_redacted(&out), reference);
     fs::remove_file(&out).ok();
+}
+
+/// The coordinator makes cache fills durable once per drained event
+/// batch, not once per fill — and the synced store still serves a second
+/// run's probes.
+#[test]
+fn cache_fills_are_synced_per_event_batch() {
+    // Canonically distinct lines: every line is one fill.
+    let mut text = String::from("# fill batching corpus\n\n");
+    for i in 0..64u64 {
+        text.push_str(&jsonl::write_instance_line(
+            Some(&format!("f-{i}")),
+            &msrs_gen::uniform(1000 + i, 3, 12, 4, 1, 40),
+        ));
+        text.push('\n');
+    }
+    let reference = reference_run(&text, 8);
+    let store = tmp("fill-batching.mcache");
+    fs::remove_file(&store).ok();
+    let mut cfg = fleet_config(0, 8);
+    cfg.cache_path = Some(store.clone());
+
+    let (hub, addr) = bind_hub();
+    let _first = spawn_worker(&addr, None, &[]);
+    let out = tmp("fill-batching-1.jsonl");
+    let flushes = registry().cache_store_flushes_total.get();
+    let first =
+        dispatch::dispatch_fleet(Cursor::new(text.clone()), &out, None, &cfg, None, Some(hub))
+            .expect("first run");
+    let flushes = registry().cache_store_flushes_total.get() - flushes;
+    assert!(first.error.is_none());
+    assert_eq!(read_redacted(&out), reference);
+    let fills = fs::read_to_string(&store)
+        .expect("store readable")
+        .lines()
+        .filter(|l| l.starts_with("{\"fp\":"))
+        .count();
+    assert_eq!(fills, 64, "every distinct line was filled");
+    assert!(
+        (1..fills as u64).contains(&flushes),
+        "{flushes} store flushes for {fills} fills"
+    );
+
+    let (hub, addr) = bind_hub();
+    let _second = spawn_worker(&addr, None, &[]);
+    let out2 = tmp("fill-batching-2.jsonl");
+    let second = dispatch::dispatch_fleet(Cursor::new(text), &out2, None, &cfg, None, Some(hub))
+        .expect("second run");
+    assert!(second.error.is_none());
+    assert_eq!(second.fleet_cache_hits, 64, "every probe hits the store");
+    assert_eq!(read_redacted(&out2), reference);
+    for path in [&out, &out2, &store] {
+        fs::remove_file(path).ok();
+    }
 }
 
 /// An injected mid-shard disconnect drops the TCP session: the lease

@@ -66,6 +66,88 @@ fn engine_matches_exact_optimum_on_small_instances() {
     );
 }
 
+/// A fixed seeded corpus covering every `msrs gen` family plus drawn
+/// Tiny-tier (exact branch-and-bound) and Small-tier (EPTAS) instances.
+fn digest_corpus() -> Vec<Instance> {
+    use msrs::engine::families::FAMILIES;
+    let mut corpus = Vec::new();
+    for (f, family) in FAMILIES.iter().enumerate() {
+        for m in [2, 3, 4, 6] {
+            corpus.push((family.generate)(100 + 10 * f as u64 + m as u64, m));
+        }
+    }
+    for seed in 0..16u64 {
+        // Tiny: ≤ 9 jobs over ≤ 5 classes, more classes than machines.
+        let m = 2 + (seed % 2) as usize;
+        let tiny = 6 + (seed % 4) as usize;
+        let classes = m + 1 + (seed / 2 % 2) as usize;
+        // Small: ≤ 28 jobs on ≤ 4 machines.
+        let ms = 2 + (seed % 3) as usize;
+        let small = 12 + (seed * 7 % 17) as usize;
+        if seed % 2 == 0 {
+            corpus.push(msrs::gen::uniform(seed, m, tiny, classes, 1, 20));
+            corpus.push(msrs::gen::uniform(seed, ms, small, ms + 3, 1, 60));
+        } else {
+            corpus.push(msrs::gen::zipf_classes(seed, m, tiny, classes, 1, 20));
+            corpus.push(msrs::gen::zipf_classes(seed, ms, small, ms + 3, 1, 60));
+        }
+    }
+    corpus
+}
+
+/// Pins the exact content of the engine's reports: any change to a
+/// member's schedule, a makespan, a certificate, the winner, or an exact
+/// node count moves the digest. The digest is FNV-1a over each report's
+/// wire line (every `wall_micros` zeroed) followed by its schedule.
+/// A change that alters report content on purpose must re-pin it and say
+/// why; a performance change must leave it alone.
+#[test]
+fn report_digest_is_pinned() {
+    use msrs::engine::{checkpoint::fnv1a_64, classify, SizeTier};
+    let engine = Engine::new(EngineConfig {
+        threads: 1,
+        parallel_portfolio: false,
+        cache_capacity: 0,
+        ..EngineConfig::default()
+    });
+    let corpus = digest_corpus();
+    let mut tiers = [0usize; 4];
+    let (mut exact, mut eptas) = (0, 0);
+    let mut bytes = Vec::new();
+    let mut line = Vec::new();
+    for inst in &corpus {
+        tiers[classify(inst).tier.index()] += 1;
+        let mut report = engine.solve_instance(inst);
+        for run in &report.runs {
+            match run.solver {
+                SolverKind::Exact if run.nodes.is_some() => exact += 1,
+                SolverKind::Eptas => eptas += 1,
+                _ => {}
+            }
+        }
+        report.wall_micros = 0;
+        for run in &mut report.runs {
+            run.wall_micros = 0;
+        }
+        report.write_json_line(&mut line);
+        bytes.extend_from_slice(&line);
+        for a in report.schedule.assignments() {
+            bytes.extend_from_slice(format!(" {}:{}", a.machine, a.start).as_bytes());
+        }
+        bytes.push(b'\n');
+    }
+    assert!(tiers[SizeTier::Tiny.index()] >= 8, "tiers {tiers:?}");
+    assert!(tiers[SizeTier::Small.index()] >= 8, "tiers {tiers:?}");
+    assert!(tiers[SizeTier::Large.index()] >= 16, "tiers {tiers:?}");
+    assert!(exact >= 8 && eptas >= 16, "exact {exact}, eptas {eptas}");
+    assert_eq!(
+        fnv1a_64(&bytes),
+        18053556474675420763,
+        "report content changed over {} reports",
+        corpus.len()
+    );
+}
+
 #[test]
 fn jsonl_corpus_flows_through_the_engine() {
     use msrs::engine::jsonl;
