@@ -333,47 +333,117 @@ mod tests {
         got
     }
 
+    /// Breaks a valid schedule of a nonempty instance: shifted starts,
+    /// moved jobs, collisions with any job or with a job of the same class
+    /// on the last machine, and the occasional out-of-range machine or
+    /// missing job.
+    fn mutate(rng: &mut Rng, inst: &Instance, mut broken: Vec<Assignment>) -> Vec<Assignment> {
+        let m = inst.machines();
+        for _ in 0..1 + rng.below(4) {
+            let n = broken.len() as u64;
+            let (i, j) = (rng.below(n) as usize, rng.below(n) as usize);
+            let mates = inst.class_jobs(inst.class_of(j));
+            let mate = mates[rng.below(mates.len() as u64) as usize];
+            match rng.below(9) {
+                0..=2 => broken[j].start = broken[j].start.saturating_sub(rng.below(4)),
+                3 | 4 => broken[j].machine = rng.below(m as u64) as usize,
+                5 => broken[j] = broken[i],
+                6 => broken[j].machine = m + rng.below(2) as usize,
+                7 if mate < broken.len() => {
+                    broken[j] = Assignment {
+                        machine: m - 1,
+                        start: broken[mate].start,
+                    }
+                }
+                _ => {
+                    broken.pop();
+                }
+            }
+            if broken.is_empty() {
+                break;
+            }
+        }
+        broken
+    }
+
+    /// Tallies outcomes: valid, overlap, conflict, out of range, count.
+    fn tally(seen: &mut [usize; 5], result: Result<(), ValidationError>) {
+        seen[match result {
+            Ok(()) => 0,
+            Err(ValidationError::MachineOverlap { .. }) => 1,
+            Err(ValidationError::ClassConflict { .. }) => 2,
+            Err(ValidationError::MachineOutOfRange { .. }) => 3,
+            Err(ValidationError::WrongJobCount { .. }) => 4,
+        }] += 1;
+    }
+
     #[test]
     fn bucketed_validate_matches_the_reference() {
         let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
-        // Outcomes seen: valid, overlap, conflict, out of range, count.
         let mut seen = [0usize; 5];
         for case in 0..3000 {
             let m = 2 + case % 5;
             let inst = random_instance(&mut rng, m);
             let valid = greedy_schedule(&inst);
             assert_eq!(assert_matches_reference(&inst, valid.clone()), Ok(()));
-            if inst.num_jobs() == 0 {
-                continue;
+            if inst.num_jobs() > 0 {
+                let broken = mutate(&mut rng, &inst, valid);
+                tally(&mut seen, assert_matches_reference(&inst, broken));
             }
-            // Mutations: shifted starts, moved jobs, collisions, and the
-            // occasional out-of-range machine or missing job.
-            let mut broken = valid;
-            for _ in 0..1 + rng.below(4) {
-                let n = broken.len() as u64;
-                let (i, j) = (rng.below(n) as usize, rng.below(n) as usize);
-                match rng.below(8) {
-                    0..=2 => broken[j].start = broken[j].start.saturating_sub(rng.below(4)),
-                    3 | 4 => broken[j].machine = rng.below(m as u64) as usize,
-                    5 => broken[j] = broken[i],
-                    6 => broken[j].machine = m + rng.below(2) as usize,
-                    _ => {
-                        broken.pop();
-                    }
-                }
-                if broken.is_empty() {
-                    break;
-                }
-            }
-            seen[match assert_matches_reference(&inst, broken) {
-                Ok(()) => 0,
-                Err(ValidationError::MachineOverlap { .. }) => 1,
-                Err(ValidationError::ClassConflict { .. }) => 2,
-                Err(ValidationError::MachineOutOfRange { .. }) => 3,
-                Err(ValidationError::WrongJobCount { .. }) => 4,
-            }] += 1;
         }
         assert!(seen.iter().all(|&n| n >= 50), "outcomes {seen:?}");
+    }
+
+    #[test]
+    fn bucketed_validate_matches_the_reference_on_gen_families() {
+        use msrs_approx::baselines::{hebrard_greedy, list_scheduler, merged_lpt};
+        use msrs_approx::{five_thirds, three_halves};
+        // The generator and the approximations link their own build of
+        // this crate, so instances and schedules cross over by value.
+        let mut rng = Rng(0x3c6e_f372_fe94_f82b);
+        let mut seen = [0usize; 5];
+        for m in 2..=6 {
+            for seed in 0..3 {
+                // Every `msrs gen` family, drawn with the shapes the CLI uses.
+                for family in [
+                    msrs_gen::uniform(seed, m, 40 * m, 6 * m, 1, 100),
+                    msrs_gen::zipf_classes(seed, m, 40 * m, 6 * m, 1, 100),
+                    msrs_gen::satellite(seed, m, 3 * m, 10),
+                    msrs_gen::photolithography(seed, m, 3 * m, 8),
+                    msrs_gen::adversarial_merged_lpt(m, 40 + (seed % 41) as usize),
+                    msrs_gen::boundary_stress(seed, m, 3 * m, 120),
+                    msrs_gen::huge_heavy(seed, m, m, 2 * m, 96),
+                    msrs_gen::traffic(seed, m, 10),
+                ] {
+                    // One spare machine, idle in every valid schedule: a
+                    // job moved there keeps its machine free but may still
+                    // collide with its class.
+                    let jobs = family.jobs().iter().map(|j| Job::new(j.size, j.class));
+                    let inst = Instance::new(m + 1, jobs.collect()).unwrap();
+                    for algorithm in [
+                        five_thirds,
+                        three_halves,
+                        hebrard_greedy,
+                        list_scheduler,
+                        merged_lpt,
+                    ] {
+                        let valid: Vec<Assignment> = algorithm(&family)
+                            .schedule
+                            .assignments()
+                            .iter()
+                            .map(|a| Assignment {
+                                machine: a.machine,
+                                start: a.start,
+                            })
+                            .collect();
+                        assert_eq!(assert_matches_reference(&inst, valid.clone()), Ok(()));
+                        let broken = mutate(&mut rng, &inst, valid);
+                        tally(&mut seen, assert_matches_reference(&inst, broken));
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n >= 10), "outcomes {seen:?}");
     }
 
     #[test]
