@@ -140,30 +140,32 @@ pub fn validate(inst: &Instance, schedule: &Schedule) -> Result<(), ValidationEr
         None => machine,
     };
     let buckets = ranks.as_ref().map_or(used, Vec::len);
-    // A counting pass filling the bucket offsets, then a scatter pass
-    // placing each job (in id order) at its bucket's cursor.
-    let mut offsets = vec![0usize; buckets + 1];
+    // `ends[b]` counts bucket `b`'s jobs, then holds its start, then —
+    // advanced past each job placed — its end.
+    let mut ends = vec![0usize; buckets];
     for j in positive() {
-        offsets[bucket_of(assignments[j].machine) + 1] += 1;
+        ends[bucket_of(assignments[j].machine)] += 1;
     }
-    for b in 0..buckets {
-        offsets[b + 1] += offsets[b];
+    let mut start = 0;
+    for end in &mut ends {
+        (*end, start) = (start, start + *end);
     }
-    let mut cursor = offsets.clone();
     let mut pairs: Vec<(Time, JobId)> = vec![(0, 0); count];
     for j in positive() {
-        let slot = &mut cursor[bucket_of(assignments[j].machine)];
-        pairs[*slot] = (assignments[j].start, j);
-        *slot += 1;
+        let end = &mut ends[bucket_of(assignments[j].machine)];
+        pairs[*end] = (assignments[j].start, j);
+        *end += 1;
     }
-    for w in offsets.windows(2) {
-        if let Some((a, b)) = first_overlap(inst, &mut pairs[w[0]..w[1]]) {
+    let mut start = 0;
+    for &end in &ends {
+        if let Some((a, b)) = first_overlap(inst, &mut pairs[start..end]) {
             return Err(ValidationError::MachineOverlap {
                 machine: assignments[a].machine,
                 job_a: a,
                 job_b: b,
             });
         }
+        start = end;
     }
 
     // Resource-exclusivity: the instance's flat storage already groups jobs
