@@ -1,78 +1,59 @@
 //! Durable, crash-safe persistence for the result cache.
 //!
-//! A cache store is an append-only JSONL segment log holding
-//! `(canonical fingerprint, config fingerprint, serialized report)`
-//! records, keyed — like the dispatch checkpoint journal — by the
-//! engine's content-relevant configuration fingerprint: a store written
-//! under one configuration refuses to load under another, because the
-//! reports it holds would be wrong answers there.
-//!
-//! ## File format
+//! A cache store is an append-only journal (the format it shares with the
+//! dispatch checkpoint) of `(canonical fingerprint, config fingerprint,
+//! serialized report)` records. Its header carries the engine's
+//! content-relevant configuration fingerprint: a store written under one
+//! configuration, or in another format version, is refused with
+//! `InvalidData`, because the reports it holds could be wrong answers.
 //!
 //! ```text
-//! {"cache":"msrs-cache","version":1,"config_fp":…}      header
-//! {"fp":"<32-hex>","config":…,"sum":…,"report":{…}}     record × N
-//! {"segment":0}                                          segment marker
-//! {"fp":…}                                               record × N
-//! {"segment":1}
+//! {"journal":"cache store","version":2,"config_fp":…}          header
+//! {"fp":"<32-hex>","config":…,"report":{…},"sum":"<16-hex>"}   record × 64
+//! {"segment":0,"sum":"<16-hex>"}                               segment marker
 //! …
 //! ```
 //!
-//! Every record carries an FNV-1a checksum over its key *and* payload
-//! (`fp:config:report-json`), and the embedded report is the
-//! [`SolveReport::to_store_json`] canonical serialization — parsing a
-//! record and re-serializing its report reproduces the checksummed bytes
-//! exactly, which is how the loader verifies integrity without storing
-//! the payload twice.
+//! `sum` is an FNV-1a checksum over the record's bytes, checked before the
+//! record is parsed. The report is the [`SolveReport::to_store_json`]
+//! serialization, and a loaded entry's payload is those checksummed bytes
+//! themselves.
 //!
-//! ## Durability and recovery semantics
+//! Durability and recovery:
 //!
-//! * Appends are buffered by the caller ([`ReportCache`]'s background
-//!   flusher batches them) and made durable by [`CacheStore::sync`];
-//!   a record the store synced survives a `kill -9`.
-//! * A crash mid-append can tear at most the final line; the loader
-//!   drops an unterminated tail silently (the entry is simply re-solved
-//!   and re-appended later) and reopening truncates it away.
-//! * A corrupt *complete* record — checksum mismatch, invalid UTF-8 or
-//!   JSON, unknown solver name — quarantines its whole segment: the
-//!   segment's buffered records are discarded, a structured telemetry
-//!   counter (`msrs_cache_store_segments_quarantined_total`) and a log
+//! * Appends are batched by the caller ([`ReportCache`]'s background
+//!   flusher) and made durable by [`CacheStore::sync`]; a record the store
+//!   synced survives a `kill -9`.
+//! * A crash mid-append tears at most the final line. The loader drops it
+//!   silently (the entry is re-solved and re-appended later) and the
+//!   reopen truncates it away.
+//! * A corrupt *complete* record — checksum mismatch, unparsable report,
+//!   foreign config — quarantines its whole segment: the segment's records
+//!   are discarded, `msrs_cache_store_segments_quarantined_total` and a log
 //!   line record the loss, and loading continues at the next segment
-//!   marker. Corruption can therefore cost at most one segment
-//!   ([`SEGMENT_RECORDS`] entries), never the store and never a wrong
-//!   answer.
-//! * A parseable header with the wrong magic, version, or configuration
-//!   fingerprint refuses the file outright (`InvalidData`) — silent
-//!   cross-configuration reuse would serve reports the current engine
-//!   could not have produced.
+//!   marker. Corruption costs at most [`SEGMENT_RECORDS`] entries, never
+//!   the store and never a wrong answer.
+//! * Reopening an existing store appends a fresh segment marker, so new
+//!   appends are never swallowed by a quarantined trailing segment.
 //!
-//! Reopening for append truncates the torn tail (if any) and writes a
-//! fresh segment marker, so new appends can never be swallowed by a
-//! quarantined trailing segment.
-//!
-//! The deterministic fault kinds `cache-torn:at=N` and
-//! `cache-flip:record=K` (see the [`mod@crate::dispatch`] module docs) mutate
-//! the file inside [`CacheStore::open`] *before* loading, so tests and CI
-//! can exercise these recovery paths byte-deterministically.
+//! The fault kinds `cache-torn:at=N` and `cache-flip:record=K` (see the
+//! [`mod@crate::dispatch`] module docs) mutate the file inside
+//! [`CacheStore::open`] *before* loading, so tests and CI can exercise
+//! these recovery paths byte-deterministically.
 //!
 //! [`ReportCache`]: crate::cache::ReportCache
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Seek, SeekFrom, Write};
+use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
 use msrs_telemetry::registry;
 
-use crate::checkpoint::{fnv1a_64, fnv1a_64_extend};
 use crate::dispatch::{CacheFault, FaultSpec};
+use crate::journal::{Header, Journal};
 use crate::json::Json;
 use crate::report::SolveReport;
 
-/// Magic string identifying a cache store.
-pub const CACHE_STORE_MAGIC: &str = "msrs-cache";
-/// Store format version; bumped on incompatible record changes.
-pub const CACHE_STORE_VERSION: u64 = 1;
 /// Records per segment — the quarantine blast radius of one corrupt
 /// record.
 pub const SEGMENT_RECORDS: usize = 64;
@@ -109,63 +90,36 @@ pub struct CacheLoadStats {
 /// which also replays the existing contents.
 #[derive(Debug)]
 pub struct CacheStore {
-    file: File,
+    journal: Journal,
     /// Records appended into the current segment.
     in_segment: usize,
     /// Id of the next segment marker to write.
     next_segment: u64,
 }
 
-/// FNV-1a over the record's key and payload: the canonical fingerprint
-/// (hex), the config fingerprint (decimal), and the report's store
-/// serialization, colon-separated. The short key is formatted on the
-/// stack and the payload hashed in place, never copied.
-fn record_checksum(fp: u128, config_fp: u64, payload: &str) -> u64 {
-    // 32 hex digits, at most 20 decimal digits, two colons.
-    let mut key = [0u8; 54];
-    let mut cursor = io::Cursor::new(&mut key[..]);
-    write!(cursor, "{fp:032x}:{config_fp}:").expect("the key fits its buffer");
-    let len = cursor.position() as usize;
-    fnv1a_64_extend(fnv1a_64(&key[..len]), payload.as_bytes())
+/// The record for `fp` under `config_fp`, before the journal adds its
+/// checksum.
+fn record(fp: u128, config_fp: u64, payload: &str) -> String {
+    format!("{{\"fp\":\"{fp:032x}\",\"config\":{config_fp},\"report\":{payload}}}")
 }
 
-fn header_line(config_fp: u64) -> String {
-    Json::Obj(vec![
-        ("cache".into(), Json::Str(CACHE_STORE_MAGIC.into())),
-        ("version".into(), Json::Num(CACHE_STORE_VERSION as i128)),
-        ("config_fp".into(), Json::Num(config_fp as i128)),
-    ])
-    .to_string()
-}
-
-/// Serializes one record line for `fp` under `config_fp`. `payload` must
-/// be a [`SolveReport::to_store_json`] serialization (the loader verifies
-/// by re-serializing).
-pub fn record_line(fp: u128, config_fp: u64, payload: &str) -> String {
-    let sum = record_checksum(fp, config_fp, payload);
-    format!("{{\"fp\":\"{fp:032x}\",\"config\":{config_fp},\"sum\":{sum},\"report\":{payload}}}")
-}
-
-/// Parses and verifies one complete record line under `config_fp`.
-/// `None` means the record is corrupt or foreign — never a panic.
-fn parse_record(line: &str, config_fp: u64) -> Option<(u128, Arc<str>, Arc<SolveReport>)> {
-    let v = Json::parse(line).ok()?;
-    let fp = u128::from_str_radix(v.get("fp")?.as_str()?, 16).ok()?;
-    let config = v.get("config")?.as_u64()?;
-    if config != config_fp {
+/// Parses one checksum-verified record under `config_fp`. `None` means
+/// the record is foreign or its report does not parse — never a panic.
+fn parse_record(record: &str, config_fp: u64) -> Option<CacheStoreEntry> {
+    let (hex, rest) = record.strip_prefix("{\"fp\":\"")?.split_at_checked(32)?;
+    let (config, payload) = rest
+        .strip_prefix("\",\"config\":")?
+        .split_once(",\"report\":")?;
+    let payload = payload.strip_suffix('}')?;
+    if config.parse::<u64>().ok()? != config_fp {
         return None;
     }
-    let sum = v.get("sum")?.as_u64()?;
-    let report_json = v.get("report")?;
-    // The store serialization is canonical: re-serializing the parsed
-    // tree reproduces the exact bytes the checksum covered, so any bit
-    // that changed the content changes the recomputed sum.
-    let payload = report_json.to_string();
-    if record_checksum(fp, config, &payload) != sum {
-        return None;
-    }
-    let report = SolveReport::from_store_json(report_json)?;
-    Some((fp, payload.into(), Arc::new(report)))
+    let report = SolveReport::from_store_json(&Json::parse(payload).ok()?)?;
+    Some(CacheStoreEntry {
+        fingerprint: u128::from_str_radix(hex, 16).ok()?,
+        report: Arc::new(report),
+        payload: payload.into(),
+    })
 }
 
 /// Applies a `cache-torn` / `cache-flip` fault from `MSRS_FAULT` to the
@@ -221,122 +175,60 @@ impl CacheStore {
     /// verifying its contents: every verified entry is returned, the
     /// load outcome is mirrored into telemetry, a torn tail is truncated
     /// away, and the store is left positioned for appending. Fails with
-    /// `InvalidData` when the file exists but is not a cache store or
-    /// belongs to a different configuration.
+    /// `InvalidData` when the file exists but is not a cache store of
+    /// this version or belongs to a different configuration.
     pub fn open(
         path: &Path,
         config_fp: u64,
     ) -> io::Result<(CacheStore, Vec<CacheStoreEntry>, CacheLoadStats)> {
         apply_env_fault(path)?;
-        let invalid = |reason: String| io::Error::new(io::ErrorKind::InvalidData, reason);
         let mut entries = Vec::new();
         let mut stats = CacheLoadStats::default();
-        // Byte offset just past the last fully terminated line: what a
-        // reopen may keep. Everything after it is a torn tail.
-        let mut good_len = 0u64;
+        // Records verified so far in the current segment; committed at the
+        // next segment marker (or the end), discarded wholesale if the
+        // segment turns out to hold a corrupt record.
+        let mut segment: Vec<CacheStoreEntry> = Vec::new();
+        let mut quarantined = false;
         let mut next_segment = 0u64;
-        let mut have_header = false;
-        match File::open(path) {
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-            Ok(file) => {
-                let mut reader = BufReader::new(file);
-                let mut buf: Vec<u8> = Vec::new();
-                // Records verified so far in the current segment; committed
-                // at the next segment marker (or EOF), discarded wholesale
-                // if the segment turns out to hold a corrupt record.
-                let mut segment: Vec<CacheStoreEntry> = Vec::new();
-                let mut quarantined = false;
-                loop {
-                    buf.clear();
-                    if reader.read_until(b'\n', &mut buf)? == 0 {
-                        break;
+        let mut line_no = 1;
+        let header = Header {
+            kind: "cache store",
+            config_fp,
+            shard_size: None,
+        };
+        let (journal, created) = Journal::open(path, &header, |record| {
+            line_no += 1;
+            let marker = record
+                .and_then(|r| r.strip_prefix("{\"segment\":")?.strip_suffix('}'))
+                .and_then(|id| id.parse::<u64>().ok());
+            if let Some(id) = marker {
+                entries.append(&mut segment);
+                quarantined = false;
+                next_segment = next_segment.max(id + 1);
+                return Ok(true);
+            }
+            match record.and_then(|r| parse_record(r, config_fp)) {
+                Some(entry) if !quarantined => segment.push(entry),
+                Some(_) => {} // rest of a quarantined segment
+                None => {
+                    stats.errors += 1;
+                    if !quarantined {
+                        quarantined = true;
+                        stats.segments_quarantined += 1;
+                        segment.clear();
+                        eprintln!(
+                            "msrs cachestore: corrupt record at line {line_no} of {} — \
+                             quarantining its segment",
+                            path.display()
+                        );
                     }
-                    if !buf.ends_with(b"\n") {
-                        // Torn tail from an interrupted append: drop the
-                        // partial line, keep everything before it.
-                        break;
-                    }
-                    let line_len = buf.len() as u64;
-                    let line = std::str::from_utf8(&buf[..buf.len() - 1]).ok();
-                    if !have_header {
-                        let Some(line) = line else {
-                            return Err(invalid(format!(
-                                "{}: not a cache store (binary header)",
-                                path.display()
-                            )));
-                        };
-                        let header = Json::parse(line)
-                            .ok()
-                            .filter(|v| {
-                                v.get("cache").and_then(Json::as_str) == Some(CACHE_STORE_MAGIC)
-                            })
-                            .ok_or_else(|| {
-                                invalid(format!("{}: not a cache store", path.display()))
-                            })?;
-                        if header.get("version").and_then(Json::as_u64) != Some(CACHE_STORE_VERSION)
-                        {
-                            return Err(invalid(format!(
-                                "{}: unsupported cache store version",
-                                path.display()
-                            )));
-                        }
-                        let file_fp = header.get("config_fp").and_then(Json::as_u64);
-                        if file_fp != Some(config_fp) {
-                            return Err(invalid(format!(
-                                "{}: cache store belongs to a different engine configuration \
-                                 (config_fp {:#x} recorded, {config_fp:#x} requested)",
-                                path.display(),
-                                file_fp.unwrap_or(0),
-                            )));
-                        }
-                        have_header = true;
-                        good_len += line_len;
-                        continue;
-                    }
-                    good_len += line_len;
-                    if let Some(marker) = line
-                        .and_then(|l| Json::parse(l).ok())
-                        .as_ref()
-                        .and_then(|v| v.get("segment"))
-                        .and_then(Json::as_u64)
-                    {
-                        // Segment boundary: commit the survivors, reset the
-                        // quarantine state.
-                        entries.append(&mut segment);
-                        quarantined = false;
-                        next_segment = next_segment.max(marker + 1);
-                        continue;
-                    }
-                    match line.and_then(|l| parse_record(l, config_fp)) {
-                        Some((fingerprint, payload, report)) if !quarantined => {
-                            segment.push(CacheStoreEntry {
-                                fingerprint,
-                                report,
-                                payload,
-                            });
-                        }
-                        Some(_) => {} // rest of a quarantined segment
-                        None => {
-                            stats.errors += 1;
-                            if !quarantined {
-                                quarantined = true;
-                                stats.segments_quarantined += 1;
-                                segment.clear();
-                                eprintln!(
-                                    "msrs cachestore: corrupt record at byte {} of {} — \
-                                     quarantining its segment",
-                                    good_len - line_len,
-                                    path.display()
-                                );
-                            }
-                        }
-                    }
-                }
-                if !quarantined {
-                    entries.append(&mut segment);
+                    return Ok(false);
                 }
             }
+            Ok(true)
+        })?;
+        if !quarantined {
+            entries.append(&mut segment);
         }
         stats.loaded = entries.len() as u64;
         let reg = registry();
@@ -344,37 +236,24 @@ impl CacheStore {
         reg.cache_store_load_errors_total.add(stats.errors);
         reg.cache_store_segments_quarantined_total
             .add(stats.segments_quarantined);
-        let mut store = if have_header {
-            let file = OpenOptions::new().read(true).write(true).open(path)?;
-            // Truncate the torn tail (and any unterminated garbage after
-            // the last good line) before appending.
-            file.set_len(good_len)?;
-            let mut file = file;
-            file.seek(SeekFrom::End(0))?;
-            CacheStore {
-                file,
-                in_segment: 0,
-                next_segment,
-            }
-        } else {
-            // Missing, empty, or header-torn file: start fresh.
-            let mut file = File::create(path)?;
-            writeln!(file, "{}", header_line(config_fp))?;
-            CacheStore {
-                file,
-                in_segment: 0,
-                next_segment: 0,
-            }
+        let mut store = CacheStore {
+            journal,
+            in_segment: 0,
+            next_segment,
         };
-        // A fresh segment marker isolates new appends from whatever the
-        // trailing loaded segment held (possibly quarantined records).
-        store.write_marker()?;
-        store.file.sync_data()?;
+        if !created {
+            // A fresh segment marker isolates new appends from whatever
+            // the trailing loaded segment held (possibly quarantined
+            // records); `create` already synced a new file's header.
+            store.write_marker()?;
+            store.journal.sync()?;
+        }
         Ok((store, entries, stats))
     }
 
     fn write_marker(&mut self) -> io::Result<()> {
-        writeln!(self.file, "{{\"segment\":{}}}", self.next_segment)?;
+        self.journal
+            .append(&format!("{{\"segment\":{}}}", self.next_segment))?;
         self.next_segment += 1;
         self.in_segment = 0;
         Ok(())
@@ -384,7 +263,7 @@ impl CacheStore {
     /// a batch durable). `payload` must be the report's
     /// [`SolveReport::to_store_json`] serialization.
     pub fn append(&mut self, fp: u128, config_fp: u64, payload: &str) -> io::Result<()> {
-        writeln!(self.file, "{}", record_line(fp, config_fp, payload))?;
+        self.journal.append(&record(fp, config_fp, payload))?;
         self.in_segment += 1;
         if self.in_segment >= SEGMENT_RECORDS {
             self.write_marker()?;
@@ -395,7 +274,7 @@ impl CacheStore {
     /// Makes every appended record durable (one `fsync`, counted as one
     /// `msrs_cache_store_flushes_total` batch).
     pub fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_data()?;
+        self.journal.sync()?;
         registry().cache_store_flushes_total.inc();
         Ok(())
     }
@@ -407,6 +286,8 @@ mod tests {
     use crate::portfolio::SolverKind;
     use crate::report::{RunStatus, SolverRun};
     use msrs_core::{Assignment, Schedule};
+    use std::fs::OpenOptions;
+    use std::io::Write;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -458,18 +339,6 @@ mod tests {
             store.append(i as u128 + 1, config_fp, &payload).unwrap();
         }
         store.sync().unwrap();
-    }
-
-    #[test]
-    fn checksum_hashes_the_joined_key_and_payload() {
-        for (fp, config) in [(0, 0), (1, 7), (u128::MAX, u64::MAX)] {
-            for payload in ["", "{\"jobs\":1}", "é✓"] {
-                assert_eq!(
-                    record_checksum(fp, config, payload),
-                    fnv1a_64(format!("{fp:032x}:{config}:{payload}").as_bytes())
-                );
-            }
-        }
     }
 
     #[test]

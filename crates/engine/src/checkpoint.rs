@@ -1,55 +1,32 @@
 //! Append-only checkpoint journal for `msrs dispatch`.
 //!
-//! The dispatch coordinator journals one record per *emitted* shard so a
-//! crashed or interrupted run can resume from the last completed shard and
-//! still produce a report stream bit-identical to an uninterrupted run.
-//! The journal is JSONL: a header line keyed by the engine's
-//! content-relevant configuration fingerprint and the shard size, followed
-//! by shard-completion records in emission (= shard) order. Every append
-//! is flushed and `fsync`'d before the coordinator considers the shard
-//! durable, and the *output* file is synced first — so a record in the
-//! journal always describes bytes that are really on disk.
+//! The dispatch coordinator journals one record per *emitted* shard, so a
+//! crashed or interrupted run resumes from the last completed shard and
+//! still produces a report stream bit-identical to an uninterrupted run.
+//! The file is an append-only journal (the format it shares with the
+//! cache store): a header keyed by the engine's content fingerprint and
+//! the shard size, then one checksummed record per shard in shard order.
+//! Each append is `fsync`'d, after the *output* file was synced, so a
+//! record always describes report bytes that are really on disk.
 //!
-//! Durability contract for the tail: a crash mid-append can leave at most
-//! one torn final line, which [`load`] detects and discards (the shard it
-//! described is simply redone). A torn or unparsable line *before* the
-//! tail means the file was corrupted by something other than an
-//! interrupted append, and loading fails loudly instead of guessing.
+//! Corruption policy: a crash mid-append leaves at most a torn final line,
+//! and a bad final record is treated the same way — [`CheckpointLog::open`]
+//! drops and truncates it, and its shard is simply redone. A bad record
+//! *before* the final one means the file was damaged by something other
+//! than an interrupted append, and opening fails instead of guessing.
 //!
-//! All numbers in the journal are integers (the crate's JSON layer is
-//! integer-exact by design); the two floating-point stats fields travel as
-//! IEEE-754 bit patterns, so merging checkpointed stats into a resumed
-//! run's summary is bits-exact.
+//! Numbers are integers (the crate's JSON layer is integer-exact); the two
+//! floating-point stats fields travel as IEEE-754 bit patterns, so merging
+//! checkpointed stats into a resumed run's summary is bits-exact.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io;
 use std::path::Path;
 
+use crate::journal::{Header, Journal};
 use crate::json::Json;
 use crate::stream::StreamStats;
 
-/// Magic string identifying a dispatch checkpoint journal.
-pub const CHECKPOINT_MAGIC: &str = "msrs-dispatch";
-/// Journal format version; bumped on incompatible record changes.
-pub const CHECKPOINT_VERSION: u64 = 1;
-
-/// 64-bit FNV-1a over a byte slice — the same stable, platform-independent
-/// hash the engine uses for its configuration fingerprint. Used to
-/// fingerprint each shard's raw line text so a resume detects a corpus
-/// that changed underneath the journal.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    fnv1a_64_extend(0xcbf29ce484222325, bytes)
-}
-
-/// Continues an FNV-1a hash over more bytes: hashing `a` and then
-/// extending by `b` equals [`fnv1a_64`] of `a` followed by `b`.
-pub(crate) fn fnv1a_64_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+pub use crate::journal::fnv1a_64;
 
 /// The journal header: what run this checkpoint belongs to. A resume
 /// refuses to reuse a journal whose configuration fingerprint or shard
@@ -64,26 +41,12 @@ pub struct CheckpointHeader {
 }
 
 impl CheckpointHeader {
-    fn to_line(self) -> String {
-        Json::Obj(vec![
-            ("checkpoint".into(), Json::Str(CHECKPOINT_MAGIC.into())),
-            ("version".into(), Json::Num(CHECKPOINT_VERSION as i128)),
-            ("config_fp".into(), Json::Num(self.config_fp as i128)),
-            ("shard_size".into(), Json::Num(self.shard_size as i128)),
-        ])
-        .to_string()
-    }
-
-    fn from_json(v: &Json) -> Option<Self> {
-        if v.get("checkpoint")?.as_str()? != CHECKPOINT_MAGIC
-            || v.get("version")?.as_u64()? != CHECKPOINT_VERSION
-        {
-            return None;
+    fn journal(self) -> Header {
+        Header {
+            kind: "checkpoint",
+            config_fp: self.config_fp,
+            shard_size: Some(self.shard_size),
         }
-        Some(CheckpointHeader {
-            config_fp: v.get("config_fp")?.as_u64()?,
-            shard_size: v.get("shard_size")?.as_usize()?,
-        })
     }
 }
 
@@ -221,7 +184,8 @@ impl ShardRecord {
         Json::Obj(obj).to_string()
     }
 
-    fn from_json(v: &Json) -> Option<Self> {
+    fn parse(line: &str) -> Option<Self> {
+        let v = &Json::parse(line).ok()?;
         Some(ShardRecord {
             shard: v.get("shard")?.as_usize()?,
             lines: v.get("lines")?.as_usize()?,
@@ -234,129 +198,53 @@ impl ShardRecord {
     }
 }
 
-/// The append side of the journal. Owns the file handle; every
-/// [`append`](Self::append) is write + flush + `sync_data`, so a record
-/// that `append` returned `Ok` for survives a process crash.
+/// The append side of the journal. Every [`append`](Self::append) is one
+/// write plus `sync_data`, so a record that `append` returned `Ok` for
+/// survives a process crash.
 #[derive(Debug)]
 pub struct CheckpointLog {
-    file: File,
+    journal: Journal,
 }
 
 impl CheckpointLog {
     /// Starts a fresh journal at `path` (truncating any previous one) and
     /// durably writes the header.
     pub fn create(path: &Path, header: CheckpointHeader) -> io::Result<Self> {
-        let mut file = File::create(path)?;
-        writeln!(file, "{}", header.to_line())?;
-        file.sync_data()?;
-        Ok(CheckpointLog { file })
+        let journal = Journal::create(path, &header.journal())?;
+        Ok(CheckpointLog { journal })
     }
 
-    /// Reopens an existing journal for appending (resume path). The caller
-    /// has already validated the header via [`load`].
-    pub fn open_append(path: &Path) -> io::Result<Self> {
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(CheckpointLog { file })
+    /// Opens the journal at `path` for the run `header` describes: creates
+    /// it when there is none, or reads back the shard records of an
+    /// earlier run (`records[i].shard == i`) and positions the log after
+    /// the last of them. Fails with `InvalidData` when the header belongs
+    /// to another kind, version, configuration or shard size, or when a
+    /// record before the final one is corrupt or out of order.
+    pub fn open(path: &Path, header: CheckpointHeader) -> io::Result<(Self, Vec<ShardRecord>)> {
+        let mut records: Vec<ShardRecord> = Vec::new();
+        let mut bad_line = None;
+        let (journal, _) = Journal::open(path, &header.journal(), |line| {
+            if let Some(at) = bad_line {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{}: corrupt record at line {at}", path.display()),
+                ));
+            }
+            match line.and_then(ShardRecord::parse) {
+                Some(rec) if rec.shard == records.len() => records.push(rec),
+                // Line 1 is the header. Only the final record may be bad.
+                _ => bad_line = Some(records.len() + 2),
+            }
+            Ok(bad_line.is_none())
+        })?;
+        Ok((CheckpointLog { journal }, records))
     }
 
     /// Durably appends one shard-completion record.
     pub fn append(&mut self, record: &ShardRecord) -> io::Result<()> {
-        writeln!(self.file, "{}", record.to_line())?;
-        self.file.sync_data()
+        self.journal.append(&record.to_line())?;
+        self.journal.sync()
     }
-}
-
-/// A journal read back for resume: the validated header plus the
-/// contiguous shard records it holds.
-#[derive(Debug)]
-pub struct LoadedCheckpoint {
-    /// The run key the journal was created with.
-    pub header: CheckpointHeader,
-    /// Shard records in shard order (`records[i].shard == i`).
-    pub records: Vec<ShardRecord>,
-}
-
-impl LoadedCheckpoint {
-    /// Output-file length the records vouch for (0 with no records).
-    pub fn out_bytes(&self) -> u64 {
-        self.records.last().map(|r| r.out_bytes).unwrap_or(0)
-    }
-}
-
-/// Reads a journal back. Returns `Ok(None)` when `path` does not exist
-/// (fresh run); `Err` when the file exists but is not a valid journal —
-/// wrong magic/version, records out of order, or corruption anywhere but
-/// the tail. A torn final line (interrupted append) is silently dropped.
-pub fn load(path: &Path) -> io::Result<Option<LoadedCheckpoint>> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let invalid = |reason: String| io::Error::new(io::ErrorKind::InvalidData, reason);
-    let mut lines = Vec::new();
-    let mut reader = BufReader::new(file);
-    let mut buf = String::new();
-    let mut terminated = true;
-    loop {
-        buf.clear();
-        if reader.read_line(&mut buf)? == 0 {
-            break;
-        }
-        terminated = buf.ends_with('\n');
-        lines.push(buf.trim_end_matches('\n').to_string());
-    }
-    // An interrupted append can only tear the tail; drop it.
-    if !terminated {
-        lines.pop();
-    }
-    let Some(header_line) = lines.first() else {
-        return Ok(None); // empty file: treat as no checkpoint
-    };
-    let header = Json::parse(header_line)
-        .ok()
-        .as_ref()
-        .and_then(CheckpointHeader::from_json)
-        .ok_or_else(|| {
-            invalid(format!(
-                "{}: not a dispatch checkpoint journal",
-                path.display()
-            ))
-        })?;
-    let mut records = Vec::new();
-    for (i, line) in lines.iter().enumerate().skip(1) {
-        let is_tail = i + 1 == lines.len();
-        let parsed = Json::parse(line)
-            .ok()
-            .as_ref()
-            .and_then(ShardRecord::from_json);
-        match parsed {
-            Some(rec) => {
-                if rec.shard != records.len() {
-                    return Err(invalid(format!(
-                        "{}: record {} out of order (shard {}, expected {})",
-                        path.display(),
-                        i,
-                        rec.shard,
-                        records.len()
-                    )));
-                }
-                records.push(rec);
-            }
-            // A terminated-but-unparsable tail line still means the file
-            // ends mid-story (e.g. a torn write that happened to land on
-            // `\n`); redoing one shard is always safe.
-            None if is_tail => break,
-            None => {
-                return Err(invalid(format!(
-                    "{}: corrupt record at line {}",
-                    path.display(),
-                    i + 1
-                )));
-            }
-        }
-    }
-    Ok(Some(LoadedCheckpoint { header, records }))
 }
 
 #[cfg(test)]
@@ -387,74 +275,88 @@ mod tests {
         }
     }
 
-    #[test]
-    fn round_trips_header_and_records() {
+    fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("msrs-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("round_trip.ckpt");
+        dir.join(name)
+    }
+
+    fn open(path: &Path) -> io::Result<Vec<ShardRecord>> {
+        CheckpointLog::open(path, header()).map(|(_, records)| records)
+    }
+
+    #[test]
+    fn round_trips_header_and_records() {
+        let path = tmp("round_trip.ckpt");
         let mut log = CheckpointLog::create(&path, header()).unwrap();
         log.append(&record(0)).unwrap();
         log.append(&record(1)).unwrap();
         drop(log);
-        let loaded = load(&path).unwrap().unwrap();
-        assert_eq!(loaded.header, header());
-        assert_eq!(loaded.records, vec![record(0), record(1)]);
-        assert_eq!(loaded.out_bytes(), 200);
+        assert_eq!(open(&path).unwrap(), vec![record(0), record(1)]);
+        let other = CheckpointHeader {
+            shard_size: 4,
+            ..header()
+        };
+        let err = CheckpointLog::open(&path, other).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn missing_file_is_fresh_run_and_torn_tail_is_dropped() {
-        let dir = std::env::temp_dir().join(format!("msrs-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        assert!(load(&dir.join("nope.ckpt")).unwrap().is_none());
-
-        let path = dir.join("torn.ckpt");
-        let mut log = CheckpointLog::create(&path, header()).unwrap();
+    fn missing_file_is_fresh_run_and_torn_tail_is_truncated_before_appending() {
+        let path = tmp("torn.ckpt");
+        let _ = std::fs::remove_file(&path);
+        let (mut log, records) = CheckpointLog::open(&path, header()).unwrap();
+        assert!(records.is_empty());
         log.append(&record(0)).unwrap();
+        log.append(&record(1)).unwrap();
         drop(log);
-        // Simulate a crash mid-append: a record line without its newline.
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        write!(f, "{{\"shard\":1,\"lin").unwrap();
-        drop(f);
-        let loaded = load(&path).unwrap().unwrap();
-        assert_eq!(loaded.records.len(), 1);
+        // A crash mid-append: the final record lost its last bytes.
+        let len = std::fs::metadata(&path).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len - 7)
+            .unwrap();
+        let (mut log, records) = CheckpointLog::open(&path, header()).unwrap();
+        assert_eq!(records, vec![record(0)]);
+        // The resumed run's appends follow the last whole record.
+        log.append(&record(1)).unwrap();
+        log.append(&record(2)).unwrap();
+        drop(log);
+        assert_eq!(open(&path).unwrap(), vec![record(0), record(1), record(2)]);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn rejects_foreign_files_and_mid_file_corruption() {
-        let dir = std::env::temp_dir().join(format!("msrs-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("foreign.ckpt");
+        let path = tmp("foreign.ckpt");
         std::fs::write(&path, "{\"makespan\":3}\n").unwrap();
-        assert!(load(&path).is_err());
+        assert_eq!(open(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
 
-        let path2 = dir.join("corrupt.ckpt");
-        let mut log = CheckpointLog::create(&path2, header()).unwrap();
-        log.append(&record(0)).unwrap();
-        drop(log);
-        let text = std::fs::read_to_string(&path2).unwrap();
-        std::fs::write(
-            &path2,
-            format!("{}garbage\n{}", &text[..text.len() - 1], ""),
-        )
-        .unwrap();
-        // ("garbage" glued into the record line, then nothing) — the
-        // tail record is unparsable and dropped, not an error…
-        assert_eq!(load(&path2).unwrap().unwrap().records.len(), 0);
-        // …but corruption *before* a valid record is a hard error.
-        let mut log = CheckpointLog::create(&path2, header()).unwrap();
+        let mut log = CheckpointLog::create(&path, header()).unwrap();
         log.append(&record(0)).unwrap();
         log.append(&record(1)).unwrap();
         drop(log);
-        let text = std::fs::read_to_string(&path2).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
         let mut lines: Vec<&str> = text.lines().collect();
-        lines[1] = "not json";
-        std::fs::write(&path2, format!("{}\n", lines.join("\n"))).unwrap();
-        assert!(load(&path2).is_err());
+        // A bad final record is dropped…
+        lines[2] = "not json";
+        std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
+        assert_eq!(open(&path).unwrap(), vec![record(0)]);
+        // …but corruption before a later record is a hard error.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines.insert(1, "not json");
+        std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
+        let err = open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("corrupt record at line 2"),
+            "{err}"
+        );
         std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&path2).unwrap();
     }
 
     #[test]

@@ -146,7 +146,8 @@ use std::time::{Duration, Instant};
 use msrs_telemetry::registry;
 
 use crate::cachestore::CacheStore;
-use crate::checkpoint::{self, CheckpointHeader, CheckpointLog, ShardRecord, ShardStats};
+use crate::checkpoint::{CheckpointHeader, CheckpointLog, ShardRecord, ShardStats};
+use crate::journal::{fnv1a_64_extend, FNV_OFFSET};
 use crate::json::{Json, JsonError};
 use crate::jsonl::CorpusError;
 use crate::remote::{RemoteHub, REMOTE_PROTO_VERSION};
@@ -990,7 +991,7 @@ impl<R: BufRead> ShardSource<R> {
         }
         let mut lines = Vec::new();
         let mut line_nos = Vec::new();
-        let mut hash = 0xcbf29ce484222325u64;
+        let mut hash = FNV_OFFSET;
         let mut buf = String::new();
         while lines.len() < shard_size {
             buf.clear();
@@ -1014,8 +1015,8 @@ impl<R: BufRead> ShardSource<R> {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            hash = fnv1a_64_continue(hash, line.as_bytes());
-            hash = fnv1a_64_continue(hash, b"\n");
+            hash = fnv1a_64_extend(hash, line.as_bytes());
+            hash = fnv1a_64_extend(hash, b"\n");
             lines.push(line.to_string());
             line_nos.push(self.line_no);
         }
@@ -1032,16 +1033,6 @@ impl<R: BufRead> ShardSource<R> {
         self.next_index += 1;
         Ok(Some(shard))
     }
-}
-
-/// Continues an FNV-1a hash across chunks (same constants as
-/// [`crate::checkpoint::fnv1a_64`]).
-fn fnv1a_64_continue(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Events a worker's output reader thread reports to the coordinator.
@@ -1938,18 +1929,6 @@ fn parse_done(v: &Json) -> Option<(usize, u32, ShardStats)> {
     ))
 }
 
-/// The dispatch coordinator over a purely local child-process fleet; see
-/// [`dispatch_fleet`] for the mixed local/remote version this wraps.
-pub fn dispatch<R: BufRead>(
-    input: R,
-    out_path: &Path,
-    checkpoint_path: Option<&Path>,
-    cfg: &DispatchConfig,
-    shutdown: Option<&AtomicBool>,
-) -> io::Result<DispatchOutcome> {
-    dispatch_fleet(input, out_path, checkpoint_path, cfg, shutdown, None)
-}
-
 /// The dispatch coordinator: shards `input`, fans the shards out to a
 /// fleet of local child workers and/or remote TCP workers accepted on
 /// `remote`, and merges their reports in shard order into the file at
@@ -2028,59 +2007,42 @@ pub fn dispatch_fleet<R: BufRead>(
     let invalid = |reason: String| io::Error::new(io::ErrorKind::InvalidData, reason);
     let mut ckpt_log = None;
     if let Some(path) = checkpoint_path {
-        match checkpoint::load(path)? {
-            None => {
-                ckpt_log = Some(CheckpointLog::create(path, header)?);
-            }
-            Some(loaded) => {
-                if loaded.header != header {
-                    return Err(invalid(format!(
-                        "{}: checkpoint belongs to a different run \
-                         (config_fp {:#x}/shard_size {} recorded, {:#x}/{} requested)",
+        let (log, records) = CheckpointLog::open(path, header)?;
+        for rec in &records {
+            let shard = source
+                .next_shard(cfg.shard_size)
+                .map_err(|e| invalid(format!("re-reading corpus for resume: {e}")))?
+                .ok_or_else(|| {
+                    invalid(format!(
+                        "{}: checkpoint records shard {} but the corpus ended",
                         path.display(),
-                        loaded.header.config_fp,
-                        loaded.header.shard_size,
-                        header.config_fp,
-                        header.shard_size,
-                    )));
-                }
-                for rec in &loaded.records {
-                    let shard = source
-                        .next_shard(cfg.shard_size)
-                        .map_err(|e| invalid(format!("re-reading corpus for resume: {e}")))?
-                        .ok_or_else(|| {
-                            invalid(format!(
-                                "{}: checkpoint records shard {} but the corpus ended",
-                                path.display(),
-                                rec.shard
-                            ))
-                        })?;
-                    if shard.fp != rec.shard_fp || shard.lines.len() != rec.lines {
-                        return Err(invalid(format!(
-                            "{}: corpus changed since the checkpoint (shard {} fingerprint mismatch)",
-                            path.display(),
-                            rec.shard
-                        )));
-                    }
-                    rec.stats.merge_into(&mut merged);
-                    if rec.quarantined {
-                        coord.quarantined.push(QuarantinedShard {
-                            shard: rec.shard,
-                            attempts: rec.attempts,
-                            worker: None,
-                            message: "quarantined in a previous run".into(),
-                        });
-                    } else {
-                        merged.shards += 1;
-                    }
-                    registry().dispatch_shards_resumed_total.inc();
-                }
-                shards_resumed = loaded.records.len();
-                next_emit = shards_resumed;
-                emitted_bytes = loaded.out_bytes();
-                ckpt_log = Some(CheckpointLog::open_append(path)?);
+                        rec.shard
+                    ))
+                })?;
+            if shard.fp != rec.shard_fp || shard.lines.len() != rec.lines {
+                return Err(invalid(format!(
+                    "{}: corpus changed since the checkpoint (shard {} fingerprint mismatch)",
+                    path.display(),
+                    rec.shard
+                )));
             }
+            rec.stats.merge_into(&mut merged);
+            if rec.quarantined {
+                coord.quarantined.push(QuarantinedShard {
+                    shard: rec.shard,
+                    attempts: rec.attempts,
+                    worker: None,
+                    message: "quarantined in a previous run".into(),
+                });
+            } else {
+                merged.shards += 1;
+            }
+            registry().dispatch_shards_resumed_total.inc();
         }
+        shards_resumed = records.len();
+        next_emit = shards_resumed;
+        emitted_bytes = records.last().map_or(0, |r| r.out_bytes);
+        ckpt_log = Some(log);
     }
 
     // --- output file ------------------------------------------------------

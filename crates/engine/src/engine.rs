@@ -25,6 +25,7 @@ use msrs_ptas::EptasConfig;
 use msrs_telemetry::{registry, OutcomeStatus, Stage};
 
 use crate::cache::{CacheKey, ReportCache};
+use crate::journal::{fnv1a_64_extend, FNV_OFFSET};
 use crate::portfolio::{plan, Portfolio, SolverKind};
 use crate::profile::{classify, InstanceProfile, SizeTier};
 use crate::report::{RunStatus, SolveReport, SolveRequest, SolverRun};
@@ -188,25 +189,23 @@ impl EngineConfig {
     /// bit-identical across both — so cache entries stay valid across
     /// those knobs. Part of the [`CacheKey`].
     pub fn content_fingerprint(&self) -> u64 {
-        // FNV-1a (64-bit) over the content-relevant fields; stable across
+        // FNV-1a over the fields' little-endian words; stable across
         // platforms and runs, unlike `std::hash`.
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut put = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        put(self.run_baselines as u64);
-        put(self.exact.max_jobs as u64);
-        put(self.exact.max_classes as u64);
-        put(self.exact.max_nodes);
-        put(self.eptas.enabled as u64);
-        put(self.eptas.max_jobs as u64);
-        put(self.eptas.max_machines as u64);
-        put(self.eptas.eps_k);
-        put(self.eptas.node_budget);
-        h
+        [
+            self.run_baselines as u64,
+            self.exact.max_jobs as u64,
+            self.exact.max_classes as u64,
+            self.exact.max_nodes,
+            self.eptas.enabled as u64,
+            self.eptas.max_jobs as u64,
+            self.eptas.max_machines as u64,
+            self.eptas.eps_k,
+            self.eptas.node_budget,
+        ]
+        .iter()
+        .fold(FNV_OFFSET, |h, word| {
+            fnv1a_64_extend(h, &word.to_le_bytes())
+        })
     }
 }
 
@@ -435,8 +434,8 @@ impl Engine {
     }
 
     /// [`solve_batch`](Self::solve_batch) taking ownership of the requests —
-    /// the zero-copy entry point of the streaming shard pipeline
-    /// ([`crate::stream::solve_stream`]): pool workers share the request
+    /// the zero-copy entry point of the data plane's miss batches
+    /// ([`crate::stream::ServiceCore`]): pool workers share the request
     /// vector behind an `Arc` instead of cloning it, so a shard costs
     /// exactly its own allocation.
     pub fn solve_batch_vec(&self, reqs: Vec<SolveRequest>) -> Vec<SolveReport> {
@@ -953,6 +952,30 @@ mod tests {
         for (i, kind) in SolverKind::all().iter().enumerate() {
             assert_eq!(MEMBER_LABELS[i], kind.name());
         }
+    }
+
+    /// The fingerprint keys cache stores, checkpoints and worker
+    /// handshakes on disk and on the wire, so its value must never drift.
+    #[test]
+    fn content_fingerprint_is_pinned() {
+        assert_eq!(
+            EngineConfig::default().content_fingerprint(),
+            11655608760495232640
+        );
+        let custom = EngineConfig {
+            run_baselines: false,
+            exact: ExactPolicy {
+                max_nodes: 5_000,
+                ..ExactPolicy::default()
+            },
+            eptas: EptasPolicy {
+                enabled: false,
+                eps_k: 3,
+                ..EptasPolicy::default()
+            },
+            ..EngineConfig::default()
+        };
+        assert_eq!(custom.content_fingerprint(), 8364590082839757282);
     }
 
     #[test]

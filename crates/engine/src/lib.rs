@@ -68,6 +68,7 @@ pub mod checkpoint;
 pub mod dispatch;
 pub mod engine;
 pub mod families;
+mod journal;
 pub mod json;
 pub mod jsonl;
 pub mod portfolio;
@@ -82,9 +83,7 @@ pub use msrs_telemetry as telemetry;
 pub use cache::{CacheKey, CacheStats, ReportCache};
 pub use cachestore::{CacheLoadStats, CacheStore, CacheStoreEntry};
 pub use checkpoint::{CheckpointHeader, CheckpointLog, ShardRecord, ShardStats};
-pub use dispatch::{
-    dispatch, dispatch_fleet, run_worker, DispatchConfig, DispatchOutcome, QuarantinedShard,
-};
+pub use dispatch::{dispatch_fleet, run_worker, DispatchConfig, DispatchOutcome, QuarantinedShard};
 pub use engine::{Engine, EngineConfig, EptasPolicy, ExactPolicy, DEFAULT_CACHE_CAPACITY};
 pub use families::{family, family_names, FamilySpec};
 pub use jsonl::LineDecoder;
@@ -93,7 +92,4 @@ pub use profile::{classify, InstanceProfile, SizeTier};
 pub use rayon::PoolStats;
 pub use remote::{run_remote_worker, RemoteHub, RemoteWorkerConfig, REMOTE_PROTO_VERSION};
 pub use report::{RunStatus, SolveReport, SolveRequest, SolverRun};
-pub use stream::{
-    serve_jsonl, solve_stream, JsonlReader, JsonlServer, ServiceCore, StreamOutcome, StreamStats,
-    DEFAULT_SHARD_SIZE,
-};
+pub use stream::{JsonlServer, ServiceCore, StreamOutcome, StreamStats, DEFAULT_SHARD_SIZE};

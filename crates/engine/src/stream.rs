@@ -9,25 +9,21 @@
 //!   misses, and serialize every report — cache **hits straight from the
 //!   `Arc`'d canonical report** into a reusable byte buffer: no `Instance`,
 //!   no `SolveRequest`, no report clone, zero heap allocations per instance
-//!   once the buffers are warm. Both the batch driver below and the TCP
-//!   front end in [`crate::service`] run on it, so there is exactly one
-//!   data plane.
-//! * [`serve_jsonl`] / [`JsonlServer`] — the thin *batch driver*: JSONL in,
-//!   JSONL out, feeding `ServiceCore` shard by shard. With
+//!   once the buffers are warm. The batch driver below, the TCP front end
+//!   in [`crate::service`] and the dispatch workers all run on it, so
+//!   there is exactly one data plane.
+//! * [`JsonlServer`] — the thin *batch driver*: JSONL in, JSONL out,
+//!   feeding `ServiceCore` shard by shard. With
 //!   [`JsonlServer::set_decode_threads`] the single-reader parse bottleneck
 //!   is broken: whole shards of raw lines are decoded on pool workers
 //!   (thread-local [`LineDecoder`]s, chunked deterministically,
 //!   order-preserving merge) before the sequential cache-probe/solve/emit
 //!   steps. Output is byte-identical to the sequential path.
-//! * [`solve_stream`] — the *typed* pipeline: an iterator of
-//!   [`SolveRequest`]s (e.g. a [`JsonlReader`]) is fed through
-//!   [`Engine::solve_batch_vec`] shard by shard and each [`SolveReport`] is
-//!   handed to a callback in corpus order.
 //!
-//! Error semantics are *prefix-faithful* for all paths: when a malformed
-//! line is hit mid-stream, everything successfully parsed before it —
-//! including a partial final shard — is solved and emitted, and the error
-//! (with its 1-based line number) is surfaced in [`StreamOutcome::error`]
+//! Error semantics are *prefix-faithful*: when a malformed line is hit
+//! mid-stream, everything successfully parsed before it — including a
+//! partial final shard — is solved and emitted, and the error (with its
+//! 1-based physical line number) is surfaced in [`StreamOutcome::error`]
 //! afterwards.
 //!
 //! Determinism: a sharded run's reports are bit-identical to an unsharded
@@ -56,68 +52,6 @@ use crate::report::{SolveReport, SolveRequest};
 /// set regardless of corpus length.
 pub const DEFAULT_SHARD_SIZE: usize = 4096;
 
-/// An incremental JSONL instance reader: yields one [`SolveRequest`] per
-/// non-blank, non-`#` line, parsed as it is read (the input is never
-/// materialized as a whole). Line numbers are physical and 1-based, exactly
-/// as [`crate::jsonl::read_corpus`] reports them. Decoding goes through a
-/// retained
-/// [`LineDecoder`], so per-line parsing reuses its buffers; only the
-/// materialized [`SolveRequest`] itself is allocated.
-pub struct JsonlReader<R> {
-    inner: R,
-    line_no: usize,
-    buf: String,
-    decoder: LineDecoder,
-}
-
-impl<R: BufRead> JsonlReader<R> {
-    /// Wraps a buffered reader positioned at the start of a corpus.
-    pub fn new(inner: R) -> Self {
-        JsonlReader {
-            inner,
-            line_no: 0,
-            buf: String::new(),
-            decoder: LineDecoder::new(),
-        }
-    }
-
-    /// The number of the last physical line read (1-based; 0 before the
-    /// first read).
-    pub fn line_no(&self) -> usize {
-        self.line_no
-    }
-}
-
-impl<R: BufRead> Iterator for JsonlReader<R> {
-    type Item = Result<SolveRequest, CorpusError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            self.buf.clear();
-            self.line_no += 1;
-            match self.inner.read_line(&mut self.buf) {
-                Ok(0) => return None,
-                Ok(_) => {}
-                Err(e) => {
-                    return Some(Err(CorpusError::Io {
-                        line: self.line_no,
-                        message: e.to_string(),
-                    }))
-                }
-            }
-            let line = self.buf.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            return Some(
-                self.decoder
-                    .decode(self.line_no, line)
-                    .map(|()| self.decoder.build_request()),
-            );
-        }
-    }
-}
-
 /// Merged summary statistics of one streamed run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamStats {
@@ -127,15 +61,14 @@ pub struct StreamStats {
     pub shards: usize,
     /// Configured shard size.
     pub shard_size: usize,
-    /// Largest number of requests resident at once (≤ `shard_size`) — the
-    /// memory high-water mark of the pipeline, in requests. The byte-level
-    /// serve path only materializes cache *misses*, so there this counts
-    /// materialized requests (0 for a fully cache-served stream).
+    /// Largest number of requests materialized at once (≤ `shard_size`) —
+    /// the memory high-water mark of the pipeline, in requests. Only cache
+    /// *misses* are materialized, so a fully cache-served stream reads 0.
     pub max_resident: usize,
     /// Reports with a proven-optimal schedule.
     pub proven_optimal: usize,
-    /// Requests served directly from the result cache by the byte-level
-    /// serve path (0 for [`solve_stream`], which reports hits per report).
+    /// Requests served directly from the result cache or an in-shard
+    /// duplicate, without materializing a request.
     pub fast_path_hits: usize,
     /// Sum of per-report `makespan / lower_bound` ratios (mean =
     /// `ratio_sum / instances`).
@@ -147,9 +80,7 @@ pub struct StreamStats {
     /// Time spent reading and decoding input (JSONL parse), µs.
     pub parse_micros: u64,
     /// Time spent fingerprinting/canonicalizing decoded lines and probing
-    /// the result cache, µs. Only the byte-level serve path populates this:
-    /// the typed pipeline canonicalizes inside the solver batch, where the
-    /// time lands in `solve_micros`.
+    /// the result cache, µs.
     pub canon_micros: u64,
     /// Time spent inside the solver batches, µs.
     pub solve_micros: u64,
@@ -244,86 +175,6 @@ impl Phases {
     }
 }
 
-/// Streams `requests` through `engine` in shards of `shard_size`, calling
-/// `emit` for every report in corpus order. Memory stays O(`shard_size`):
-/// one shard of requests and its reports at a time.
-///
-/// `Err` is returned only for `emit` failures (typically downstream I/O);
-/// corpus-level parse errors end the stream early and come back in
-/// [`StreamOutcome::error`] *after* all prior reports were emitted.
-pub fn solve_stream<I, F>(
-    engine: &Engine,
-    requests: I,
-    shard_size: usize,
-    mut emit: F,
-) -> io::Result<StreamOutcome>
-where
-    I: IntoIterator<Item = Result<SolveRequest, CorpusError>>,
-    F: FnMut(&SolveReport) -> io::Result<()>,
-{
-    let shard_size = shard_size.max(1);
-    let started = Instant::now();
-    let mut stats = StreamStats {
-        shard_size,
-        ..StreamStats::default()
-    };
-    let mut phases = Phases::default();
-    let mut error = None;
-    let mut shard: Vec<SolveRequest> = Vec::with_capacity(shard_size.min(1024));
-    let mut iter = requests.into_iter();
-    loop {
-        let t0 = Instant::now();
-        let item = iter.next();
-        phases.parse += t0.elapsed();
-        match item {
-            None => break,
-            Some(Ok(req)) => {
-                shard.push(req);
-                if shard.len() >= shard_size {
-                    solve_shard(engine, &mut shard, &mut stats, &mut phases, &mut emit)?;
-                }
-            }
-            Some(Err(e)) => {
-                error = Some(e);
-                break;
-            }
-        }
-    }
-    // Flush the partial final shard — on the error path too, so every line
-    // parsed before a malformed one still yields its report.
-    if !shard.is_empty() {
-        solve_shard(engine, &mut shard, &mut stats, &mut phases, &mut emit)?;
-    }
-    phases.write_into(&mut stats);
-    stats.wall_micros = started.elapsed().as_micros() as u64;
-    Ok(StreamOutcome { stats, error })
-}
-
-fn solve_shard<F>(
-    engine: &Engine,
-    shard: &mut Vec<SolveRequest>,
-    stats: &mut StreamStats,
-    phases: &mut Phases,
-    emit: &mut F,
-) -> io::Result<()>
-where
-    F: FnMut(&SolveReport) -> io::Result<()>,
-{
-    let reqs = std::mem::take(shard);
-    stats.max_resident = stats.max_resident.max(reqs.len());
-    let t0 = Instant::now();
-    let reports = engine.solve_batch_vec(reqs);
-    phases.solve += t0.elapsed();
-    stats.shards += 1;
-    for report in &reports {
-        stats.record_report(report);
-        let t1 = Instant::now();
-        emit(report)?;
-        phases.serialize += t1.elapsed();
-    }
-    Ok(())
-}
-
 /// One line of an in-flight serve shard: either a cache hit (the shared
 /// canonical report, the id span in the core's id arena, and the probe
 /// instant for the serving-time stamp) or an index into the materialized
@@ -333,8 +184,8 @@ enum Slot {
         report: Arc<SolveReport>,
         id: Option<(usize, usize)>,
         /// Serving time (decode + fingerprint + probe), stamped at decode —
-        /// the byte-path analogue of the typed path's hit `wall_micros`
-        /// (which covers probe + fan-out, never the rest of the batch).
+        /// the byte-path analogue of [`Engine::solve_batch`]'s hit
+        /// `wall_micros` (probe + fan-out, never the rest of the batch).
         serve_micros: u64,
     },
     /// An in-shard duplicate of miss `first` (same canonical fingerprint):
@@ -651,57 +502,10 @@ pub(crate) type DecodedLine = Result<(Option<u128>, SolveRequest), CorpusError>;
 
 /// Decodes `shard.spans[lo..hi]` with thread-local decoder/scratch
 /// buffers (workers are persistent, so the buffers stay warm across
-/// shards). Stops at the first malformed line in the range: the merge
-/// walks results in corpus order, so the earliest error wins exactly as in
-/// the sequential path.
+/// shards), one result per line. An error does not stop the unit: serve
+/// sessions answer a malformed line and go on, while the batch driver's
+/// merge walks results in corpus order and stops at the first error.
 fn decode_range(shard: &RawShard, lo: usize, hi: usize, fingerprint: bool) -> Vec<DecodedLine> {
-    thread_local! {
-        static DECODE_TLS: std::cell::RefCell<(LineDecoder, CanonicalScratch)> =
-            std::cell::RefCell::new((LineDecoder::new(), CanonicalScratch::default()));
-    }
-    DECODE_TLS.with(|tls| {
-        let (decoder, scratch) = &mut *tls.borrow_mut();
-        let mut out = Vec::with_capacity(hi - lo);
-        for &(line_no, start, end) in &shard.spans[lo..hi] {
-            let t0 = Instant::now();
-            match decoder.decode(line_no, &shard.text[start..end]) {
-                Ok(()) => {
-                    Stage::Decode.record_nanos(nanos(t0.elapsed()));
-                    let fp = if fingerprint {
-                        let t1 = Instant::now();
-                        let builder = decoder.builder();
-                        let fp = msrs_core::flat_fingerprint(
-                            builder.machines(),
-                            builder.sizes(),
-                            builder.offsets(),
-                            scratch,
-                        );
-                        Stage::Canonicalize.record_nanos(nanos(t1.elapsed()));
-                        Some(fp)
-                    } else {
-                        None
-                    };
-                    out.push(Ok((fp, decoder.build_request())));
-                }
-                Err(e) => {
-                    out.push(Err(e));
-                    break;
-                }
-            }
-        }
-        out
-    })
-}
-
-/// Like [`decode_range`], but an error does not stop the unit: serve
-/// sessions are conversations, so a malformed line gets an error
-/// response while the lines after it are still decoded and served.
-fn decode_range_lenient(
-    shard: &RawShard,
-    lo: usize,
-    hi: usize,
-    fingerprint: bool,
-) -> Vec<DecodedLine> {
     thread_local! {
         static DECODE_TLS: std::cell::RefCell<(LineDecoder, CanonicalScratch)> =
             std::cell::RefCell::new((LineDecoder::new(), CanonicalScratch::default()));
@@ -739,8 +543,8 @@ fn decode_range_lenient(
 
 /// Decodes a burst of pipelined request lines on pool workers in
 /// deterministic fixed-size units: one result per input line, in input
-/// order, errors included ([`decode_range_lenient`]). Used by the serve
-/// sessions' `--decode-threads` path.
+/// order, errors included ([`decode_range`]). Used by the serve sessions'
+/// `--decode-threads` path and the dispatch workers' cache plane.
 pub(crate) fn decode_burst(
     pool: &rayon::ThreadPool,
     lines: &[(usize, &str)],
@@ -762,7 +566,7 @@ pub(crate) fn decode_burst(
     let decoded: Vec<Vec<DecodedLine>> = pool.install(|| {
         units
             .into_par_iter()
-            .map(move |(lo, hi)| decode_range_lenient(&worker_shard, lo, hi, fingerprint))
+            .map(move |(lo, hi)| decode_range(&worker_shard, lo, hi, fingerprint))
             .collect()
     });
     decoded.into_iter().flatten().collect()
@@ -977,70 +781,69 @@ impl JsonlServer {
     }
 }
 
-/// One-shot convenience around [`JsonlServer::serve`].
-pub fn serve_jsonl<R: BufRead, W: Write>(
-    engine: &Engine,
-    input: R,
-    out: &mut W,
-    shard_size: usize,
-) -> io::Result<StreamOutcome> {
-    JsonlServer::new().serve(engine, input, out, shard_size)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use std::io::Cursor;
 
-    #[test]
-    fn reader_skips_blanks_and_comments_with_physical_line_numbers() {
-        let text = "# header\n\n{\"machines\":2,\"classes\":[[3]]}\n\n# mid\n{\"machines\":1,\"classes\":[[1,2]]}\n";
-        let mut reader = JsonlReader::new(Cursor::new(text));
-        let first = reader.next().unwrap().unwrap();
-        assert_eq!(first.instance.machines(), 2);
-        assert_eq!(reader.line_no(), 3);
-        let second = reader.next().unwrap().unwrap();
-        assert_eq!(second.instance.num_jobs(), 2);
-        assert_eq!(reader.line_no(), 6);
-        assert!(reader.next().is_none());
+    /// Serves `text` and returns the outcome plus the emitted lines.
+    fn serve(engine: &Engine, text: &str, shard_size: usize) -> (StreamOutcome, Vec<String>) {
+        let mut out = Vec::new();
+        let outcome = JsonlServer::new()
+            .serve(engine, Cursor::new(text), &mut out, shard_size)
+            .unwrap();
+        let lines = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(str::to_owned)
+            .collect();
+        (outcome, lines)
     }
 
     #[test]
-    fn reader_reports_the_failing_physical_line() {
-        let text = "{\"machines\":2,\"classes\":[[3]]}\n\nnot json\n";
-        let mut reader = JsonlReader::new(Cursor::new(text));
-        assert!(reader.next().unwrap().is_ok());
-        match reader.next().unwrap() {
-            Err(CorpusError::Json { line, .. }) => assert_eq!(line, 3),
+    fn serve_skips_blanks_and_comments_with_physical_line_numbers() {
+        let text = "# header\n\n{\"machines\":2,\"classes\":[[3]]}\n\n# mid\n\
+                    {\"machines\":1,\"classes\":[[1,2]]}\n\nnot json\n";
+        let (outcome, lines) = serve(&Engine::new(EngineConfig::default()), text, 8);
+        assert_eq!(lines.len(), 2);
+        assert!(
+            lines[0].starts_with("{\"jobs\":1,\"machines\":2,"),
+            "{}",
+            lines[0]
+        );
+        assert!(
+            lines[1].starts_with("{\"jobs\":2,\"machines\":1,"),
+            "{}",
+            lines[1]
+        );
+        match outcome.error {
+            Some(CorpusError::Json { line, .. }) => assert_eq!(line, 8),
             other => panic!("expected Json error, got {other:?}"),
         }
     }
 
     #[test]
-    fn stream_counts_shards_and_bounds_residency() {
-        let reqs: Vec<Result<SolveRequest, CorpusError>> = (0..10)
+    fn serve_counts_shards_and_bounds_residency() {
+        let text: String = (0..10)
             .map(|seed| {
-                Ok(SolveRequest::with_id(
-                    format!("u-{seed}"),
-                    msrs_gen::uniform(seed, 2, 8, 3, 1, 9),
-                ))
+                let inst = msrs_gen::uniform(seed, 2, 8, 3, 1, 9);
+                crate::jsonl::write_instance_line(Some(&format!("u-{seed}")), &inst) + "\n"
             })
             .collect();
-        let engine = Engine::new(EngineConfig::default());
-        let mut emitted = Vec::new();
-        let outcome = solve_stream(&engine, reqs, 4, |r| {
-            emitted.push(r.id.clone());
-            Ok(())
-        })
-        .unwrap();
+        // No cache: every line is a miss, materialized for its shard.
+        let engine = Engine::new(EngineConfig {
+            cache_capacity: 0,
+            ..EngineConfig::default()
+        });
+        let (outcome, lines) = serve(&engine, &text, 4);
         assert!(outcome.error.is_none());
         assert_eq!(outcome.stats.instances, 10);
         assert_eq!(outcome.stats.shards, 3, "10 instances in shards of 4");
         assert_eq!(outcome.stats.max_resident, 4);
-        assert_eq!(emitted.len(), 10);
-        assert_eq!(emitted[0].as_deref(), Some("u-0"));
-        assert_eq!(emitted[9].as_deref(), Some("u-9"));
+        assert_eq!(lines.len(), 10);
+        assert!(lines[0].starts_with("{\"id\":\"u-0\","));
+        assert!(lines[9].starts_with("{\"id\":\"u-9\","));
         assert!(outcome.stats.ratio_worst >= 1.0);
         assert!(outcome.stats.ratio_mean() >= 1.0);
         // The data-plane split is populated and bounded by the total wall.
@@ -1064,7 +867,9 @@ mod tests {
         };
         let engine = Engine::new(cfg);
         let mut out = Vec::new();
-        let outcome = serve_jsonl(&engine, Cursor::new(corpus), &mut out, 128).unwrap();
+        let outcome = JsonlServer::new()
+            .serve(&engine, Cursor::new(corpus), &mut out, 128)
+            .unwrap();
         assert!(outcome.error.is_none());
         assert_eq!(outcome.stats.instances, 512);
         assert!(outcome.stats.fast_path_hits >= 511);
@@ -1193,9 +998,9 @@ mod tests {
 
     #[test]
     fn zero_shard_size_is_clamped_to_one() {
-        let reqs = vec![Ok(SolveRequest::new(msrs_gen::uniform(1, 2, 6, 2, 1, 9)))];
-        let engine = Engine::new(EngineConfig::default());
-        let outcome = solve_stream(&engine, reqs, 0, |_| Ok(())).unwrap();
+        let inst = msrs_gen::uniform(1, 2, 6, 2, 1, 9);
+        let text = crate::jsonl::write_instance_line(None, &inst) + "\n";
+        let (outcome, _) = serve(&Engine::new(EngineConfig::default()), &text, 0);
         assert_eq!(outcome.stats.instances, 1);
         assert_eq!(outcome.stats.shard_size, 1);
     }

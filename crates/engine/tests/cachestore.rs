@@ -1,30 +1,39 @@
-//! Robustness proofs for the durable result-cache store:
+//! Robustness proofs for the two durable logs — the result-cache store and
+//! the dispatch checkpoint, both journals of checksummed records:
 //!
-//! * **truncation sweep** — a pristine two-segment store cut at *every*
-//!   byte offset loads without a panic or an error, yields exactly the
-//!   records whose lines survived intact (never a corrupt one), and
-//!   counts no quarantine — a torn tail is recovery, not corruption;
+//! * **truncation sweep** — a pristine log cut at *every* byte offset
+//!   loads without a panic or an error and yields exactly the records
+//!   whose lines survived intact (never a corrupt one); the store counts
+//!   no quarantine — a torn tail is recovery, not corruption — and a
+//!   record appended after the reopen loads right after the survivors;
 //! * **bit-flip sweep** — a single bit flipped at *every* byte of every
-//!   record line is always detected: the open never fails, the flipped
+//!   record line is always detected, and no loaded record ever deviates
+//!   from the one appended. In a store the open never fails, the flipped
 //!   record's segment is quarantined (counted in stats *and* the
-//!   process-global telemetry), the sibling segment loads untouched, and
-//!   no loaded entry ever deviates from the pristine bytes;
+//!   process-global telemetry) and the sibling segment loads untouched;
+//!   a checkpoint drops a flipped final record and refuses a flip
+//!   anywhere before it with `InvalidData`;
+//! * **version 1** — files in the previous format of either log are
+//!   refused with `InvalidData`;
 //! * **warm restart** — an engine that served a corpus through an
 //!   attached store is dropped (joining the background flusher), a fresh
 //!   engine warm-loads the store, and a second pass over the same corpus
 //!   is served entirely from cache, bit-identical modulo `wall_micros`
 //!   and `cache_hit`.
 
-use std::collections::HashMap;
 use std::fs;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 
 use msrs_core::{Assignment, Schedule};
 use msrs_engine::json::Json;
 use msrs_engine::portfolio::SolverKind;
 use msrs_engine::report::{RunStatus, SolverRun};
 use msrs_engine::stream::JsonlServer;
-use msrs_engine::{cachestore, jsonl, CacheStore, Engine, EngineConfig, SolveReport};
+use msrs_engine::{
+    jsonl, CacheStore, CheckpointHeader, CheckpointLog, Engine, EngineConfig, ShardRecord,
+    ShardStats, SolveReport,
+};
 
 /// A scratch path unique to this process and test.
 fn tmp(name: &str) -> PathBuf {
@@ -74,11 +83,7 @@ const CONFIG_FP: u64 = 0x5eed;
 /// Builds a pristine two-segment store (a reopen writes a fresh segment
 /// marker between the two batches) and returns its bytes plus the
 /// expected `(fingerprint, payload)` list in file order.
-fn pristine_store(
-    path: &std::path::Path,
-    first: u64,
-    second: u64,
-) -> (Vec<u8>, Vec<(u128, String)>) {
+fn pristine_store(path: &Path, first: u64, second: u64) -> (Vec<u8>, Vec<(u128, String)>) {
     let _ = fs::remove_file(path);
     let mut expected = Vec::new();
     for (start, count) in [(0u64, first), (first, second)] {
@@ -96,12 +101,157 @@ fn pristine_store(
     (bytes, expected)
 }
 
-/// Byte spans (start, end-exclusive of the newline) of every record line.
-fn record_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+const CHECKPOINT: CheckpointHeader = CheckpointHeader {
+    config_fp: CONFIG_FP,
+    shard_size: 8,
+};
+
+fn shard_record(shard: usize) -> ShardRecord {
+    ShardRecord {
+        shard,
+        lines: 8,
+        shard_fp: 0x9e37_79b9_7f4a_7c15 ^ shard as u64,
+        out_bytes: 4_096 * (shard as u64 + 1),
+        attempts: 1,
+        quarantined: shard == 1,
+        stats: ShardStats {
+            instances: 8,
+            proven_optimal: 3,
+            ratio_sum_bits: 8.25f64.to_bits(),
+            ratio_worst_bits: 1.5f64.to_bits(),
+            solve_micros: 1_234,
+            ..ShardStats::default()
+        },
+    }
+}
+
+/// Builds a pristine three-record checkpoint and returns its bytes plus
+/// the records appended.
+fn pristine_checkpoint(path: &Path) -> (Vec<u8>, Vec<ShardRecord>) {
+    let mut log = CheckpointLog::create(path, CHECKPOINT).expect("checkpoint created");
+    let records: Vec<ShardRecord> = (0..3).map(shard_record).collect();
+    for record in &records {
+        log.append(record).expect("append");
+    }
+    (fs::read(path).expect("checkpoint readable"), records)
+}
+
+/// The two durable logs, as inputs to the same sweeps.
+#[derive(Clone, Copy, Debug)]
+enum Log {
+    Store,
+    Checkpoint,
+}
+
+/// A pristine log: its bytes, the records appended in file order
+/// (rendered comparably), and the byte spans of their lines.
+struct Pristine {
+    bytes: Vec<u8>,
+    records: Vec<String>,
+    spans: Vec<(usize, usize)>,
+}
+
+/// What opening a (damaged) copy of a log produced.
+struct Loaded {
+    records: Vec<String>,
+    errors: u64,
+    segments_quarantined: u64,
+}
+
+impl Log {
+    fn ext(self) -> &'static str {
+        match self {
+            Log::Store => "mcache",
+            Log::Checkpoint => "ckpt",
+        }
+    }
+
+    /// A store of two segments (3 + 2 records), or a 3-record checkpoint.
+    fn pristine(self, path: &Path) -> Pristine {
+        let (bytes, records, prefix): (_, Vec<String>, &[u8]) = match self {
+            Log::Store => {
+                let (bytes, expected) = pristine_store(path, 3, 2);
+                let records = expected
+                    .iter()
+                    .map(|(fp, payload)| format!("{fp:032x} {payload}"))
+                    .collect();
+                (bytes, records, b"{\"fp\":")
+            }
+            Log::Checkpoint => {
+                let (bytes, expected) = pristine_checkpoint(path);
+                let records = expected.iter().map(|r| format!("{r:?}")).collect();
+                (bytes, records, b"{\"shard\":")
+            }
+        };
+        let spans = record_spans(&bytes, prefix);
+        assert_eq!(spans.len(), records.len());
+        Pristine {
+            bytes,
+            records,
+            spans,
+        }
+    }
+
+    /// Opens the log at `path` and appends one new record after what it
+    /// recovered (`kept` records); returns that record, rendered.
+    fn append_after(self, path: &Path, kept: usize) -> String {
+        match self {
+            Log::Store => {
+                let (mut store, _, _) = CacheStore::open(path, CONFIG_FP).expect("store opens");
+                let payload = report(99).to_store_json().to_string();
+                store.append(99, CONFIG_FP, &payload).expect("append");
+                store.sync().expect("sync");
+                format!("{:032x} {payload}", 99)
+            }
+            Log::Checkpoint => {
+                let (mut log, _) = CheckpointLog::open(path, CHECKPOINT).expect("checkpoint opens");
+                log.append(&shard_record(kept)).expect("append");
+                format!("{:?}", shard_record(kept))
+            }
+        }
+    }
+
+    fn load(self, path: &Path) -> io::Result<Loaded> {
+        match self {
+            Log::Store => {
+                let (_store, entries, stats) = CacheStore::open(path, CONFIG_FP)?;
+                assert_eq!(stats.loaded, entries.len() as u64);
+                let records = entries
+                    .iter()
+                    .map(|entry| {
+                        assert_eq!(
+                            entry.report.to_store_json().to_string(),
+                            *entry.payload,
+                            "loaded report re-serializes to the checksummed bytes"
+                        );
+                        format!("{:032x} {}", entry.fingerprint, entry.payload)
+                    })
+                    .collect();
+                Ok(Loaded {
+                    records,
+                    errors: stats.errors,
+                    segments_quarantined: stats.segments_quarantined,
+                })
+            }
+            Log::Checkpoint => {
+                let (_log, records) = CheckpointLog::open(path, CHECKPOINT)?;
+                Ok(Loaded {
+                    records: records.iter().map(|r| format!("{r:?}")).collect(),
+                    errors: 0,
+                    segments_quarantined: 0,
+                })
+            }
+        }
+    }
+}
+
+/// Byte spans (start, end-exclusive of the newline) of every line that
+/// starts with `prefix` — the record lines of a log.
+fn record_spans(bytes: &[u8], prefix: &[u8]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut start = 0usize;
     for line in bytes.split(|&b| b == b'\n') {
-        if line.starts_with(b"{\"fp\":") {
+        if line.starts_with(prefix) {
             spans.push((start, start + line.len()));
         }
         start += line.len() + 1;
@@ -111,127 +261,134 @@ fn record_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
 
 #[test]
 fn loader_survives_truncation_at_every_byte_offset() {
-    let build = tmp("trunc-build.mcache");
-    let (bytes, expected) = pristine_store(&build, 3, 2);
-    let spans = record_spans(&bytes);
-    assert_eq!(spans.len(), expected.len());
-    let scratch = tmp("trunc-scratch.mcache");
-    for cut in 0..=bytes.len() {
-        fs::write(&scratch, &bytes[..cut]).expect("scratch writable");
-        let (_store, entries, stats) = CacheStore::open(&scratch, CONFIG_FP)
-            .unwrap_or_else(|e| panic!("truncation at byte {cut} must load, not error: {e}"));
-        // A record survives iff its full line (newline included) fits.
-        let survivors: Vec<&(u128, String)> = spans
-            .iter()
-            .zip(&expected)
-            .filter(|((_, end), _)| *end < cut)
-            .map(|(_, exp)| exp)
-            .collect();
-        assert_eq!(
-            entries.len(),
-            survivors.len(),
-            "truncation at byte {cut} of {}",
-            bytes.len()
-        );
-        for (entry, (fp, payload)) in entries.iter().zip(survivors) {
-            assert_eq!(entry.fingerprint, *fp, "at byte {cut}");
-            assert_eq!(&*entry.payload, payload.as_str(), "at byte {cut}");
+    for log in [Log::Store, Log::Checkpoint] {
+        let build = tmp(&format!("trunc-build.{}", log.ext()));
+        let pristine = log.pristine(&build);
+        let bytes = &pristine.bytes;
+        let scratch = tmp(&format!("trunc-scratch.{}", log.ext()));
+        for cut in 0..=bytes.len() {
+            fs::write(&scratch, &bytes[..cut]).expect("scratch writable");
+            let loaded = log.load(&scratch).unwrap_or_else(|e| {
+                panic!("{log:?} truncated at byte {cut} must load, not error: {e}")
+            });
+            // A record survives iff its full line (newline included) fits.
+            let survivors = pristine.spans.iter().filter(|(_, end)| *end < cut).count();
             assert_eq!(
-                entry.report.to_store_json().to_string(),
-                *payload,
-                "loaded report re-serializes to the checksummed bytes"
+                loaded.records,
+                pristine.records[..survivors],
+                "{log:?} truncated at byte {cut} of {}",
+                bytes.len()
+            );
+            assert_eq!(
+                (loaded.errors, loaded.segments_quarantined),
+                (0, 0),
+                "a torn tail at byte {cut} is recovery, never corruption"
+            );
+            // The reopen cut the torn bytes away: a record appended now
+            // loads right after the survivors.
+            let appended = log.append_after(&scratch, survivors);
+            let reloaded = log.load(&scratch).expect("recovered log reloads");
+            assert_eq!(
+                reloaded.records.split_last(),
+                Some((&appended, &pristine.records[..survivors])),
+                "{log:?} truncated at byte {cut}, then appended to"
             );
         }
-        assert_eq!(stats.loaded, entries.len() as u64);
-        assert_eq!(
-            (stats.errors, stats.segments_quarantined),
-            (0, 0),
-            "a torn tail at byte {cut} is recovery, never corruption"
-        );
+        fs::remove_file(&build).ok();
+        fs::remove_file(&scratch).ok();
     }
-    fs::remove_file(&build).ok();
-    fs::remove_file(&scratch).ok();
 }
 
 #[test]
-fn single_bit_flips_are_always_detected_and_quarantine_only_one_segment() {
-    let build = tmp("flip-build.mcache");
-    let (bytes, expected) = pristine_store(&build, 3, 2);
-    let spans = record_spans(&bytes);
-    let pristine: HashMap<u128, &str> = expected
-        .iter()
-        .map(|(fp, payload)| (*fp, payload.as_str()))
-        .collect();
+fn single_bit_flips_are_always_detected_and_never_served() {
     let reg = msrs_engine::telemetry::registry();
-    let scratch = tmp("flip-scratch.mcache");
-    for (record, (start, end)) in spans.iter().enumerate() {
-        // The flipped record kills its own segment; the sibling segment
-        // must load untouched.
-        let casualties: Vec<u128> = spans
-            .iter()
-            .zip(&expected)
-            .filter(|((s, _), _)| (record < 3) == (*s < spans[3].0))
-            .map(|(_, (fp, _))| *fp)
-            .collect();
-        for pos in *start..*end {
-            let mut flipped = bytes.clone();
-            flipped[pos] ^= 0x01;
-            fs::write(&scratch, &flipped).expect("scratch writable");
-            let quarantined_before = reg.cache_store_segments_quarantined_total.get();
-            let errors_before = reg.cache_store_load_errors_total.get();
-            let (_store, entries, stats) =
-                CacheStore::open(&scratch, CONFIG_FP).unwrap_or_else(|e| {
-                    panic!("flip at byte {pos} (record {record}) must load, not error: {e}")
-                });
-            assert_eq!(
-                stats.errors, 1,
-                "flip at byte {pos} of record {record} must be detected"
-            );
-            assert_eq!(stats.segments_quarantined, 1, "flip at byte {pos}");
-            assert_eq!(
-                entries.len(),
-                expected.len() - casualties.len(),
-                "flip at byte {pos}: only the flipped record's segment is lost"
-            );
-            for entry in &entries {
-                assert!(
-                    !casualties.contains(&entry.fingerprint),
-                    "flip at byte {pos}: a record from the quarantined segment was served"
-                );
-                assert_eq!(
-                    &*entry.payload, pristine[&entry.fingerprint],
-                    "flip at byte {pos}: a served record deviated from the pristine bytes"
-                );
+    for log in [Log::Store, Log::Checkpoint] {
+        let build = tmp(&format!("flip-build.{}", log.ext()));
+        let pristine = log.pristine(&build);
+        let spans = &pristine.spans;
+        let scratch = tmp(&format!("flip-scratch.{}", log.ext()));
+        for (record, &(start, end)) in spans.iter().enumerate() {
+            for pos in start..end {
+                let mut flipped = pristine.bytes.clone();
+                flipped[pos] ^= 0x01;
+                fs::write(&scratch, &flipped).expect("scratch writable");
+                let quarantined_before = reg.cache_store_segments_quarantined_total.get();
+                let errors_before = reg.cache_store_load_errors_total.get();
+                let loaded = log.load(&scratch);
+                let at = format!("{log:?}: flip at byte {pos} (record {record})");
+                match log {
+                    Log::Store => {
+                        let loaded =
+                            loaded.unwrap_or_else(|e| panic!("{at} must load, not error: {e}"));
+                        assert_eq!(loaded.errors, 1, "{at} must be detected");
+                        assert_eq!(loaded.segments_quarantined, 1, "{at}");
+                        // The flipped record kills its own segment (records
+                        // 0..3 or 3..5); the sibling segment loads untouched
+                        // and no served record deviates from the pristine
+                        // bytes.
+                        let sibling = if record < 3 {
+                            &pristine.records[3..]
+                        } else {
+                            &pristine.records[..3]
+                        };
+                        assert_eq!(loaded.records, sibling, "{at}: only its segment is lost");
+                        // The loss is visible process-wide, not just in the
+                        // return value (deltas are ≥ because sibling tests
+                        // share the registry).
+                        assert!(
+                            reg.cache_store_segments_quarantined_total.get() > quarantined_before,
+                            "{at}: quarantine must reach telemetry"
+                        );
+                        assert!(reg.cache_store_load_errors_total.get() > errors_before);
+                    }
+                    // Only the final record may be dropped; a flip before it
+                    // refuses the whole checkpoint.
+                    Log::Checkpoint => match loaded {
+                        Ok(loaded) => {
+                            assert_eq!(record + 1, spans.len(), "{at} must be refused");
+                            assert_eq!(loaded.records, pristine.records[..record], "{at}");
+                        }
+                        Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{at}: {e}"),
+                    },
+                }
             }
-            // The loss is visible process-wide, not just in the return
-            // value (deltas are ≥ because sibling tests share the
-            // registry).
-            assert!(
-                reg.cache_store_segments_quarantined_total.get() > quarantined_before,
-                "flip at byte {pos}: quarantine must reach telemetry"
-            );
-            assert!(reg.cache_store_load_errors_total.get() > errors_before);
         }
+        fs::remove_file(&build).ok();
+        fs::remove_file(&scratch).ok();
     }
-    fs::remove_file(&build).ok();
-    fs::remove_file(&scratch).ok();
 }
 
-/// The record serializer and the loader agree byte-for-byte: what
-/// `record_line` emits is exactly what a pristine load hands back.
+/// Files in the version-1 format of either log (before both moved onto
+/// the checksummed journal) are refused, naming the version.
 #[test]
-fn record_line_round_trips_through_a_pristine_load() {
-    let path = tmp("record-line.mcache");
-    let (bytes, expected) = pristine_store(&path, 2, 1);
-    let text = String::from_utf8(bytes).expect("store is utf8");
-    for (fp, payload) in &expected {
-        let line = cachestore::record_line(*fp, CONFIG_FP, payload);
-        assert!(
-            text.contains(&line),
-            "the store holds the canonical serialization of record {fp:#x}"
-        );
-    }
-    fs::remove_file(&path).ok();
+fn version_1_files_are_refused() {
+    let checkpoint = tmp("v1.ckpt");
+    fs::write(
+        &checkpoint,
+        format!(
+            "{{\"checkpoint\":\"msrs-dispatch\",\"version\":1,\"config_fp\":{CONFIG_FP},\
+             \"shard_size\":8}}\n"
+        ),
+    )
+    .expect("scratch writable");
+    let err = CheckpointLog::open(&checkpoint, CHECKPOINT).expect_err("v1 checkpoint");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("version 1"), "{err}");
+
+    let store = tmp("v1.mcache");
+    fs::write(
+        &store,
+        format!(
+            "{{\"cache\":\"msrs-cache\",\"version\":1,\"config_fp\":{CONFIG_FP}}}\n\
+             {{\"segment\":0}}\n"
+        ),
+    )
+    .expect("scratch writable");
+    let err = CacheStore::open(&store, CONFIG_FP).expect_err("v1 store");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("version 1"), "{err}");
+    fs::remove_file(&checkpoint).ok();
+    fs::remove_file(&store).ok();
 }
 
 /// Zeroes `wall_micros` and normalizes `cache_hit` — the two fields the

@@ -15,8 +15,8 @@
 //!   completes normally;
 //! * **checkpointed resume** — a run interrupted after a random shard
 //!   resumes from its checkpoint to a byte-identical output file and
-//!   bits-exact merged statistics, and a resume against a changed corpus
-//!   is rejected.
+//!   bits-exact merged statistics, also after its checkpoint lost part of
+//!   the final record, and a resume against a changed corpus is rejected.
 
 use std::fs;
 use std::io::Cursor;
@@ -149,8 +149,9 @@ fn dispatch_matches_batch_reference_across_workers_and_threads() {
         for threads in [1usize, 2, 8] {
             let out = tmp(&format!("plain-{workers}-{threads}.jsonl"));
             let cfg = config(workers, 4, threads, None);
-            let outcome = dispatch::dispatch(Cursor::new(text.clone()), &out, None, &cfg, None)
-                .expect("dispatch runs");
+            let outcome =
+                dispatch::dispatch_fleet(Cursor::new(text.clone()), &out, None, &cfg, None, None)
+                    .expect("dispatch runs");
             assert!(
                 outcome.error.is_none(),
                 "workers={workers} threads={threads}"
@@ -178,8 +179,8 @@ fn injected_crash_is_retried_and_output_identical() {
     let (reference, _) = reference_run(&text, 4);
     let out = tmp("crash.jsonl");
     let cfg = config(2, 4, 2, Some("crash:shard=2"));
-    let outcome =
-        dispatch::dispatch(Cursor::new(text), &out, None, &cfg, None).expect("dispatch survives");
+    let outcome = dispatch::dispatch_fleet(Cursor::new(text), &out, None, &cfg, None, None)
+        .expect("dispatch survives");
     assert!(outcome.error.is_none());
     assert!(outcome.quarantined.is_empty());
     assert!(outcome.retries >= 1, "the crash forced at least one retry");
@@ -201,8 +202,9 @@ fn garbled_and_torn_worker_output_never_reaches_the_merged_stream() {
     for spec in ["garble:shard=1", "partial:shard=3"] {
         let out = tmp(&format!("{}.jsonl", spec.split(':').next().unwrap()));
         let cfg = config(2, 4, 1, Some(spec));
-        let outcome = dispatch::dispatch(Cursor::new(text.clone()), &out, None, &cfg, None)
-            .expect("dispatch survives");
+        let outcome =
+            dispatch::dispatch_fleet(Cursor::new(text.clone()), &out, None, &cfg, None, None)
+                .expect("dispatch survives");
         assert!(outcome.error.is_none(), "{spec}");
         assert!(outcome.quarantined.is_empty(), "{spec}");
         assert!(
@@ -225,8 +227,8 @@ fn hung_worker_is_detected_by_heartbeat_silence_and_retried() {
     cfg.heartbeat_timeout = Duration::from_millis(400);
     cfg.worker_cmd
         .extend(["--heartbeat-ms".to_string(), "50".to_string()]);
-    let outcome =
-        dispatch::dispatch(Cursor::new(text), &out, None, &cfg, None).expect("dispatch survives");
+    let outcome = dispatch::dispatch_fleet(Cursor::new(text), &out, None, &cfg, None, None)
+        .expect("dispatch survives");
     assert!(outcome.error.is_none());
     assert!(outcome.quarantined.is_empty());
     assert!(outcome.retries >= 1, "the hang forced at least one retry");
@@ -245,7 +247,7 @@ fn poison_shard_is_quarantined_and_the_run_degrades_gracefully() {
     // `attempts=99` keeps the fault firing long past the retry budget.
     let mut cfg = config(2, 4, 1, Some("crash:shard=1,attempts=99"));
     cfg.max_attempts = 2;
-    let outcome = dispatch::dispatch(Cursor::new(text), &out, None, &cfg, None)
+    let outcome = dispatch::dispatch_fleet(Cursor::new(text), &out, None, &cfg, None, None)
         .expect("coordinator survives");
     assert!(outcome.error.is_none());
     assert_eq!(outcome.quarantined.len(), 1);
@@ -306,7 +308,7 @@ fn fleet_cache_plane_serves_probes_and_output_is_identical() {
     cfg.cache_path = Some(store.clone());
 
     let out = tmp("cache-plane-1.jsonl");
-    let first = dispatch::dispatch(Cursor::new(text.clone()), &out, None, &cfg, None)
+    let first = dispatch::dispatch_fleet(Cursor::new(text.clone()), &out, None, &cfg, None, None)
         .expect("first cache-plane run");
     assert!(first.error.is_none());
     assert!(first.quarantined.is_empty());
@@ -318,7 +320,7 @@ fn fleet_cache_plane_serves_probes_and_output_is_identical() {
 
     // Second run, same store: every distinct form is already durable.
     let out2 = tmp("cache-plane-2.jsonl");
-    let second = dispatch::dispatch(Cursor::new(text), &out2, None, &cfg, None)
+    let second = dispatch::dispatch_fleet(Cursor::new(text), &out2, None, &cfg, None, None)
         .expect("second cache-plane run");
     assert!(second.error.is_none());
     assert!(
@@ -348,7 +350,7 @@ fn resume_rejects_a_changed_corpus() {
     fs::remove_file(&ckpt).ok();
     let mut cfg = config(2, 4, 1, None);
     cfg.stop_after_shards = Some(1);
-    let first = dispatch::dispatch(Cursor::new(text), &out, Some(&ckpt), &cfg, None)
+    let first = dispatch::dispatch_fleet(Cursor::new(text), &out, Some(&ckpt), &cfg, None, None)
         .expect("interrupted run");
     assert!(first.interrupted);
     assert!(first.shards_total >= 1);
@@ -356,7 +358,7 @@ fn resume_rejects_a_changed_corpus() {
     let mut changed = corpus_text(18);
     changed = changed.replace("d-0", "x-0");
     cfg.stop_after_shards = None;
-    let err = dispatch::dispatch(Cursor::new(changed), &out, Some(&ckpt), &cfg, None)
+    let err = dispatch::dispatch_fleet(Cursor::new(changed), &out, Some(&ckpt), &cfg, None, None)
         .expect_err("changed corpus must be rejected");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("corpus changed"), "{err}");
@@ -367,11 +369,11 @@ fn resume_rejects_a_changed_corpus() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Kill the coordinator after a random shard (graceful drain — the
-    /// crash-consistency of a hard kill is exercised by the checkpoint
-    /// unit tests), then resume with a random fleet: the final output
-    /// file is byte-identical to an uninterrupted single-process run and
-    /// the merged statistics are bits-exact.
+    /// Stop the coordinator after a random shard (a graceful drain; a kill
+    /// mid-append is `torn_checkpoint_tail_resumes_bit_identically`
+    /// below), then resume with a random fleet: the final output file is
+    /// byte-identical to an uninterrupted single-process run and the
+    /// merged statistics are bits-exact.
     #[test]
     fn interrupted_dispatch_resumes_bit_identically(
         stop in 1usize..4,
@@ -392,27 +394,28 @@ proptest! {
         // is not associative), but must be bits-exact across fleet
         // shapes and across interruption/resume.
         let uninterrupted_out = tmp(&format!("resume-ref-{stop}-{workers}-{threads}.jsonl"));
-        let plain = dispatch::dispatch(
+        let plain = dispatch::dispatch_fleet(
             Cursor::new(text.clone()),
             &uninterrupted_out,
             None,
             &config(1, 4, 1, None),
+            None,
             None,
         ).expect("uninterrupted run");
         fs::remove_file(&uninterrupted_out).ok();
 
         let mut cfg = config(workers, 4, threads, None);
         cfg.stop_after_shards = Some(stop);
-        let first = dispatch::dispatch(
-            Cursor::new(text.clone()), &out, Some(&ckpt), &cfg, None,
+        let first = dispatch::dispatch_fleet(
+            Cursor::new(text.clone()), &out, Some(&ckpt), &cfg, None, None,
         ).expect("interrupted run");
         prop_assert!(first.error.is_none());
         prop_assert!(first.interrupted, "5 shards total, stopped after ≤ 3");
         prop_assert!(first.shards_total >= stop, "drain finishes in-flight shards");
 
         cfg.stop_after_shards = None;
-        let second = dispatch::dispatch(
-            Cursor::new(text), &out, Some(&ckpt), &cfg, None,
+        let second = dispatch::dispatch_fleet(
+            Cursor::new(text), &out, Some(&ckpt), &cfg, None, None,
         ).expect("resumed run");
         prop_assert!(second.error.is_none());
         prop_assert!(!second.interrupted);
@@ -436,6 +439,56 @@ proptest! {
             ref_stats.ratio_worst.to_bits(),
             "max is order-independent, so the batch reference agrees too"
         );
+        fs::remove_file(&out).ok();
+        fs::remove_file(&ckpt).ok();
+    }
+
+    /// A kill mid-append leaves the checkpoint's final record torn. Cut
+    /// the journal at a random byte inside its last record, resume for a
+    /// few more shards, then resume to the end: the first resume must drop
+    /// the torn bytes before it appends, so the output still equals the
+    /// batch reference. (One worker bounds the drain to one extra shard,
+    /// so every run stops where the test says.)
+    #[test]
+    fn torn_checkpoint_tail_resumes_bit_identically(
+        first_stop in 1usize..5,
+        cut in any::<usize>(),
+    ) {
+        let text = corpus_text(40);
+        let (reference, _) = reference_run(&text, 4);
+        let out = tmp(&format!("torn-{first_stop}-{cut}.jsonl"));
+        let ckpt = tmp(&format!("torn-{first_stop}-{cut}.ckpt"));
+        fs::remove_file(&out).ok();
+        fs::remove_file(&ckpt).ok();
+        let mut cfg = config(1, 4, 1, None);
+        let run = |cfg: &DispatchConfig| {
+            dispatch::dispatch_fleet(Cursor::new(text.clone()), &out, Some(&ckpt), cfg, None, None)
+        };
+
+        cfg.stop_after_shards = Some(first_stop);
+        let first = run(&cfg).expect("interrupted run");
+        prop_assert!(first.interrupted);
+        let bytes = fs::read(&ckpt).expect("checkpoint readable");
+        let last = bytes[..bytes.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .expect("a header precedes the records")
+            + 1;
+        // Keep at least one byte of the last record; lose at least its newline.
+        let len = last + 1 + cut % (bytes.len() - 1 - last);
+        fs::write(&ckpt, &bytes[..len]).expect("checkpoint writable");
+
+        cfg.stop_after_shards = Some(first.shards_total + 2);
+        let second = run(&cfg).expect("resume after a torn tail");
+        prop_assert!(second.interrupted);
+        prop_assert_eq!(second.shards_resumed, first.shards_total - 1);
+
+        cfg.stop_after_shards = None;
+        let third = run(&cfg).expect("final resume");
+        prop_assert!(third.error.is_none());
+        prop_assert!(!third.interrupted);
+        prop_assert_eq!(third.shards_total, 10);
+        prop_assert_eq!(read_redacted(&out), reference);
         fs::remove_file(&out).ok();
         fs::remove_file(&ckpt).ok();
     }

@@ -1,15 +1,15 @@
-//! The byte-level serving data plane (`serve_jsonl`) against the typed
-//! streaming pipeline (`solve_stream`): for any corpus, the emitted report
-//! lines must be bit-identical — modulo the `wall_micros` timings and the
-//! `cache_hit` provenance flags — across thread counts 1/2/8, cache on/off,
-//! and shard sizes, including corpora with relabelled duplicates and
-//! escaped ids. Also covers the prefix-faithful error semantics and the
-//! fast-path accounting of the serve loop.
+//! The byte-level serving data plane (`JsonlServer`) against the engine's
+//! typed batch API (`Engine::solve_batch`): for any corpus, the emitted
+//! report lines must be bit-identical — modulo the `wall_micros` timings
+//! and the `cache_hit` provenance flags — across thread counts 1/2/8,
+//! cache on/off, and shard sizes, including corpora with relabelled
+//! duplicates and escaped ids. Also covers the prefix-faithful error
+//! semantics and the fast-path accounting of the serve loop.
 
 use msrs_core::canonical::relabel;
 use msrs_core::{ClassId, Instance, JobId};
 use msrs_engine::json::Json;
-use msrs_engine::stream::{serve_jsonl, solve_stream, JsonlReader};
+use msrs_engine::stream::{JsonlServer, StreamOutcome};
 use msrs_engine::{jsonl, Engine, EngineConfig, SolveRequest};
 use proptest::prelude::*;
 
@@ -46,32 +46,32 @@ fn redacted_line(line: &str) -> String {
     v.to_string()
 }
 
+/// Serves `text` through the byte path into `out`.
+fn serve_into(engine: &Engine, text: &str, out: &mut Vec<u8>, shard: usize) -> StreamOutcome {
+    JsonlServer::new()
+        .serve(engine, text.as_bytes(), out, shard)
+        .expect("serve")
+}
+
 /// Serves `corpus_text` through the byte path and returns the redacted
 /// report lines.
 fn serve_lines(engine: &Engine, corpus_text: &str, shard: usize) -> Vec<String> {
     let mut out = Vec::new();
-    let outcome = serve_jsonl(engine, corpus_text.as_bytes(), &mut out, shard).expect("serve");
+    let outcome = serve_into(engine, corpus_text, &mut out, shard);
     assert!(outcome.error.is_none(), "{:?}", outcome.error);
     let text = String::from_utf8(out).expect("UTF-8 report lines");
     text.lines().map(redacted_line).collect()
 }
 
-/// Streams `corpus_text` through the typed path and returns the redacted
-/// JSON serialization of every report.
-fn stream_lines(engine: &Engine, corpus_text: &str, shard: usize) -> Vec<String> {
-    let mut lines = Vec::new();
-    let outcome = solve_stream(
-        engine,
-        JsonlReader::new(corpus_text.as_bytes()),
-        shard,
-        |report| {
-            lines.push(redacted_line(&report.to_json().to_string()));
-            Ok(())
-        },
-    )
-    .expect("stream");
-    assert!(outcome.error.is_none(), "{:?}", outcome.error);
-    lines
+/// Solves the parsed corpus in one typed `solve_batch` and returns the
+/// redacted JSON serialization of every report.
+fn batch_lines(engine: &Engine, corpus_text: &str) -> Vec<String> {
+    let requests = jsonl::read_corpus(corpus_text).expect("valid corpus");
+    engine
+        .solve_batch(&requests)
+        .iter()
+        .map(|report| redacted_line(&report.to_json().to_string()))
+        .collect()
 }
 
 /// Random corpora with planted relabelled duplicates and mixed ids
@@ -110,21 +110,21 @@ fn arb_corpus_text() -> impl Strategy<Value = String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Serve-vs-stream bit-identity (modulo timings and `cache_hit`) at
+    /// Serve-vs-batch bit-identity (modulo timings and `cache_hit`) at
     /// threads 1/2/8, cache on and off, across shard sizes — on *fresh*
     /// engines, so both paths see identical cold caches.
     #[test]
-    fn serve_matches_stream_bit_identically(
+    fn serve_matches_solve_batch_bit_identically(
         corpus in arb_corpus_text(),
         shard in prop::sample::select(vec![1usize, 3, 64]),
     ) {
         for threads in [1usize, 2, 8] {
             for cache in [0usize, 1024] {
                 let served = serve_lines(&engine(threads, cache), &corpus, shard);
-                let streamed = stream_lines(&engine(threads, cache), &corpus, shard);
+                let batched = batch_lines(&engine(threads, cache), &corpus);
                 prop_assert_eq!(
                     &served,
-                    &streamed,
+                    &batched,
                     "threads {} cache {} shard {}",
                     threads,
                     cache,
@@ -167,7 +167,7 @@ fn serve_is_prefix_faithful_on_a_malformed_line() {
     let text = format!("{good}\n{good2}\nnot json\n{good}\n");
     let engine = engine(2, 1024);
     let mut out = Vec::new();
-    let outcome = serve_jsonl(&engine, text.as_bytes(), &mut out, 64).expect("serve");
+    let outcome = serve_into(&engine, &text, &mut out, 64);
     // Both reports before the malformed line were emitted…
     let emitted = String::from_utf8(out).unwrap();
     assert_eq!(emitted.lines().count(), 2);
@@ -188,11 +188,11 @@ fn serve_fast_path_kicks_in_on_the_second_pass() {
     let text = jsonl::write_corpus(&reqs);
     let engine = engine(2, 1024);
     let mut first = Vec::new();
-    let cold = serve_jsonl(&engine, text.as_bytes(), &mut first, 4).expect("serve");
+    let cold = serve_into(&engine, &text, &mut first, 4);
     assert_eq!(cold.stats.instances, 6);
     assert!(cold.stats.max_resident > 0, "cold pass materializes misses");
     let mut second = Vec::new();
-    let warm = serve_jsonl(&engine, text.as_bytes(), &mut second, 4).expect("serve");
+    let warm = serve_into(&engine, &text, &mut second, 4);
     assert_eq!(warm.stats.instances, 6);
     assert_eq!(warm.stats.fast_path_hits, 6, "every line cache-served");
     assert_eq!(warm.stats.max_resident, 0, "no request materialized");
@@ -214,7 +214,7 @@ fn serve_fast_path_kicks_in_on_the_second_pass() {
 fn serve_skips_blanks_and_comments_and_reports_empty_corpora() {
     let engine = engine(1, 1024);
     let mut out = Vec::new();
-    let outcome = serve_jsonl(&engine, "# nothing\n\n \n".as_bytes(), &mut out, 8).expect("serve");
+    let outcome = serve_into(&engine, "# nothing\n\n \n", &mut out, 8);
     assert!(outcome.error.is_none());
     assert_eq!(outcome.stats.instances, 0);
     assert!(out.is_empty());

@@ -1,34 +1,31 @@
-//! Guarantees of the streaming sharded batch pipeline:
+//! Guarantees of the streaming sharded batch pipeline (`JsonlServer` over
+//! the `ServiceCore` data plane):
 //!
 //! * a malformed line mid-stream surfaces the correct 1-based *physical*
 //!   line number, and every report for lines before it is still emitted;
-//! * a sharded run's reports are bit-identical to an unsharded
-//!   `solve_batch` over the same corpus — at threads 1, 2, and 8 — except
-//!   for the `wall_micros` timings and the `cache_hit` provenance flag
-//!   (sharding only changes *when* a duplicate is served from the cache
-//!   versus deduplicated inside its batch).
+//! * a sharded run's report lines are bit-identical to an unsharded
+//!   `Engine::solve_batch` over the same corpus — at threads 1, 2, and 8 —
+//!   except for the `wall_micros` timings and the `cache_hit` provenance
+//!   flag (sharding only changes *when* a duplicate is served from the
+//!   cache versus deduplicated inside its batch);
+//! * residency stays bounded by the shard, and a failing writer ends the
+//!   run.
 
-use std::io::Cursor;
+use std::io::{self, Write};
 
+use msrs_engine::json::Json;
 use msrs_engine::jsonl::{self, CorpusError};
-use msrs_engine::stream::{solve_stream, JsonlReader};
-use msrs_engine::{Engine, EngineConfig, SolveReport, SolveRequest};
+use msrs_engine::stream::{JsonlServer, StreamOutcome};
+use msrs_engine::{Engine, EngineConfig, SolveRequest};
 
-/// Everything except timings and cache provenance, directly comparable.
-fn comparable(report: &SolveReport) -> String {
-    let mut json = report.to_json();
+/// A report line without timings and cache provenance, directly
+/// comparable.
+fn comparable(line: &str) -> String {
+    let mut json = Json::parse(line).expect("report line parses");
     redact(&mut json);
-    let schedule: Vec<(usize, u64)> = (0..report.schedule.len())
-        .map(|j| {
-            let a = report.schedule.assignment(j);
-            (a.machine, a.start)
-        })
-        .collect();
-    format!("{json} schedule={schedule:?}")
+    json.to_string()
 }
-
-fn redact(json: &mut msrs_engine::json::Json) {
-    use msrs_engine::json::Json;
+fn redact(json: &mut Json) {
     match json {
         Json::Obj(pairs) => {
             for (k, v) in pairs.iter_mut() {
@@ -69,6 +66,17 @@ fn corpus_text(reqs: &[SolveRequest]) -> String {
     jsonl::write_corpus(reqs.iter())
 }
 
+/// Serves `text` through the batch driver; returns the outcome and the
+/// emitted report lines.
+fn serve(engine: &Engine, text: &str, shard_size: usize) -> (StreamOutcome, Vec<String>) {
+    let mut out = Vec::new();
+    let outcome = JsonlServer::new()
+        .serve(engine, text.as_bytes(), &mut out, shard_size)
+        .expect("writing to memory never fails");
+    let text = String::from_utf8(out).expect("UTF-8 report lines");
+    (outcome, text.lines().map(str::to_owned).collect())
+}
+
 #[test]
 fn malformed_line_mid_stream_keeps_earlier_reports_and_its_line_number() {
     let reqs = corpus();
@@ -88,19 +96,18 @@ fn malformed_line_mid_stream_keeps_earlier_reports_and_its_line_number() {
     ));
     text.push('\n');
 
-    let engine = engine(2, 0);
-    let mut emitted = Vec::new();
-    let outcome = solve_stream(
-        &engine,
-        JsonlReader::new(Cursor::new(text)),
-        2, // shard size: two full shards plus a partial one before the error
-        |report| {
-            emitted.push(report.id.clone().unwrap_or_default());
-            Ok(())
-        },
-    )
-    .expect("emit never fails");
-
+    // Shard size 2: two full shards plus a partial one before the error.
+    let (outcome, lines) = serve(&engine(2, 0), &text, 2);
+    let emitted: Vec<String> = lines
+        .iter()
+        .map(|line| {
+            let json = Json::parse(line).expect("report line parses");
+            json.get("id")
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_owned()
+        })
+        .collect();
     assert_eq!(
         emitted,
         vec!["t-0", "t-1", "t-2", "t-3", "t-4"],
@@ -125,22 +132,12 @@ fn sharded_reports_are_bit_identical_to_unsharded_across_thread_counts() {
         let baseline: Vec<String> = engine(1, cache_capacity)
             .solve_batch(&reqs)
             .iter()
-            .map(comparable)
+            .map(|report| comparable(&report.to_json().to_string()))
             .collect();
         for threads in [1usize, 2, 8] {
             for shard_size in [4usize, 7, 64] {
-                let engine = engine(threads, cache_capacity);
-                let mut streamed = Vec::new();
-                let outcome = solve_stream(
-                    &engine,
-                    JsonlReader::new(Cursor::new(text.clone())),
-                    shard_size,
-                    |report| {
-                        streamed.push(comparable(report));
-                        Ok(())
-                    },
-                )
-                .expect("emit never fails");
+                let (outcome, lines) = serve(&engine(threads, cache_capacity), &text, shard_size);
+                let streamed: Vec<String> = lines.iter().map(|l| comparable(l)).collect();
                 assert!(outcome.error.is_none());
                 assert_eq!(outcome.stats.instances, reqs.len());
                 assert_eq!(
@@ -161,35 +158,43 @@ fn sharded_reports_are_bit_identical_to_unsharded_across_thread_counts() {
 #[test]
 fn stream_memory_stays_bounded_by_the_shard() {
     // Not a real memory meter (no allocator hooks here) — asserts the
-    // pipeline's own residency accounting: max requests resident at once
-    // equals the shard size even for a much longer corpus.
-    let engine = engine(2, 64);
-    let n = 500usize;
-    let requests = (0..n as u64).map(|seed| {
-        Ok(SolveRequest::with_id(
-            format!("t-{seed}"),
-            msrs_gen::traffic(seed, 3, 10),
-        ))
-    });
-    let mut count = 0usize;
-    let outcome = solve_stream(&engine, requests, 32, |_| {
-        count += 1;
-        Ok(())
-    })
-    .expect("emit never fails");
+    // pipeline's own residency accounting: with the cache off every line
+    // is a materialized miss, and at most one shard of them is resident
+    // at once even for a much longer corpus.
+    let n = 500u64;
+    let reqs: Vec<SolveRequest> = (0..n)
+        .map(|seed| SolveRequest::with_id(format!("t-{seed}"), msrs_gen::traffic(seed, 3, 10)))
+        .collect();
+    let (outcome, lines) = serve(&engine(2, 0), &corpus_text(&reqs), 32);
     assert!(outcome.error.is_none());
-    assert_eq!(count, n);
+    assert_eq!(lines.len(), n as usize);
     assert_eq!(outcome.stats.max_resident, 32);
-    assert_eq!(outcome.stats.shards, n.div_ceil(32));
+    assert_eq!(outcome.stats.shards, (n as usize).div_ceil(32));
+}
+
+/// A writer whose every write fails, like a full disk or a closed pipe.
+struct FullSink;
+
+impl Write for FullSink {
+    fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+        Err(io::Error::other("sink full"))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 #[test]
 fn emit_errors_abort_the_stream() {
-    let engine = engine(1, 0);
-    let requests =
-        (0..10u64).map(|seed| Ok(SolveRequest::new(msrs_gen::uniform(seed, 2, 6, 2, 1, 9))));
-    let result = solve_stream(&engine, requests, 4, |_| {
-        Err(std::io::Error::other("sink full"))
-    });
+    let reqs: Vec<SolveRequest> = (0..10u64)
+        .map(|seed| SolveRequest::new(msrs_gen::uniform(seed, 2, 6, 2, 1, 9)))
+        .collect();
+    let result = JsonlServer::new().serve(
+        &engine(1, 0),
+        corpus_text(&reqs).as_bytes(),
+        &mut FullSink,
+        4,
+    );
     assert!(result.is_err(), "downstream I/O errors propagate");
 }

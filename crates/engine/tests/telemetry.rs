@@ -8,7 +8,7 @@
 //! share this process, but staying delta-based keeps the test honest if
 //! more tests are ever added to this file).
 
-use msrs_engine::stream::serve_jsonl;
+use msrs_engine::stream::JsonlServer;
 use msrs_engine::telemetry::{self, Stage};
 use msrs_engine::{classify, jsonl, plan, Engine, EngineConfig};
 
@@ -49,7 +49,9 @@ fn traffic_batch_populates_stages_and_outcome_table() {
         .map(|&(p, m)| telemetry::registry().outcomes.runs(p, m))
         .collect();
     let mut out = Vec::new();
-    let outcome = serve_jsonl(&engine, corpus.as_bytes(), &mut out, 16).expect("serve");
+    let outcome = JsonlServer::new()
+        .serve(&engine, corpus.as_bytes(), &mut out, 16)
+        .expect("serve");
     assert!(outcome.error.is_none());
     assert_eq!(outcome.stats.instances, 64);
     let after = telemetry::snapshot();
