@@ -52,8 +52,8 @@ SUBCOMMANDS:
             and/or remote TCP workers): health monitoring, shard leases,
             bounded retry, straggler hedging, poison-shard quarantine, and
             an fsync'd checkpoint journal for crash-tolerant resume
-    worker  The dispatch worker loop (spawned by `dispatch`, or dialing a
-            remote coordinator with `--connect HOST:PORT`)
+    worker  The dispatch worker loop: dials a coordinator with
+            `--connect HOST:PORT` (`dispatch` spawns its children so)
     stats   Pretty-print a telemetry snapshot written by `batch --metrics-out`
     bench   Compare the portfolio against each single solver on generated corpora
     help    Show this help
@@ -128,11 +128,13 @@ DISPATCH FLAGS:
     --checkpoint <PATH>  Append-only fsync'd shard journal; if it exists the
                          run resumes after the last completed shard (the
                          corpus and engine config must be unchanged)
-    --workers <N>        Worker child processes (0 = remote-only fleet,
-                         requires --listen)                      [default: 2]
+    --workers <N>        Worker children to keep alive, dialing --listen or
+                         else a loopback port only they can join
+                         (0 = remote-only fleet, needs --listen) [default: 2]
     --worker-cmd <CMD>   Worker command prefix (whitespace-split) instead of
-                         the msrs binary itself; engine flags and
-                         --heartbeat-ms are appended
+                         the msrs binary itself; engine flags,
+                         --heartbeat-ms, and `--connect ADDR
+                         --reconnect-max 0` are appended
     --listen <ADDR>      Also accept remote `msrs worker --connect` fleets
                          on this TCP address (versioned handshake; engine
                          config fingerprints must match)
@@ -144,8 +146,8 @@ DISPATCH FLAGS:
     --max-attempts <N>   Attempts per shard before quarantine    [default: 3]
     --retry-backoff-ms <D> Base retry backoff (doubles per failure)
                                                                  [default: 50]
-    --heartbeat-timeout-ms <D> Silence deadline for a busy worker
-                                                                 [default: 3000]
+    --heartbeat-timeout-ms <D> Silence deadline for a busy worker,
+                         and handshake deadline for a new child  [default: 3000]
     --shard-timeout-ms <D> Wall-clock deadline per shard attempt (0 = none)
                                                                  [default: 0]
     --stop-after-shards <N> Graceful drain after N emitted shards (the
@@ -163,9 +165,8 @@ DISPATCH FLAGS:
                          from the checkpoint.
 
 WORKER FLAGS:
-    --heartbeat-ms <D>   Heartbeat period on stdout              [default: 200]
-    --connect <ADDR>     Dial a remote coordinator (`msrs dispatch --listen`)
-                         instead of speaking stdin/stdout
+    --connect <ADDR>     The coordinator to dial (required)
+    --heartbeat-ms <D>   Heartbeat period                        [default: 200]
     --reconnect-ms <D>   Base reconnect backoff after a dropped coordinator
                          connection (doubles per failure, bounded)
                                                                  [default: 200]
@@ -600,18 +601,7 @@ fn cmd_batch(flags: &Flags) -> Result<(), String> {
             Box::new(BufWriter::new(file))
         }
     };
-    let metrics_format = match flags.get("--metrics-format") {
-        None | Some("json") => "json",
-        Some("prometheus") => "prometheus",
-        Some(other) => {
-            return Err(format!(
-                "bad --metrics-format `{other}` (expected json or prometheus)"
-            ))
-        }
-    };
-    if flags.has("--metrics-format") && !flags.has("--metrics-out") {
-        return Err("--metrics-format requires --metrics-out".into());
-    }
+    check_metrics_format(flags)?;
     let decode_threads: usize = flags.get_num("--decode-threads", 1)?;
     let before = telemetry::snapshot();
     let outcome = JsonlServer::new()
@@ -624,17 +614,7 @@ fn cmd_batch(flags: &Flags) -> Result<(), String> {
     // per-run view is the delta against the pre-run snapshot); the engine's
     // deprecated per-object accessors are no longer consulted.
     let after = telemetry::snapshot();
-    if let Some(path) = flags.get("--metrics-out") {
-        let rendered = match metrics_format {
-            "prometheus" => after.to_prometheus(),
-            _ => {
-                let mut json = after.to_json_string();
-                json.push('\n');
-                json
-            }
-        };
-        std::fs::write(path, rendered).map_err(|e| format!("writing {path}: {e}"))?;
-    }
+    write_metrics(flags, &after)?;
     if !flags.has("--quiet") {
         let s = &outcome.stats;
         eprintln!(
@@ -733,8 +713,34 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// Validates `--metrics-format` (json|prometheus), which needs
+/// `--metrics-out`.
+fn check_metrics_format(flags: &Flags) -> Result<(), String> {
+    match flags.get("--metrics-format") {
+        None => Ok(()),
+        Some("json" | "prometheus") if flags.has("--metrics-out") => Ok(()),
+        Some("json" | "prometheus") => Err("--metrics-format requires --metrics-out".into()),
+        Some(other) => Err(format!(
+            "bad --metrics-format `{other}` (expected json or prometheus)"
+        )),
+    }
+}
+
+/// Writes `snapshot` to the `--metrics-out` file, if one was given.
+fn write_metrics(flags: &Flags, snapshot: &telemetry::Snapshot) -> Result<(), String> {
+    let Some(path) = flags.get("--metrics-out") else {
+        return Ok(());
+    };
+    let rendered = if flags.get("--metrics-format") == Some("prometheus") {
+        snapshot.to_prometheus()
+    } else {
+        snapshot.to_json_string() + "\n"
+    };
+    std::fs::write(path, rendered).map_err(|e| format!("writing {path}: {e}"))
+}
+
 /// `msrs dispatch`: crash-tolerant multi-process batch — shards the corpus
-/// across `msrs worker` child processes, merges reports in shard order,
+/// across `msrs worker --connect` processes, merges reports in shard order,
 /// and (with `--checkpoint`) journals completed shards durably so an
 /// interrupted run resumes bit-identically.
 fn cmd_dispatch(flags: &Flags) -> Result<(), String> {
@@ -798,18 +804,7 @@ fn cmd_dispatch(flags: &Flags) -> Result<(), String> {
         config_fp: engine_cfg.content_fingerprint(),
         cache_path: flags.get("--cache-path").map(std::path::PathBuf::from),
     };
-    let metrics_format = match flags.get("--metrics-format") {
-        None | Some("json") => "json",
-        Some("prometheus") => "prometheus",
-        Some(other) => {
-            return Err(format!(
-                "bad --metrics-format `{other}` (expected json or prometheus)"
-            ))
-        }
-    };
-    if flags.has("--metrics-format") && !flags.has("--metrics-out") {
-        return Err("--metrics-format requires --metrics-out".into());
-    }
+    check_metrics_format(flags)?;
     // A `#shutdown` line on our own stdin requests a graceful drain (only
     // when the corpus comes from a file — stdin corpora own the stream).
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -832,15 +827,12 @@ fn cmd_dispatch(flags: &Flags) -> Result<(), String> {
         });
     }
     let hub = match flags.get("--listen") {
+        Some(addr) => Some(RemoteHub::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?),
         None => None,
-        Some(addr) => {
-            let hub = RemoteHub::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
-            if !flags.has("--quiet") {
-                eprintln!("dispatch: accepting remote workers on {}", hub.local_addr());
-            }
-            Some(hub)
-        }
     };
+    if let Some(hub) = hub.as_ref().filter(|_| !flags.has("--quiet")) {
+        eprintln!("dispatch: accepting remote workers on {}", hub.local_addr());
+    }
     let input = open_input(flags)?;
     let checkpoint = flags.get("--checkpoint").map(std::path::PathBuf::from);
     let outcome = dispatch::dispatch_fleet(
@@ -852,18 +844,7 @@ fn cmd_dispatch(flags: &Flags) -> Result<(), String> {
         hub,
     )
     .map_err(|e| format!("dispatch: {e}"))?;
-    if let Some(path) = flags.get("--metrics-out") {
-        let snapshot = telemetry::snapshot();
-        let rendered = match metrics_format {
-            "prometheus" => snapshot.to_prometheus(),
-            _ => {
-                let mut json = snapshot.to_json_string();
-                json.push('\n');
-                json
-            }
-        };
-        std::fs::write(path, rendered).map_err(|e| format!("writing {path}: {e}"))?;
-    }
+    write_metrics(flags, &telemetry::snapshot())?;
     if !flags.has("--quiet") {
         let s = &outcome.stats;
         eprintln!(
@@ -936,12 +917,14 @@ fn cmd_dispatch(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `msrs worker`: the dispatch worker loop — shard assignments in,
-/// reports + heartbeats + `#done`/`#error` records out. Speaks
-/// stdin/stdout when spawned by `msrs dispatch`, or dials a remote
-/// coordinator with `--connect HOST:PORT` (versioned handshake, bounded
-/// reconnect backoff across coordinator restarts).
+/// `msrs worker`: the dispatch worker loop — dials the coordinator at
+/// `--connect HOST:PORT` (versioned handshake, bounded reconnect backoff
+/// across coordinator restarts), then shard assignments in, reports +
+/// heartbeats + `#done`/`#error` records out.
 fn cmd_worker(flags: &Flags) -> Result<(), String> {
+    let addr = flags
+        .get("--connect")
+        .ok_or("worker needs --connect HOST:PORT (the coordinator to dial)")?;
     let engine_cfg = engine_config_from_flags(flags)?;
     let config_fp = engine_cfg.content_fingerprint();
     let engine = Engine::new(engine_cfg);
@@ -949,33 +932,21 @@ fn cmd_worker(flags: &Flags) -> Result<(), String> {
         "--heartbeat-ms",
         dispatch::DEFAULT_HEARTBEAT.as_millis() as u64,
     )?;
-    let decode_threads: usize = flags.get_num("--decode-threads", 1)?;
-    if let Some(addr) = flags.get("--connect") {
-        let defaults = RemoteWorkerConfig::default();
-        let cfg = RemoteWorkerConfig {
-            addr: addr.to_string(),
-            heartbeat: Duration::from_millis(hb.max(1)),
-            config_fp,
-            reconnect_base: Duration::from_millis(
-                flags
-                    .get_num("--reconnect-ms", defaults.reconnect_base.as_millis() as u64)?
-                    .max(1),
-            ),
-            reconnect_attempts: flags.get_num("--reconnect-max", defaults.reconnect_attempts)?,
-            decode_threads,
-            ..defaults
-        };
-        return run_remote_worker(&engine, &cfg).map_err(|e| format!("worker: {e}"));
-    }
-    let stdin = std::io::stdin();
-    dispatch::run_worker(
-        &engine,
-        stdin.lock(),
-        std::io::stdout(),
-        Duration::from_millis(hb.max(1)),
-        decode_threads,
-    )
-    .map_err(|e| format!("worker: {e}"))
+    let defaults = RemoteWorkerConfig::default();
+    let cfg = RemoteWorkerConfig {
+        addr: addr.to_string(),
+        heartbeat: Duration::from_millis(hb.max(1)),
+        config_fp,
+        reconnect_base: Duration::from_millis(
+            flags
+                .get_num("--reconnect-ms", defaults.reconnect_base.as_millis() as u64)?
+                .max(1),
+        ),
+        reconnect_attempts: flags.get_num("--reconnect-max", defaults.reconnect_attempts)?,
+        decode_threads: flags.get_num("--decode-threads", 1)?,
+        ..defaults
+    };
+    run_remote_worker(&engine, &cfg).map_err(|e| format!("worker: {e}"))
 }
 
 /// `msrs stats`: pretty-print a JSON telemetry snapshot written by

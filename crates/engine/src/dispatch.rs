@@ -1,13 +1,13 @@
 //! Crash-tolerant multi-process shard execution: the `msrs dispatch`
-//! coordinator and the `msrs worker` loop, over pipes or TCP.
+//! coordinator and the `msrs worker` loop.
 //!
 //! The coordinator splits a JSONL corpus into deterministic shards (the
 //! same meaningful-line boundaries `msrs batch --shard-size N` uses),
-//! fans them out to a fleet of workers — local child processes over
-//! stdin/stdout pipes and/or remote `msrs worker --connect` processes
-//! over TCP ([`crate::remote`]) — and merges the report streams back in
-//! shard order, so the merged output is bit-identical to an
-//! uninterrupted single-process run modulo the documented
+//! fans them out to a fleet of `msrs worker --connect` processes over TCP
+//! ([`crate::remote`]) — its own `--workers` children and any remote
+//! workers that dial its `--listen` address — and merges the report
+//! streams back in shard order, so the merged output is bit-identical to
+//! an uninterrupted single-process run modulo the documented
 //! `wall_micros`/`cache_hit` exceptions.
 //!
 //! ## Wire protocol (coordinator ⇄ worker)
@@ -20,7 +20,7 @@
 //! #run                                 solve the shard now
 //! #cachehit <fp> <payload>             cache-probe reply: stored report
 //! #cachemiss <fp>                      cache-probe reply: not cached
-//! #shutdown                            exit cleanly (EOF works too)
+//! #shutdown                            exit cleanly, without redialing
 //! ```
 //!
 //! Worker → coordinator:
@@ -34,9 +34,8 @@
 //! #error {"shard":…,"attempt":…,…}     decode error after the prefix reports
 //! ```
 //!
-//! The protocol is transport-agnostic: remote workers speak exactly
-//! these lines after a versioned `#hello`/`#welcome` handshake
-//! ([`crate::remote`]).
+//! Every worker speaks these lines after the versioned
+//! `#hello`/`#welcome` handshake ([`crate::remote`]).
 //!
 //! ## Leases and stale attempts
 //!
@@ -68,18 +67,19 @@
 //!
 //! Per-worker health is monitored with heartbeats plus an optional
 //! per-shard wall-clock deadline; a child worker that exits, goes
-//! silent, or emits garbage is killed and replaced, a remote worker is
-//! disconnected or lease-revoked, and the shard is retried with
-//! exponential backoff. After [`DispatchConfig::max_attempts`] failures a
-//! shard is *quarantined*: the run degrades gracefully, emitting one
-//! structured `shard_quarantined` error record (naming the last failing
-//! worker ordinal) in place of the shard's reports and continuing.
+//! silent, or emits garbage is killed and replaced (so is one that never
+//! finishes its handshake, until `max_attempts` in a row fail the run),
+//! a remote worker is disconnected or lease-revoked, and the shard is
+//! retried with exponential backoff. After
+//! [`DispatchConfig::max_attempts`] failures a shard is *quarantined*:
+//! the run degrades gracefully, emitting one structured
+//! `shard_quarantined` error record (naming the last failing worker
+//! ordinal) in place of the shard's reports and continuing.
 //! Completed shards are journaled to an fsync'd append-only checkpoint
 //! ([`crate::checkpoint`]) keyed by corpus and configuration
 //! fingerprints, so a crashed or interrupted coordinator resumes from
-//! the last completed shard — unchanged across transports. A `#shutdown`
-//! line on the coordinator's stdin (or
-//! [`DispatchConfig::stop_after_shards`]) drains gracefully.
+//! the last completed shard. A `#shutdown` line on the coordinator's
+//! stdin (or [`DispatchConfig::stop_after_shards`]) drains gracefully.
 //!
 //! ## Fault injection (`MSRS_FAULT`)
 //!
@@ -89,7 +89,7 @@
 //! `crash` (exit before solving), `hang` (suppress heartbeats and
 //! sleep), `garble` (emit a non-protocol line and exit), `partial` (emit
 //! half a report line with no newline and exit), `disconnect` (drop the
-//! transport mid-assignment; a remote worker redials), `stall` (go
+//! connection mid-assignment; a remote worker redials), `stall` (go
 //! silent for `ms` milliseconds, then finish the shard — producing a
 //! zombie whose late `#done` is a stale drop), `dup-done` (emit the
 //! `#done` line twice), and `slow` (sleep `ms` with heartbeats still
@@ -136,7 +136,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc, Mutex};
@@ -150,7 +150,7 @@ use crate::checkpoint::{CheckpointHeader, CheckpointLog, ShardRecord, ShardStats
 use crate::journal::{fnv1a_64_extend, FNV_OFFSET};
 use crate::json::{Json, JsonError};
 use crate::jsonl::CorpusError;
-use crate::remote::{RemoteHub, REMOTE_PROTO_VERSION};
+use crate::remote::{Acceptor, Admission, RemoteHub, REMOTE_PROTO_VERSION, SECRET_ENV};
 use crate::report::SolveReport;
 use crate::stream::{ServiceCore, StreamStats};
 use crate::Engine;
@@ -367,10 +367,10 @@ where
     .map(|_| ())
 }
 
-/// Transport-generic worker conversation: one connected session over any
-/// `(BufRead, Write)` pair (a stdin/stdout pipe or a TCP stream). Reports
-/// how the session ended so [`crate::remote::run_remote_worker`] can
-/// decide whether to redial.
+/// One connected worker session over any `(BufRead, Write)` pair (a TCP
+/// stream, or the buffers handed to [`run_worker`]). Reports how the
+/// session ended so [`crate::remote::run_remote_worker`] can decide
+/// whether to redial.
 pub(crate) fn run_worker_conn<R, W>(
     engine: &Engine,
     input: R,
@@ -423,8 +423,8 @@ fn spawn_heartbeat<W: Write + Send + 'static>(
             continue;
         }
         let mut w = out.lock().expect("worker output lock");
-        // A dead pipe means the coordinator is gone; stop quietly and let
-        // the main loop notice on its next write or read.
+        // A dead connection means the coordinator is gone; stop quietly and
+        // let the main loop notice on its next write or read.
         if w.write_all(b"#hb\n").and_then(|()| w.flush()).is_err() {
             return;
         }
@@ -482,12 +482,8 @@ fn worker_loop<R: BufRead, W: Write + Send>(
         if let Some(f) = fault.filter(|f| f.fires(shard, attempt, worker_index)) {
             match f.kind {
                 FaultKind::CacheStaleFill => stale_fill_ms = Some(f.ms),
-                // Store-mutation kinds act at CacheStore::open, not here.
-                FaultKind::CacheTorn | FaultKind::CacheFlip => {}
-                _ => match inject_fault(f, out, hb_enabled)? {
-                    FaultOutcome::Normal => {}
-                    FaultOutcome::DupDone => dup_done = true,
-                },
+                FaultKind::DupDone => dup_done = true,
+                _ => inject_fault(f, out, hb_enabled)?,
             }
         }
         // Burst-decode up front when the coordinator offers the shared
@@ -632,22 +628,16 @@ fn cache_exchange<R: BufRead, W: Write + Send>(
     Ok(Some(fills))
 }
 
-/// What an injected fault asks the normal solve path to do afterwards.
-enum FaultOutcome {
-    Normal,
-    /// Emit the `#done` tail twice (duplicate-commit probe).
-    DupDone,
-}
-
 /// Applies an injected fault. `crash`/`garble`/`partial` terminate the
 /// process; `hang` parks it (heartbeats off) until the coordinator's
 /// health monitor kills it; `disconnect` raises a synthetic transport
-/// error; `stall`, `slow`, and `dup-done` return to the solve path.
+/// error; `stall` and `slow` return to the solve path late. The
+/// store-mutation kinds act at `CacheStore::open`, not here.
 fn inject_fault<W: Write + Send>(
     f: FaultSpec,
     out: &Arc<Mutex<W>>,
     hb_enabled: &AtomicBool,
-) -> io::Result<FaultOutcome> {
+) -> io::Result<()> {
     match f.kind {
         FaultKind::Crash => std::process::exit(101),
         FaultKind::Hang => {
@@ -678,18 +668,17 @@ fn inject_fault<W: Write + Send>(
             hb_enabled.store(false, Ordering::Relaxed);
             std::thread::sleep(Duration::from_millis(f.ms));
             hb_enabled.store(true, Ordering::Relaxed);
-            Ok(FaultOutcome::Normal)
+            Ok(())
         }
         FaultKind::Slow => {
             // Straggle with heartbeats still flowing: hedge bait.
             std::thread::sleep(Duration::from_millis(f.ms));
-            Ok(FaultOutcome::Normal)
+            Ok(())
         }
-        FaultKind::DupDone => Ok(FaultOutcome::DupDone),
-        // Routed before inject_fault (store mutation / fill timing).
-        FaultKind::CacheTorn | FaultKind::CacheFlip | FaultKind::CacheStaleFill => {
-            Ok(FaultOutcome::Normal)
-        }
+        FaultKind::DupDone
+        | FaultKind::CacheTorn
+        | FaultKind::CacheFlip
+        | FaultKind::CacheStaleFill => Ok(()),
     }
 }
 
@@ -760,8 +749,7 @@ fn solve_shard<W: Write + Send>(
             std::thread::sleep(Duration::from_millis(ms));
             hb_enabled.store(true, Ordering::Relaxed);
         }
-        // All fill lines go out in one write: a TCP worker's output is
-        // the unbuffered socket.
+        // All fill lines go out in one write.
         let (mut lines, mut payload) = (Vec::new(), Vec::new());
         for fp in &job.fills {
             if let Some(report) = engine.serve_cached_peek(*fp) {
@@ -848,11 +836,12 @@ fn corpus_error_from_json(v: &Json, global_line: usize) -> Option<CorpusError> {
 #[derive(Debug, Clone)]
 pub struct DispatchConfig {
     /// Worker argv: program plus arguments (typically the `msrs` binary
-    /// with the `worker` subcommand and the engine flags). May be empty
+    /// with the `worker` subcommand and the engine flags), to which
+    /// `--connect <listener> --reconnect-max 0` is appended. May be empty
     /// only when `workers == 0` (remote-only fleet).
     pub worker_cmd: Vec<String>,
-    /// Local child worker processes to keep running (remote workers join
-    /// on top of these).
+    /// Child worker processes to keep running (remote workers join on top
+    /// of these).
     pub workers: usize,
     /// Meaningful corpus lines per shard (identical boundaries to
     /// `msrs batch --shard-size`).
@@ -876,7 +865,7 @@ pub struct DispatchConfig {
     pub hedge_min: Duration,
     /// [`crate::EngineConfig::content_fingerprint`] of the engine
     /// configuration the workers run — the checkpoint's run key and the
-    /// remote handshake's compatibility check.
+    /// handshake's compatibility check (default: the default config's).
     pub config_fp: u64,
     /// Durable cache store backing the fleet-shared cache plane; `None`
     /// disables the plane (workers solve everything locally).
@@ -896,7 +885,7 @@ impl Default for DispatchConfig {
             stop_after_shards: None,
             hedge_multiplier: 0.0,
             hedge_min: Duration::from_millis(250),
-            config_fp: 0,
+            config_fp: crate::EngineConfig::default().content_fingerprint(),
             cache_path: None,
         }
     }
@@ -916,7 +905,7 @@ pub struct QuarantinedShard {
 }
 
 /// What a dispatch run produced.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DispatchOutcome {
     /// Merged run summary (instances, ratios, phase splits) across
     /// resumed + freshly completed shards.
@@ -929,7 +918,7 @@ pub struct DispatchOutcome {
     pub retries: u64,
     /// Worker processes spawned (initial fleet + replacements).
     pub workers_spawned: u64,
-    /// Remote TCP workers accepted over the run.
+    /// Workers this coordinator did not spawn, accepted over the run.
     pub remote_workers: u64,
     /// Remote workers that reported a prior session in their handshake.
     pub reconnects: u64,
@@ -1062,33 +1051,12 @@ pub(crate) enum Event {
 }
 
 /// What the coordinator's event channel carries: worker protocol events
-/// plus remote workers that completed the handshake.
+/// plus workers that completed the handshake, as their stream, their
+/// reconnect count, and — for a child this coordinator spawned — its
+/// ordinal.
 pub(crate) enum Msg {
     Worker(u64, Event),
-    RemoteJoined { stream: TcpStream, reconnects: u64 },
-}
-
-/// How a worker is attached to the coordinator.
-enum Transport {
-    Child {
-        child: Child,
-        stdin: Option<ChildStdin>,
-    },
-    Remote {
-        stream: TcpStream,
-    },
-}
-
-impl Transport {
-    fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
-        match self {
-            Transport::Child { stdin, .. } => match stdin.as_mut() {
-                Some(stdin) => stdin.write_all(bytes).and_then(|()| stdin.flush()),
-                None => Err(io::Error::new(io::ErrorKind::BrokenPipe, "stdin closed")),
-            },
-            Transport::Remote { stream } => stream.write_all(bytes).and_then(|()| stream.flush()),
-        }
-    }
+    Joined(TcpStream, u64, Option<u64>),
 }
 
 /// A worker's lease state as the coordinator sees it.
@@ -1103,42 +1071,40 @@ enum WorkerState {
     Zombie,
 }
 
+/// A worker connection that passed the handshake.
 struct WorkerHandle {
     ordinal: u64,
-    transport: Transport,
-    reader: Option<JoinHandle<()>>,
+    stream: TcpStream,
+    /// The process, for a child this coordinator spawned.
+    child: Option<Child>,
+    reader: JoinHandle<()>,
     state: WorkerState,
     last_output: Instant,
     shard_started: Instant,
 }
 
 impl WorkerHandle {
-    fn is_remote(&self) -> bool {
-        matches!(self.transport, Transport::Remote { .. })
-    }
-
-    /// Tears the worker down: kill + reap a child, shut a socket down,
+    /// Tears the worker down: kill + reap a child, shut the socket down,
     /// and join the reader thread.
     fn teardown(self) {
-        let WorkerHandle {
-            transport,
-            mut reader,
-            ..
-        } = self;
-        match transport {
-            Transport::Child { mut child, stdin } => {
-                drop(stdin);
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            Transport::Remote { stream } => {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
+        if let Some(child) = self.child {
+            reap(child);
         }
-        if let Some(reader) = reader.take() {
-            let _ = reader.join();
-        }
+        let _ = self.stream.shutdown(Shutdown::Both);
+        let _ = self.reader.join();
     }
+}
+
+/// A spawned child that has not finished its handshake yet.
+struct Pending {
+    ordinal: u64,
+    child: Child,
+    spawned: Instant,
+}
+
+fn reap(mut child: Child) {
+    let _ = child.kill();
+    let _ = child.wait();
 }
 
 /// Per-shard lease bookkeeping: the attempt counter, live attempt count,
@@ -1212,6 +1178,12 @@ impl CacheAuthority {
 
 struct Coordinator<'a> {
     cfg: &'a DispatchConfig,
+    /// Admits every worker connection, children included.
+    acceptor: Acceptor,
+    /// Children spawned but not yet joined.
+    pending: Vec<Pending>,
+    /// Children in a row that never joined.
+    join_failures: u32,
     /// `Some` when a `--cache-path` store backs the fleet cache plane.
     cache: Option<CacheAuthority>,
     workers: Vec<WorkerHandle>,
@@ -1227,25 +1199,28 @@ struct Coordinator<'a> {
     tx: Sender<Msg>,
     rx: Receiver<Msg>,
     next_ordinal: u64,
-    spawned: u64,
-    retry_count: u64,
-    remote_workers: u64,
-    reconnects: u64,
-    lease_expiries: u64,
-    hedges: u64,
-    hedge_wins: u64,
-    hedge_wasted: u64,
-    stale_drops: u64,
-    fleet_cache_hits: u64,
-    stale_fills_dropped: u64,
-    quarantined: Vec<QuarantinedShard>,
+    /// The run's counters and quarantined shards.
+    outcome: DispatchOutcome,
 }
 
 impl<'a> Coordinator<'a> {
-    fn new(cfg: &'a DispatchConfig) -> Self {
+    /// Starts accepting workers on `hub`; `open` also admits workers this
+    /// coordinator did not spawn.
+    fn new(cfg: &'a DispatchConfig, hub: RemoteHub, open: bool) -> io::Result<Self> {
         let (tx, rx) = mpsc::channel();
-        Coordinator {
+        let mut bytes = [0u8; 16];
+        File::open("/dev/urandom")?.read_exact(&mut bytes)?;
+        let secret = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        let admission = Admission {
+            config_fp: cfg.config_fp,
+            secret,
+            open,
+        };
+        Ok(Coordinator {
             cfg,
+            acceptor: Acceptor::spawn(hub, tx.clone(), admission),
+            pending: Vec::new(),
+            join_failures: 0,
             cache: None,
             workers: Vec::new(),
             inflight: HashMap::new(),
@@ -1257,78 +1232,108 @@ impl<'a> Coordinator<'a> {
             tx,
             rx,
             next_ordinal: 0,
-            spawned: 0,
-            retry_count: 0,
-            remote_workers: 0,
-            reconnects: 0,
-            lease_expiries: 0,
-            hedges: 0,
-            hedge_wins: 0,
-            hedge_wasted: 0,
-            stale_drops: 0,
-            fleet_cache_hits: 0,
-            stale_fills_dropped: 0,
-            quarantined: Vec::new(),
-        }
+            outcome: DispatchOutcome::default(),
+        })
     }
 
-    fn spawn_worker(&mut self) -> io::Result<()> {
-        let ordinal = self.next_ordinal;
-        self.next_ordinal += 1;
-        let mut child = Command::new(&self.cfg.worker_cmd[0])
-            .args(&self.cfg.worker_cmd[1..])
-            .env("MSRS_WORKER_INDEX", ordinal.to_string())
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()?;
-        let stdin = child.stdin.take();
-        let stdout = child.stdout.take().expect("piped child stdout");
-        let tx = self.tx.clone();
-        let reader = std::thread::spawn(move || read_worker_lines(ordinal, stdout, &tx));
-        registry().dispatch_workers_spawned_total.inc();
-        self.spawned += 1;
-        self.workers.push(WorkerHandle {
-            ordinal,
-            transport: Transport::Child {
+    /// Keeps `cfg.workers` children alive. A child that exits, or has not
+    /// finished its handshake within the heartbeat timeout, is reaped and
+    /// replaced; after `max_attempts` of those in a row the run fails, as
+    /// such a child never holds a lease the retry budget could count.
+    fn supervise(&mut self) -> io::Result<()> {
+        let timeout = self.cfg.heartbeat_timeout;
+        let mut i = 0;
+        while let Some(p) = self.pending.get_mut(i) {
+            let failure = match p.child.try_wait()? {
+                Some(status) => format!("exited ({status}) before its handshake"),
+                None if p.spawned.elapsed() > timeout => {
+                    format!("missed its {} ms handshake deadline", timeout.as_millis())
+                }
+                None => {
+                    i += 1;
+                    continue;
+                }
+            };
+            let p = self.pending.swap_remove(i);
+            reap(p.child);
+            registry().dispatch_worker_crashes_total.inc();
+            self.join_failures += 1;
+            if self.join_failures >= self.cfg.max_attempts {
+                return Err(io::Error::other(format!(
+                    "worker {} {failure} ({} in a row never joined)",
+                    p.ordinal, self.join_failures
+                )));
+            }
+        }
+        let children = self.workers.iter().filter(|w| w.child.is_some()).count();
+        for _ in children + self.pending.len()..self.cfg.workers {
+            let ordinal = self.next_ordinal;
+            self.next_ordinal += 1;
+            let child = Command::new(&self.cfg.worker_cmd[0])
+                .args(&self.cfg.worker_cmd[1..])
+                .args(["--connect", &self.acceptor.addr.to_string()])
+                .args(["--reconnect-max", "0"])
+                .env("MSRS_WORKER_INDEX", ordinal.to_string())
+                .env(SECRET_ENV, &self.acceptor.admission.secret)
+                .stdin(Stdio::null())
+                .stdout(Stdio::null())
+                .spawn()?;
+            registry().dispatch_workers_spawned_total.inc();
+            self.outcome.workers_spawned += 1;
+            self.pending.push(Pending {
+                ordinal,
                 child,
-                stdin: Some(stdin.expect("piped child stdin")),
-            },
-            reader: Some(reader),
-            state: WorkerState::Idle,
-            last_output: Instant::now(),
-            shard_started: Instant::now(),
-        });
+                spawned: Instant::now(),
+            });
+        }
         Ok(())
     }
 
-    /// Accepts a remote worker that completed the handshake: sends the
-    /// `#welcome`, starts its reader thread, and parks it idle.
-    fn register_remote(&mut self, stream: TcpStream, reconnects: u64) {
-        let ordinal = self.next_ordinal;
-        self.next_ordinal += 1;
-        let _ = stream.set_nodelay(true);
-        let mut stream = stream;
+    /// Admits a worker that completed the handshake: sends the
+    /// `#welcome`, starts its reader thread, and parks it idle. A child
+    /// joins once, under the ordinal it was spawned with.
+    fn register(&mut self, mut stream: TcpStream, reconnects: u64, child: Option<u64>) {
+        let (ordinal, child) = match child {
+            Some(ordinal) => {
+                let Some(i) = self.pending.iter().position(|p| p.ordinal == ordinal) else {
+                    let reason = "this child already joined or was replaced";
+                    return crate::remote::reject(stream, reason, self.cfg.config_fp);
+                };
+                self.join_failures = 0;
+                (ordinal, Some(self.pending.swap_remove(i).child))
+            }
+            None => {
+                self.next_ordinal += 1;
+                (self.next_ordinal - 1, None)
+            }
+        };
         let welcome =
             format!("#welcome {{\"proto\":{REMOTE_PROTO_VERSION},\"worker\":{ordinal}}}\n");
-        if stream.write_all(welcome.as_bytes()).is_err() {
-            return; // died between handshake and registration
-        }
-        let Ok(read_half) = stream.try_clone() else {
+        let read_half = stream
+            .write_all(welcome.as_bytes())
+            .and_then(|()| stream.try_clone());
+        let Ok(read_half) = read_half else {
+            // Died between handshake and registration; a child is replaced.
+            if let Some(child) = child {
+                reap(child);
+            }
             return;
         };
         let tx = self.tx.clone();
         let reader = std::thread::spawn(move || read_worker_lines(ordinal, read_half, &tx));
-        registry().dispatch_remote_workers_total.inc();
-        self.remote_workers += 1;
-        if reconnects > 0 {
-            registry().dispatch_reconnects_total.inc();
-            self.reconnects += 1;
+        if child.is_none() {
+            registry().dispatch_remote_workers_total.inc();
+            self.outcome.remote_workers += 1;
+            if reconnects > 0 {
+                registry().dispatch_reconnects_total.inc();
+                self.outcome.reconnects += 1;
+            }
         }
         self.workers.push(WorkerHandle {
             ordinal,
-            transport: Transport::Remote { stream },
-            reader: Some(reader),
+            stream,
+            child,
+            reader,
             state: WorkerState::Idle,
             last_output: Instant::now(),
             shard_started: Instant::now(),
@@ -1383,7 +1388,7 @@ impl<'a> Coordinator<'a> {
         w.state = WorkerState::Busy;
         w.last_output = Instant::now();
         w.shard_started = Instant::now();
-        let sent = w.transport.send(payload.as_bytes());
+        let sent = w.stream.write_all(payload.as_bytes());
         self.inflight.insert(
             ordinal,
             Inflight {
@@ -1427,7 +1432,7 @@ impl<'a> Coordinator<'a> {
         if failures >= self.cfg.max_attempts {
             let track = self.tracks.remove(&index).expect("present above");
             registry().dispatch_quarantines_total.inc();
-            self.quarantined.push(QuarantinedShard {
+            self.outcome.quarantined.push(QuarantinedShard {
                 shard: index,
                 attempts: failures,
                 worker: track.last_worker,
@@ -1459,7 +1464,7 @@ impl<'a> Coordinator<'a> {
             );
         } else {
             registry().dispatch_retries_total.inc();
-            self.retry_count += 1;
+            self.outcome.retries += 1;
             // Exponential backoff, capped at 2⁶× the base.
             let factor = 1u32 << (failures - 1).min(6);
             self.retries.push(Retry {
@@ -1496,7 +1501,7 @@ impl<'a> Coordinator<'a> {
 
     fn stale_drop(&mut self) {
         registry().dispatch_stale_drops_total.inc();
-        self.stale_drops += 1;
+        self.outcome.stale_drops += 1;
     }
 
     /// The next `recv_timeout` bound: the soonest health deadline or
@@ -1532,29 +1537,20 @@ impl<'a> Coordinator<'a> {
             .filter(|w| w.state == WorkerState::Busy)
             .filter_map(|w| {
                 let silent = now.duration_since(w.last_output);
-                if silent > self.cfg.heartbeat_timeout {
-                    return Some((
-                        w.ordinal,
-                        w.is_remote(),
-                        format!("no output for {} ms", silent.as_millis()),
-                    ));
-                }
-                if let Some(limit) = self.cfg.shard_timeout {
-                    let running = now.duration_since(w.shard_started);
-                    if running > limit {
-                        return Some((
-                            w.ordinal,
-                            w.is_remote(),
-                            format!("shard deadline exceeded ({} ms)", running.as_millis()),
-                        ));
-                    }
-                }
-                None
+                let running = now.duration_since(w.shard_started);
+                let reason = if silent > self.cfg.heartbeat_timeout {
+                    format!("no output for {} ms", silent.as_millis())
+                } else if self.cfg.shard_timeout.is_some_and(|limit| running > limit) {
+                    format!("shard deadline exceeded ({} ms)", running.as_millis())
+                } else {
+                    return None;
+                };
+                Some((w.ordinal, w.child.is_none(), reason))
             })
             .collect();
         for (ordinal, remote, reason) in late {
             registry().dispatch_lease_expiries_total.inc();
-            self.lease_expiries += 1;
+            self.outcome.lease_expiries += 1;
             if remote {
                 if let Some(pos) = self.workers.iter().position(|w| w.ordinal == ordinal) {
                     self.revoke_lease(pos, &reason);
@@ -1601,7 +1597,7 @@ impl<'a> Coordinator<'a> {
             let track = self.tracks.get_mut(&index).expect("candidate is tracked");
             track.hedge_attempt = Some(track.next_attempt);
             registry().dispatch_hedges_total.inc();
-            self.hedges += 1;
+            self.outcome.hedges_launched += 1;
             self.assign(pos, index);
         }
     }
@@ -1609,7 +1605,7 @@ impl<'a> Coordinator<'a> {
     fn handle_msg(&mut self, msg: Msg) {
         match msg {
             Msg::Worker(ordinal, event) => self.handle_event(ordinal, event),
-            Msg::RemoteJoined { stream, reconnects } => self.register_remote(stream, reconnects),
+            Msg::Joined(stream, reconnects, child) => self.register(stream, reconnects, child),
         }
     }
 
@@ -1692,12 +1688,12 @@ impl<'a> Coordinator<'a> {
             // The hedge twin already committed this shard.
             self.stale_drop();
             registry().dispatch_hedge_wasted_total.inc();
-            self.hedge_wasted += 1;
+            self.outcome.hedges_wasted += 1;
             return;
         };
         if track.hedge_attempt == Some(attempt) {
             registry().dispatch_hedge_wins_total.inc();
-            self.hedge_wins += 1;
+            self.outcome.hedges_won += 1;
         }
         self.durations.push_back(entry.started.elapsed());
         if self.durations.len() > MEDIAN_WINDOW {
@@ -1737,7 +1733,7 @@ impl<'a> Coordinator<'a> {
         let Some(track) = self.tracks.remove(&entry.index) else {
             self.stale_drop();
             registry().dispatch_hedge_wasted_total.inc();
-            self.hedge_wasted += 1;
+            self.outcome.hedges_wasted += 1;
             return;
         };
         let local = payload
@@ -1782,12 +1778,12 @@ impl<'a> Coordinator<'a> {
         let reply = match hit {
             Some(payload) => {
                 registry().dispatch_fleet_cache_hits_total.inc();
-                self.fleet_cache_hits += 1;
+                self.outcome.fleet_cache_hits += 1;
                 format!("#cachehit {fp:032x} {payload}\n")
             }
             None => format!("#cachemiss {fp:032x}\n"),
         };
-        if let Err(e) = self.workers[pos].transport.send(reply.as_bytes()) {
+        if let Err(e) = self.workers[pos].stream.write_all(reply.as_bytes()) {
             self.fail_worker(ordinal, &format!("failed to answer cache probe: {e}"));
         }
     }
@@ -1800,7 +1796,7 @@ impl<'a> Coordinator<'a> {
     fn handle_cachefill(&mut self, pos: usize, ordinal: u64, fp: u128, payload: &str) {
         if self.workers[pos].state == WorkerState::Zombie || !self.inflight.contains_key(&ordinal) {
             registry().dispatch_stale_fills_dropped_total.inc();
-            self.stale_fills_dropped += 1;
+            self.outcome.stale_fills_dropped += 1;
             return;
         }
         let Some(cache) = self.cache.as_mut() else {
@@ -1837,24 +1833,26 @@ impl<'a> Coordinator<'a> {
             .any(|inf| self.tracks.contains_key(&inf.index))
     }
 
-    /// Tears the fleet down: ask everyone to exit cleanly (EOF for
-    /// children, `#shutdown` for remotes so they don't redial), then
-    /// kill/close anything still attached and reap it.
+    /// Tears the fleet down: `#shutdown` to every worker so none redials,
+    /// then kill and reap the children and close every socket.
     fn shutdown_fleet(&mut self) {
         for w in &mut self.workers {
-            match &mut w.transport {
-                Transport::Child { stdin, .. } => {
-                    drop(stdin.take());
-                }
-                Transport::Remote { stream } => {
-                    let _ = stream.write_all(b"#shutdown\n");
-                    let _ = stream.flush();
-                }
-            }
+            let _ = w.stream.write_all(b"#shutdown\n");
         }
         for w in self.workers.drain(..) {
             w.teardown();
         }
+        for p in self.pending.drain(..) {
+            reap(p.child);
+        }
+    }
+}
+
+impl Drop for Coordinator<'_> {
+    /// Every exit path, errors included, takes the fleet down with it
+    /// (and the acceptor, when the fields drop).
+    fn drop(&mut self) {
+        self.shutdown_fleet();
     }
 }
 
@@ -1865,10 +1863,10 @@ fn truncate(s: &str, max: usize) -> &str {
     }
 }
 
-/// Parses one worker output stream (child stdout or socket read half)
-/// into [`Event`]s. A final line without its newline (a worker dying
-/// mid-write) is garbage, never a report.
-pub(crate) fn read_worker_lines<R: Read>(ordinal: u64, input: R, tx: &Sender<Msg>) {
+/// Parses one worker connection's read half into [`Event`]s. A final
+/// line without its newline (a worker dying mid-write) is garbage, never
+/// a report.
+fn read_worker_lines(ordinal: u64, input: TcpStream, tx: &Sender<Msg>) {
     let mut reader = BufReader::new(input);
     let mut buf = String::new();
     loop {
@@ -1930,17 +1928,19 @@ fn parse_done(v: &Json) -> Option<(usize, u32, ShardStats)> {
 }
 
 /// The dispatch coordinator: shards `input`, fans the shards out to a
-/// fleet of local child workers and/or remote TCP workers accepted on
+/// fleet of `cfg.workers` children plus any remote workers accepted on
 /// `remote`, and merges their reports in shard order into the file at
-/// `out_path`. With `checkpoint_path`, completed shards are journaled
-/// durably and an existing journal resumes the run (validating that the
-/// corpus and configuration are unchanged) — identically across
-/// transports. `shutdown` — when set by the caller, e.g. from a
-/// `#shutdown` stdin line — triggers a graceful drain.
+/// `out_path`. The children dial `remote` too; without it the coordinator
+/// listens on an ephemeral loopback port that admits only its children.
+/// With `checkpoint_path`, completed shards are journaled durably and an
+/// existing journal resumes the run (validating that the corpus and
+/// configuration are unchanged). `shutdown` — when set by the caller,
+/// e.g. from a `#shutdown` stdin line — triggers a graceful drain.
 ///
-/// Returns `Err` only for coordinator-level I/O and setup failures;
-/// corpus decode errors travel in [`DispatchOutcome::error`] exactly as
-/// in [`crate::stream::JsonlServer::serve`], after the reports preceding
+/// Returns `Err` only for coordinator-level I/O and setup failures, and
+/// when `max_attempts` children in a row never joined; corpus decode
+/// errors travel in [`DispatchOutcome::error`] exactly as in
+/// [`crate::stream::JsonlServer::serve`], after the reports preceding
 /// the error were written.
 pub fn dispatch_fleet<R: BufRead>(
     input: R,
@@ -1950,23 +1950,17 @@ pub fn dispatch_fleet<R: BufRead>(
     shutdown: Option<&AtomicBool>,
     remote: Option<RemoteHub>,
 ) -> io::Result<DispatchOutcome> {
-    if cfg.worker_cmd.is_empty() && cfg.workers > 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "dispatch needs a non-empty worker command (or workers = 0 with --listen)",
-        ));
-    }
-    if cfg.workers == 0 && remote.is_none() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "dispatch with zero local workers needs a remote listener",
-        ));
-    }
-    if cfg.shard_size == 0 || cfg.max_attempts == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "dispatch needs shard_size ≥ 1, max_attempts ≥ 1",
-        ));
+    let misconfigured = if cfg.worker_cmd.is_empty() && cfg.workers > 0 {
+        Some("dispatch needs a non-empty worker command (or workers = 0 with --listen)")
+    } else if cfg.workers == 0 && remote.is_none() {
+        Some("dispatch with zero local workers needs a remote listener")
+    } else if cfg.shard_size == 0 || cfg.max_attempts == 0 {
+        Some("dispatch needs shard_size ≥ 1, max_attempts ≥ 1")
+    } else {
+        None
+    };
+    if let Some(reason) = misconfigured {
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, reason));
     }
     let started = Instant::now();
     let mut source = ShardSource::new(input);
@@ -1974,7 +1968,9 @@ pub fn dispatch_fleet<R: BufRead>(
         shard_size: cfg.shard_size,
         ..StreamStats::default()
     };
-    let mut coord = Coordinator::new(cfg);
+    let open = remote.is_some();
+    let hub = remote.map_or_else(|| RemoteHub::bind("127.0.0.1:0"), Ok)?;
+    let mut coord = Coordinator::new(cfg, hub, open)?;
     if let Some(path) = cfg.cache_path.as_deref() {
         let (store, entries, _stats) = CacheStore::open(path, cfg.config_fp)?;
         let map = entries
@@ -1992,12 +1988,6 @@ pub fn dispatch_fleet<R: BufRead>(
     let mut shards_resumed = 0usize;
     let mut outcome_error: Option<CorpusError> = None;
     let mut source_done = false;
-
-    // --- remote acceptor --------------------------------------------------
-    let hub_stop = Arc::new(AtomicBool::new(false));
-    let acceptor = remote.map(|hub| {
-        crate::remote::spawn_acceptor(hub, coord.tx.clone(), cfg.config_fp, Arc::clone(&hub_stop))
-    });
 
     // --- resume / journal setup -------------------------------------------
     let header = CheckpointHeader {
@@ -2028,7 +2018,7 @@ pub fn dispatch_fleet<R: BufRead>(
             }
             rec.stats.merge_into(&mut merged);
             if rec.quarantined {
-                coord.quarantined.push(QuarantinedShard {
+                coord.outcome.quarantined.push(QuarantinedShard {
                     shard: rec.shard,
                     attempts: rec.attempts,
                     worker: None,
@@ -2077,68 +2067,44 @@ pub fn dispatch_fleet<R: BufRead>(
         if !interrupted && shutdown.is_some_and(|s| s.load(Ordering::Relaxed)) {
             interrupted = true;
         }
-        // Assign work while there is work and worker capacity.
+        // Keep the children alive while shards remain to hand out.
+        if !interrupted && error_shard.is_none() && (!source_done || !coord.retries.is_empty()) {
+            coord.supervise()?;
+        }
+        // Assign work while there is work and an idle worker.
         while !interrupted && error_shard.is_none() {
             let now = Instant::now();
-            let retry_pos = coord.retries.iter().position(|r| r.not_before <= now);
-            let have_source = !source_done;
-            if retry_pos.is_none() && !have_source {
-                break;
-            }
-            // Find or grow an idle worker first — a shard is only taken
-            // from the source once somewhere to run it exists.
-            let pos = match coord.idle_worker() {
-                Some(pos) => pos,
-                None if coord.workers.len() < cfg.workers => {
-                    coord.spawn_worker()?;
-                    coord.workers.len() - 1
-                }
-                None => {
-                    // No runner yet (a remote-only fleet waiting for workers
-                    // to dial in). Probe the source once anyway so an already
-                    // exhausted corpus terminates instead of waiting for a
-                    // worker that will never come; at most one shard is read
-                    // ahead and parked in the retry queue until a worker
-                    // joins.
-                    if retry_pos.is_none() && have_source {
-                        match source.next_shard(cfg.shard_size) {
-                            Ok(Some(shard)) => {
-                                let index = coord.track(shard);
-                                coord.retries.push(Retry {
-                                    index,
-                                    not_before: now,
-                                });
-                            }
-                            Ok(None) => source_done = true,
-                            Err(e) => {
-                                error_shard = Some(source.next_index);
-                                outcome_error = Some(e);
-                                source_done = true;
-                            }
-                        }
+            let idle = coord.idle_worker();
+            let index = match coord.retries.iter().position(|r| r.not_before <= now) {
+                Some(rpos) if idle.is_some() => coord.retries.remove(rpos).index,
+                Some(_) => break,
+                None if source_done => break,
+                None => match source.next_shard(cfg.shard_size) {
+                    Ok(Some(shard)) => coord.track(shard),
+                    Ok(None) => {
+                        source_done = true;
+                        break;
                     }
-                    break;
-                }
+                    Err(e) => {
+                        // The corpus itself is unreadable: the stream ends
+                        // at the shard this read would have produced.
+                        error_shard = Some(source.next_index);
+                        outcome_error = Some(e);
+                        source_done = true;
+                        break;
+                    }
+                },
             };
-            if let Some(rpos) = retry_pos {
-                let retry = coord.retries.remove(rpos);
-                coord.assign(pos, retry.index);
-                continue;
-            }
-            match source.next_shard(cfg.shard_size) {
-                Ok(Some(shard)) => {
-                    let index = coord.track(shard);
-                    coord.assign(pos, index);
-                }
-                Ok(None) => source_done = true,
-                Err(e) => {
-                    // The corpus itself is unreadable: the stream ends at
-                    // the shard this read would have produced.
-                    error_shard = Some(source.next_index);
-                    outcome_error = Some(e);
-                    source_done = true;
-                }
-            }
+            let Some(pos) = idle else {
+                // No worker free: the probe lets an exhausted corpus end
+                // the run; the one shard read ahead waits in the queue.
+                coord.retries.push(Retry {
+                    index,
+                    not_before: now,
+                });
+                break;
+            };
+            coord.assign(pos, index);
         }
         if !interrupted && error_shard.is_none() {
             coord.maybe_hedge();
@@ -2222,31 +2188,15 @@ pub fn dispatch_fleet<R: BufRead>(
         cache.sync();
     }
     out.flush()?;
-    hub_stop.store(true, Ordering::Relaxed);
-    coord.shutdown_fleet();
-    if let Some(acceptor) = acceptor {
-        let _ = acceptor.join();
-    }
-    coord.quarantined.sort_by_key(|q| q.shard);
+    coord.outcome.quarantined.sort_by_key(|q| q.shard);
     merged.wall_micros = started.elapsed().as_micros() as u64;
     Ok(DispatchOutcome {
         stats: merged,
         shards_total: next_emit,
         shards_resumed,
-        retries: coord.retry_count,
-        workers_spawned: coord.spawned,
-        remote_workers: coord.remote_workers,
-        reconnects: coord.reconnects,
-        lease_expiries: coord.lease_expiries,
-        hedges_launched: coord.hedges,
-        hedges_won: coord.hedge_wins,
-        hedges_wasted: coord.hedge_wasted,
-        stale_drops: coord.stale_drops,
-        fleet_cache_hits: coord.fleet_cache_hits,
-        stale_fills_dropped: coord.stale_fills_dropped,
-        quarantined: coord.quarantined,
         interrupted,
         error: outcome_error,
+        ..std::mem::take(&mut coord.outcome)
     })
 }
 

@@ -1,14 +1,17 @@
-//! Remote TCP workers for `msrs dispatch`: the coordinator's listener +
+//! Worker connections for `msrs dispatch`: the coordinator's listener +
 //! handshake acceptor, and the `msrs worker --connect` client loop.
 //!
-//! The shard protocol itself is transport-agnostic ([`mod@crate::dispatch`]
-//! module docs); this module adds the connection layer:
+//! Every worker reaches the coordinator through this module: the
+//! `--workers` children it spawns as well as remote workers dialing its
+//! `--listen` address. The shard protocol itself is in the
+//! [`mod@crate::dispatch`] module docs; this module adds the connection
+//! layer:
 //!
 //! ## Handshake
 //!
 //! ```text
-//! worker      → #hello {"proto":1,"config_fp":N,"reconnects":R}
-//! coordinator → #welcome {"proto":1,"worker":<ordinal>}
+//! worker      → #hello {"proto":2,"config_fp":N,"reconnects":R[,"worker":W,"secret":S]}
+//! coordinator → #welcome {"proto":2,"worker":<ordinal>}
 //!            or #reject {"error":"handshake_rejected","reason":…,
 //!                        "proto":…,"config_fp":…}   (then close)
 //! ```
@@ -21,16 +24,24 @@
 //! `reconnects` is the worker's count of *prior completed sessions*, so
 //! the coordinator can tell a rejoining worker from a fresh one.
 //!
+//! A child of the coordinator sends `worker` (its `MSRS_WORKER_INDEX`)
+//! and `secret` (the run's `MSRS_WORKER_SECRET`: environment, not argv,
+//! which other local users can read) and is welcomed as that child, at
+//! most once. Without `--listen` the listener is loopback-only and
+//! rejects every other hello.
+//!
 //! ## Reconnection
 //!
-//! A remote worker whose socket drops without a `#shutdown` line assumes
-//! the coordinator restarted and redials with bounded exponential
-//! backoff ([`RemoteWorkerConfig::reconnect_base`], doubling up to
+//! A worker whose socket drops without a `#shutdown` line assumes the
+//! coordinator restarted and redials with bounded exponential backoff
+//! ([`RemoteWorkerConfig::reconnect_base`], doubling up to
 //! `reconnect_cap`, at most `reconnect_attempts` consecutive failures).
-//! A clean `#shutdown` ends the worker without redialing.
+//! A clean `#shutdown` ends the worker without redialing. Children run
+//! with `--reconnect-max 0`, so one refused redial ends a child whose
+//! coordinator died.
 
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
@@ -49,12 +60,13 @@ use crate::Engine;
 /// the `#cacheq`/`#cachehit`/`#cachemiss`/`#cachefill` exchange).
 pub const REMOTE_PROTO_VERSION: u64 = 2;
 
+/// Environment variable carrying the run's secret to the coordinator's
+/// children.
+pub(crate) const SECRET_ENV: &str = "MSRS_WORKER_SECRET";
+
 /// How long the coordinator waits for a dialing worker's `#hello` (and a
 /// worker for the coordinator's reply) before giving up on the socket.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Accept-loop poll period while the listener is non-blocking.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Longest line the handshake will read before declaring the peer
 /// non-protocol.
@@ -81,95 +93,147 @@ impl RemoteHub {
     }
 }
 
-/// Runs the accept loop on its own thread until `stop` is set: each
+/// Whom the acceptor admits.
+pub(crate) struct Admission {
+    /// The coordinator's engine-config fingerprint.
+    pub(crate) config_fp: u64,
+    /// The secret the coordinator's children present.
+    pub(crate) secret: String,
+    /// Also admit workers the coordinator did not spawn (`--listen`).
+    pub(crate) open: bool,
+}
+
+/// The accept loop, on its own thread until the value is dropped: each
 /// connection gets a short-lived handshake thread that either forwards
-/// the stream to the coordinator as [`Msg::RemoteJoined`] or refuses it
-/// with a structured `#reject` line.
-pub(crate) fn spawn_acceptor(
-    hub: RemoteHub,
-    tx: Sender<Msg>,
-    config_fp: u64,
+/// the stream to the coordinator as [`Msg::Joined`] or refuses it with a
+/// structured `#reject` line.
+pub(crate) struct Acceptor {
+    /// The address children dial: the bound one, with an unspecified IP
+    /// replaced by loopback.
+    pub(crate) addr: SocketAddr,
+    pub(crate) admission: Arc<Admission>,
     stop: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        if hub.listener.set_nonblocking(true).is_err() {
-            return;
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Acceptor {
+    pub(crate) fn spawn(hub: RemoteHub, tx: Sender<Msg>, admission: Admission) -> Acceptor {
+        let mut addr = hub.local;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
-        while !stop.load(Ordering::Relaxed) {
-            match hub.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let tx = tx.clone();
-                    std::thread::spawn(move || handshake_accept(stream, &tx, config_fp));
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let admission = Arc::new(admission);
+        let shared = Arc::clone(&admission);
+        let thread = std::thread::spawn(move || {
+            for conn in hub.listener.incoming() {
+                if flag.load(Ordering::Relaxed) {
+                    return;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
+                match conn {
+                    Ok(stream) => {
+                        let (tx, admission) = (tx.clone(), Arc::clone(&shared));
+                        std::thread::spawn(move || handshake_accept(stream, &tx, &admission));
+                    }
+                    // Back off from a resource error (EMFILE) instead of
+                    // spinning on it.
+                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
                 }
-                Err(_) => std::thread::sleep(ACCEPT_POLL),
             }
+        });
+        Acceptor {
+            addr,
+            admission,
+            stop,
+            thread: Some(thread),
         }
-    })
+    }
+}
+
+impl Drop for Acceptor {
+    /// Sets the stop flag, wakes the blocked `accept` with one connection
+    /// of its own (never handshaken), and joins the thread.
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        if let (Ok(_), Some(thread)) = (TcpStream::connect(self.addr), self.thread.take()) {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Refuses a dialing worker with a structured `#reject` line (counted in
+/// `msrs_dispatch_handshake_rejects_total`) and closes the socket.
+pub(crate) fn reject(mut stream: TcpStream, reason: &str, config_fp: u64) {
+    registry().dispatch_handshake_rejects_total.inc();
+    let line = Json::Obj(vec![
+        ("error".into(), Json::Str("handshake_rejected".into())),
+        ("reason".into(), Json::Str(reason.into())),
+        ("proto".into(), Json::Num(REMOTE_PROTO_VERSION as i128)),
+        ("config_fp".into(), Json::Num(config_fp as i128)),
+    ]);
+    let _ = stream.write_all(format!("#reject {line}\n").as_bytes());
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// Validates one dialing worker's `#hello`. On success the stream (with
 /// no buffered bytes — the handshake reads unbuffered) is forwarded to
 /// the coordinator, which sends the `#welcome`.
-fn handshake_accept(mut stream: TcpStream, tx: &Sender<Msg>, config_fp: u64) {
+fn handshake_accept(mut stream: TcpStream, tx: &Sender<Msg>, admission: &Admission) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
-    let reject = |stream: &mut TcpStream, reason: &str| {
-        registry().dispatch_handshake_rejects_total.inc();
-        let line = Json::Obj(vec![
-            ("error".into(), Json::Str("handshake_rejected".into())),
-            ("reason".into(), Json::Str(reason.into())),
-            ("proto".into(), Json::Num(REMOTE_PROTO_VERSION as i128)),
-            ("config_fp".into(), Json::Num(config_fp as i128)),
-        ]);
-        let _ = stream.write_all(format!("#reject {line}\n").as_bytes());
-        let _ = stream.flush();
-        let _ = stream.shutdown(Shutdown::Both);
-    };
-    let line = match read_line_raw(&mut stream, MAX_HANDSHAKE_LINE) {
-        Ok(line) => line,
-        Err(_) => {
-            reject(&mut stream, "no #hello line before the handshake deadline");
-            return;
+    let hello = read_line_raw(&mut stream, MAX_HANDSHAKE_LINE)
+        .map_err(|_| "no #hello line before the handshake deadline".to_string())
+        .and_then(|line| admission.admit(&line));
+    match hello {
+        Ok((reconnects, child)) => {
+            let _ = stream.set_read_timeout(None);
+            // The coordinator thread registers the worker and sends
+            // #welcome; a send failure means the run already ended.
+            let _ = tx.send(Msg::Joined(stream, reconnects, child));
         }
-    };
-    let Some(hello) = line
-        .strip_prefix("#hello ")
-        .and_then(|payload| Json::parse(payload).ok())
-    else {
-        reject(&mut stream, "first line was not a #hello");
-        return;
-    };
-    let proto = hello.get("proto").and_then(Json::as_u64);
-    if proto != Some(REMOTE_PROTO_VERSION) {
-        reject(
-            &mut stream,
-            &format!(
-                "protocol version mismatch (worker {}, coordinator {})",
-                proto.map_or("?".into(), |p| p.to_string()),
-                REMOTE_PROTO_VERSION
-            ),
-        );
-        return;
+        Err(reason) => reject(stream, &reason, admission.config_fp),
     }
-    let fp = hello.get("config_fp").and_then(Json::as_u64);
-    if fp != Some(config_fp) {
-        reject(
-            &mut stream,
-            &format!(
-                "engine config fingerprint mismatch (worker {}, coordinator {config_fp})",
-                fp.map_or("?".into(), |f| f.to_string()),
-            ),
-        );
-        return;
+}
+
+impl Admission {
+    /// Checks a `#hello` line: the worker's reconnect count and, for one
+    /// of the coordinator's children, its ordinal — or why it is refused.
+    fn admit(&self, line: &str) -> Result<(u64, Option<u64>), String> {
+        let hello = line
+            .strip_prefix("#hello ")
+            .and_then(|payload| Json::parse(payload).ok())
+            .ok_or("first line was not a #hello")?;
+        let is_child = hello.get("secret").and_then(Json::as_str) == Some(&self.secret);
+        let child = hello
+            .get("worker")
+            .and_then(Json::as_u64)
+            .filter(|_| is_child);
+        if child.is_none() && !self.open {
+            return Err("this coordinator admits only the workers it spawned (no --listen)".into());
+        }
+        let shown = |v: Option<u64>| v.map_or("?".into(), |v| v.to_string());
+        let proto = hello.get("proto").and_then(Json::as_u64);
+        if proto != Some(REMOTE_PROTO_VERSION) {
+            return Err(format!(
+                "protocol version mismatch (worker {}, coordinator {REMOTE_PROTO_VERSION})",
+                shown(proto)
+            ));
+        }
+        let fp = hello.get("config_fp").and_then(Json::as_u64);
+        if fp != Some(self.config_fp) {
+            return Err(format!(
+                "engine config fingerprint mismatch (worker {}, coordinator {})",
+                shown(fp),
+                self.config_fp
+            ));
+        }
+        let reconnects = hello.get("reconnects").and_then(Json::as_u64);
+        Ok((reconnects.unwrap_or(0), child))
     }
-    let reconnects = hello.get("reconnects").and_then(Json::as_u64).unwrap_or(0);
-    let _ = stream.set_read_timeout(None);
-    // The coordinator thread registers the worker and sends #welcome;
-    // a send failure means the run already ended.
-    let _ = tx.send(Msg::RemoteJoined { stream, reconnects });
 }
 
 /// Reads one `\n`-terminated line *without buffering past it*, so the
@@ -255,10 +319,12 @@ pub fn run_remote_worker(engine: &Engine, cfg: &RemoteWorkerConfig) -> io::Resul
     let env_index: Option<u64> = std::env::var("MSRS_WORKER_INDEX")
         .ok()
         .and_then(|v| v.parse().ok());
+    // A child of the coordinator identifies itself in every hello.
+    let child = std::env::var(SECRET_ENV).ok().zip(env_index);
     let mut sessions: u64 = 0;
     let mut failures: u32 = 0;
     loop {
-        match dial_and_handshake(cfg, sessions) {
+        match dial_and_handshake(cfg, sessions, child.as_ref()) {
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Structured rejection: retrying can't help.
                 return Err(e);
@@ -285,10 +351,12 @@ pub fn run_remote_worker(engine: &Engine, cfg: &RemoteWorkerConfig) -> io::Resul
             Ok((stream, ordinal)) => {
                 failures = 0;
                 let reader = io::BufReader::new(stream.try_clone()?);
+                // Buffered: the worker flushes at every protocol boundary,
+                // so report lines travel in a few segments, not one each.
                 let exit = run_worker_conn(
                     engine,
                     reader,
-                    stream,
+                    io::BufWriter::new(stream),
                     cfg.heartbeat,
                     env_index.or(Some(ordinal)),
                     cfg.decode_threads,
@@ -308,16 +376,26 @@ pub fn run_remote_worker(engine: &Engine, cfg: &RemoteWorkerConfig) -> io::Resul
 }
 
 /// One dial + handshake round trip; returns the connected stream and
-/// the ordinal the coordinator assigned in its `#welcome`.
-fn dial_and_handshake(cfg: &RemoteWorkerConfig, sessions: u64) -> io::Result<(TcpStream, u64)> {
+/// the ordinal the coordinator assigned in its `#welcome`. `child` is
+/// the `(secret, ordinal)` pair of a coordinator's child.
+fn dial_and_handshake(
+    cfg: &RemoteWorkerConfig,
+    sessions: u64,
+    child: Option<&(String, u64)>,
+) -> io::Result<(TcpStream, u64)> {
     let mut stream = TcpStream::connect(&cfg.addr)?;
     let _ = stream.set_nodelay(true);
+    let identity = child.map_or(String::new(), |(secret, ordinal)| {
+        format!(
+            ",\"worker\":{ordinal},\"secret\":{}",
+            Json::Str(secret.clone())
+        )
+    });
     let hello = format!(
-        "#hello {{\"proto\":{REMOTE_PROTO_VERSION},\"config_fp\":{},\"reconnects\":{sessions}}}\n",
+        "#hello {{\"proto\":{REMOTE_PROTO_VERSION},\"config_fp\":{},\"reconnects\":{sessions}{identity}}}\n",
         cfg.config_fp
     );
     stream.write_all(hello.as_bytes())?;
-    stream.flush()?;
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
     let line = read_line_raw(&mut stream, MAX_HANDSHAKE_LINE)?;
     stream.set_read_timeout(None)?;
@@ -356,6 +434,9 @@ fn dial_and_handshake(cfg: &RemoteWorkerConfig, sessions: u64) -> io::Result<(Tc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader};
+    use std::sync::mpsc::{self, Receiver};
+    use std::sync::Mutex;
 
     #[test]
     fn backoff_is_bounded_and_exponential() {
@@ -366,5 +447,95 @@ mod tests {
         assert_eq!(backoff_delay(base, cap, 3), Duration::from_millis(400));
         assert_eq!(backoff_delay(base, cap, 6), cap); // 3200 ms, capped
         assert_eq!(backoff_delay(base, cap, 40), cap); // shift stays sane
+    }
+
+    /// The reject counter is process-global: the admission tests take
+    /// turns so each sees only its own rejects.
+    static ADMISSION: Mutex<()> = Mutex::new(());
+
+    const FP: u64 = 77;
+    const SECRET: &str = "0123456789abcdef0123456789abcdef";
+
+    /// An acceptor that admits only the coordinator's children.
+    fn children_only() -> (Acceptor, Receiver<Msg>) {
+        let hub = RemoteHub::bind("127.0.0.1:0").expect("loopback binds");
+        let (tx, rx) = mpsc::channel();
+        let admission = Admission {
+            config_fp: FP,
+            secret: SECRET.into(),
+            open: false,
+        };
+        (Acceptor::spawn(hub, tx, admission), rx)
+    }
+
+    /// Dials the acceptor and sends `hello`.
+    fn send_hello(acceptor: &Acceptor, hello: &str) -> TcpStream {
+        let mut stream = TcpStream::connect(acceptor.addr).expect("dials the acceptor");
+        stream
+            .write_all(format!("#hello {hello}\n").as_bytes())
+            .expect("hello sent");
+        stream
+    }
+
+    /// The acceptor's reply line (the timeout only keeps a broken
+    /// acceptor from hanging the test).
+    fn reply(stream: TcpStream) -> String {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout set");
+        let mut line = String::new();
+        BufReader::new(stream)
+            .read_line(&mut line)
+            .expect("reply read");
+        line
+    }
+
+    fn rejects() -> u64 {
+        registry().dispatch_handshake_rejects_total.get()
+    }
+
+    #[test]
+    fn a_hello_without_the_secret_is_rejected_without_listen() {
+        let _turn = ADMISSION.lock().unwrap_or_else(|e| e.into_inner());
+        let (acceptor, rx) = children_only();
+        let before = rejects();
+        let line = reply(send_hello(
+            &acceptor,
+            &format!(r#"{{"proto":2,"config_fp":{FP}}}"#),
+        ));
+        assert!(line.starts_with("#reject "), "{line:?}");
+        assert!(
+            line.contains("admits only the workers it spawned"),
+            "{line:?}"
+        );
+        assert_eq!(rejects() - before, 1);
+        assert!(rx.try_recv().is_err(), "nothing reaches the coordinator");
+    }
+
+    #[test]
+    fn a_hello_with_a_wrong_secret_is_rejected_without_listen() {
+        let _turn = ADMISSION.lock().unwrap_or_else(|e| e.into_inner());
+        let (acceptor, rx) = children_only();
+        let wrong = SECRET.replace('0', "1");
+        let hello = format!(r#"{{"proto":2,"config_fp":{FP},"worker":0,"secret":"{wrong}"}}"#);
+        let before = rejects();
+        let line = reply(send_hello(&acceptor, &hello));
+        assert!(line.starts_with("#reject "), "{line:?}");
+        assert_eq!(rejects() - before, 1);
+        assert!(rx.try_recv().is_err(), "nothing reaches the coordinator");
+    }
+
+    #[test]
+    fn a_hello_with_the_secret_is_forwarded_as_that_child() {
+        let _turn = ADMISSION.lock().unwrap_or_else(|e| e.into_inner());
+        let (acceptor, rx) = children_only();
+        let hello = format!(r#"{{"proto":2,"config_fp":{FP},"worker":3,"secret":"{SECRET}"}}"#);
+        let before = rejects();
+        let _stream = send_hello(&acceptor, &hello);
+        match rx.recv_timeout(Duration::from_secs(5)) {
+            Ok(Msg::Joined(_, _, child)) => assert_eq!(child, Some(3)),
+            _ => panic!("the child's stream was not forwarded"),
+        }
+        assert_eq!(rejects(), before);
     }
 }

@@ -6,9 +6,11 @@
 //!   `cache_hit`) across worker counts 1, 2, 4 and engine thread counts
 //!   1, 2, 8;
 //! * **fault tolerance** — deterministically injected worker faults
-//!   (`MSRS_FAULT`: crash, hang, garbled output, torn report line) are
-//!   retried and the final output is still bit-identical; torn or garbled
-//!   worker output never reaches the merged stream;
+//!   (`MSRS_FAULT`: crash, hang, garbled output, torn report line, dropped
+//!   connection) are retried and the final output is still bit-identical;
+//!   torn or garbled worker output never reaches the merged stream;
+//! * **joining** — a worker command that never completes its handshake
+//!   fails the run after `max_attempts` children in a row;
 //! * **quarantine** — a shard whose worker fails on every attempt is
 //!   quarantined after `max_attempts` with one structured
 //!   `shard_quarantined` record in its place, and the rest of the run
@@ -21,7 +23,7 @@
 use std::fs;
 use std::io::Cursor;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
@@ -194,12 +196,13 @@ fn injected_crash_is_retried_and_output_identical() {
 
 /// Garbled and torn (partial-line, no newline) worker output is detected
 /// before commit: the shard is retried and the merged stream never
-/// contains a corrupt byte.
+/// contains a corrupt byte. A child whose session drops is replaced, not
+/// registered twice.
 #[test]
 fn garbled_and_torn_worker_output_never_reaches_the_merged_stream() {
     let text = corpus_text(18);
     let (reference, _) = reference_run(&text, 4);
-    for spec in ["garble:shard=1", "partial:shard=3"] {
+    for spec in ["garble:shard=1", "partial:shard=3", "disconnect:shard=2"] {
         let out = tmp(&format!("{}.jsonl", spec.split(':').next().unwrap()));
         let cfg = config(2, 4, 1, Some(spec));
         let outcome =
@@ -234,6 +237,34 @@ fn hung_worker_is_detected_by_heartbeat_silence_and_retried() {
     assert!(outcome.retries >= 1, "the hang forced at least one retry");
     assert_eq!(read_redacted(&out), reference);
     fs::remove_file(&out).ok();
+}
+
+/// A worker command that never completes the handshake — it exits at
+/// once, rejects the appended `--connect` flags, or sits silent — fails
+/// the run after `max_attempts` children in a row, instead of being
+/// respawned forever.
+#[test]
+fn a_worker_command_that_never_joins_fails_the_run() {
+    for (cmd, failure) in [
+        (&["/bin/false"][..], "exited"),
+        (&["sleep", "30"], "exited"),
+        (
+            &["/bin/sh", "-c", "exec sleep 30"],
+            "300 ms handshake deadline",
+        ),
+    ] {
+        let mut cfg = config(2, 4, 1, None);
+        cfg.worker_cmd = cmd.iter().map(|s| s.to_string()).collect();
+        cfg.heartbeat_timeout = Duration::from_millis(300);
+        let out = tmp("never-joins.jsonl");
+        let started = Instant::now();
+        let err =
+            dispatch::dispatch_fleet(Cursor::new(corpus_text(18)), &out, None, &cfg, None, None)
+                .expect_err("a fleet that never joins fails the run");
+        assert!(started.elapsed() < Duration::from_secs(5), "{cmd:?}");
+        assert!(err.to_string().contains(failure), "{cmd:?}: {err}");
+        fs::remove_file(&out).ok();
+    }
 }
 
 /// A shard that fails on *every* attempt is quarantined after

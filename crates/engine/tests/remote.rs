@@ -3,8 +3,11 @@
 //! processes over loopback TCP:
 //!
 //! * **bit-identity** — a remote-only fleet and a mixed local/remote
-//!   fleet both merge to the same report stream as a single-process
+//!   fleet (also on a hub bound to `0.0.0.0`, which the child dials on
+//!   loopback) both merge to the same report stream as a single-process
 //!   sequential batch run (modulo `wall_micros` and `cache_hit`);
+//! * **slots** — `workers` counts only the coordinator's own children: a
+//!   hung child is replaced while a remote worker is attached;
 //! * **handshake** — a worker whose engine configuration fingerprint
 //!   differs is refused with a structured error and exits non-zero,
 //!   without perturbing the run;
@@ -219,15 +222,53 @@ fn empty_corpus_with_a_remote_only_fleet_terminates_without_any_worker() {
 fn mixed_local_and_remote_fleet_matches_batch_reference() {
     let text = corpus_text(18);
     let reference = reference_run(&text, 4);
+    // On an unspecified IP the child dials loopback on the same port.
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let hub = RemoteHub::bind(bind).expect("hub binds");
+        let addr = format!("127.0.0.1:{}", hub.local_addr().port());
+        let _remote = spawn_worker(&addr, None, &[]);
+        let out = tmp("mixed.jsonl");
+        let cfg = fleet_config(1, 4);
+        let outcome =
+            dispatch::dispatch_fleet(Cursor::new(text.clone()), &out, None, &cfg, None, Some(hub))
+                .expect("mixed fleet dispatch runs");
+        assert!(outcome.error.is_none(), "{bind}");
+        assert!(outcome.quarantined.is_empty(), "{bind}");
+        assert_eq!(outcome.stats.instances, 18, "{bind}");
+        assert_eq!(read_redacted(&out), reference, "{bind}");
+        fs::remove_file(&out).ok();
+    }
+}
+
+/// `workers` counts only the coordinator's own children: a hung child is
+/// killed and replaced even while a remote worker is attached.
+#[test]
+fn a_hung_child_is_replaced_while_a_remote_worker_is_attached() {
+    let text = corpus_text(18);
+    let reference = reference_run(&text, 4);
     let (hub, addr) = bind_hub();
-    let _remote = spawn_worker(&addr, None, &[]);
-    let out = tmp("mixed.jsonl");
-    let cfg = fleet_config(1, 4);
-    let outcome = dispatch::dispatch_fleet(Cursor::new(text), &out, None, &cfg, None, Some(hub))
-        .expect("mixed fleet dispatch runs");
+    let out = tmp("slots.jsonl");
+    let mut cfg = fleet_config(1, 4);
+    cfg.heartbeat_timeout = Duration::from_millis(1500);
+    let fault = "MSRS_FAULT=hang:shard=0,worker=0".to_string();
+    cfg.worker_cmd
+        .splice(0..0, ["/usr/bin/env".to_string(), fault]);
+    cfg.worker_cmd
+        .extend(["--heartbeat-ms".to_string(), "50".to_string()]);
+    let run = std::thread::spawn({
+        let out = out.clone();
+        move || dispatch::dispatch_fleet(Cursor::new(text), &out, None, &cfg, None, Some(hub))
+    });
+    // By now the child holds shard 0, well inside its lease.
+    std::thread::sleep(Duration::from_millis(500));
+    let _remote = spawn_worker(&addr, None, &["--heartbeat-ms", "50"]);
+    let outcome = run
+        .join()
+        .expect("dispatch thread")
+        .expect("dispatch survives the hung child");
     assert!(outcome.error.is_none());
     assert!(outcome.quarantined.is_empty());
-    assert_eq!(outcome.stats.instances, 18);
+    assert_eq!(outcome.workers_spawned, 2, "the hung child was replaced");
     assert_eq!(read_redacted(&out), reference);
     fs::remove_file(&out).ok();
 }

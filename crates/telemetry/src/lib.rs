@@ -595,8 +595,8 @@ pub struct Registry {
     /// replacements after crashes).
     pub dispatch_workers_spawned_total: Counter,
     /// Worker failures observed by the dispatch coordinator: process
-    /// exit/EOF mid-shard, garbled output, missed heartbeats, or a
-    /// per-shard deadline overrun.
+    /// exit/EOF mid-shard, garbled output, missed heartbeats, a
+    /// per-shard deadline overrun, or a child that never joined.
     pub dispatch_worker_crashes_total: Counter,
     /// Shard attempts re-queued after a worker failure (each retry after
     /// the first attempt counts once).
@@ -611,11 +611,12 @@ pub struct Registry {
     /// Shards skipped on startup because a checkpoint journal already
     /// recorded them as complete.
     pub dispatch_shards_resumed_total: Counter,
-    /// Remote TCP workers admitted by the dispatch coordinator after a
+    /// Workers the dispatch coordinator did not spawn, admitted after a
     /// successful handshake (reconnects count again).
     pub dispatch_remote_workers_total: Counter,
-    /// Remote worker handshakes refused (protocol version or engine
-    /// configuration fingerprint mismatch).
+    /// Worker handshakes refused (protocol version or engine
+    /// configuration fingerprint mismatch, or — without `--listen` — a
+    /// dialer that is not one of the coordinator's children).
     pub dispatch_handshake_rejects_total: Counter,
     /// Remote workers that dialed back in after losing their connection
     /// (the worker reports its reconnect in the handshake).
