@@ -59,9 +59,9 @@ SUBCOMMANDS:
     help    Show this help
 
 COMMON ENGINE FLAGS (solve, batch, serve, dispatch, worker, bench):
-    --threads <N>        Worker threads for the parallel backend (batches,
-                         portfolio members; 0 = MSRS_THREADS or all cores)
-                                                                 [default: 0]
+    --threads <N>        Worker threads for a batch's instances (each one's
+                         portfolio members run one after another; 0 =
+                         MSRS_THREADS or all cores)              [default: 0]
     --no-baselines       Skip the prior-work baseline solvers
     --deadline-ms <D>    Per-instance wall-clock deadline (opt-in nondeterminism;
                          bypasses the result cache)
@@ -1245,7 +1245,7 @@ fn telemetry_delta(before: &telemetry::Snapshot, after: &telemetry::Snapshot) ->
 /// section — so baseline files double as observability fixtures.
 ///
 /// * `tiny_batch_1` / `tiny_batch_8` — per-call serving latency of a
-///   1-instance `Engine::solve` (parallel portfolio wave) and an
+///   1-instance `Engine::solve` (its member loop) and an
 ///   8-instance `Engine::solve_batch`, cache off: the per-operation
 ///   worker-dispatch overhead a persistent pool is supposed to shave.
 /// * `traffic_batch` — a `--count`-instance, 90%-duplicate `traffic`
@@ -1276,8 +1276,8 @@ fn run_baseline_suite(machines: usize, count: u64) -> Result<Vec<Json>, String> 
     // 9 jobs spread over `machines + 1` non-empty classes: Tiny-tier at the
     // default machine count (exact member planned) but strictly more
     // classes than machines, so the full portfolio — not the trivial
-    // single-member short-circuit — runs, and `Engine::solve` exercises the
-    // parallel member wave whose dispatch cost this experiment measures.
+    // single-member short-circuit — runs through `Engine::solve`'s member
+    // loop, whose per-call cost this experiment measures.
     let tiny = |seed: u64| {
         let k = machines + 1;
         let mut classes: Vec<Vec<msrs_core::Time>> = vec![Vec::new(); k];

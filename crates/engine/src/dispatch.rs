@@ -1180,6 +1180,8 @@ struct Coordinator<'a> {
     cfg: &'a DispatchConfig,
     /// Admits every worker connection, children included.
     acceptor: Acceptor,
+    /// The secret the children present in their `#hello`.
+    secret: String,
     /// Children spawned but not yet joined.
     pending: Vec<Pending>,
     /// Children in a row that never joined.
@@ -1210,15 +1212,16 @@ impl<'a> Coordinator<'a> {
         let (tx, rx) = mpsc::channel();
         let mut bytes = [0u8; 16];
         File::open("/dev/urandom")?.read_exact(&mut bytes)?;
-        let secret = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        let secret: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
         let admission = Admission {
             config_fp: cfg.config_fp,
-            secret,
+            secret: secret.clone(),
             open,
         };
         Ok(Coordinator {
             cfg,
-            acceptor: Acceptor::spawn(hub, tx.clone(), admission),
+            acceptor: hub.accept_workers(tx.clone(), admission)?,
+            secret,
             pending: Vec::new(),
             join_failures: 0,
             cache: None,
@@ -1274,7 +1277,7 @@ impl<'a> Coordinator<'a> {
                 .args(["--connect", &self.acceptor.addr.to_string()])
                 .args(["--reconnect-max", "0"])
                 .env("MSRS_WORKER_INDEX", ordinal.to_string())
-                .env(SECRET_ENV, &self.acceptor.admission.secret)
+                .env(SECRET_ENV, &self.secret)
                 .stdin(Stdio::null())
                 .stdout(Stdio::null())
                 .spawn()?;

@@ -1,9 +1,11 @@
-//! The engine: parallel portfolio/batch execution with certified selection.
+//! The engine: portfolio/batch execution with certified selection.
 //!
 //! All parallelism runs on the workspace's `rayon` backend (the chunked
 //! shared-queue scheduler in `vendor/rayon`): batches fan instances out
-//! across pool workers, and a single solve optionally fans its portfolio
-//! members out the same way. Deadlines are enforced *cooperatively*: a
+//! across pool workers, and each solve runs its portfolio members one
+//! after another, in canonical order, on the thread that took it. A
+//! member that panics is caught and reported as an `invalid` run; the
+//! other members still answer. Deadlines are enforced *cooperatively*: a
 //! [`CancelToken`] derived from
 //! [`EngineConfig::deadline`] is threaded into every member, and the
 //! unbounded solvers (exact branch-and-bound, EPTAS) poll it inside their
@@ -26,7 +28,7 @@ use msrs_telemetry::{registry, OutcomeStatus, Stage};
 
 use crate::cache::{CacheKey, ReportCache};
 use crate::journal::{fnv1a_64_extend, FNV_OFFSET};
-use crate::portfolio::{plan, Portfolio, SolverKind};
+use crate::portfolio::{plan, SolverKind};
 use crate::profile::{classify, InstanceProfile, SizeTier};
 use crate::report::{RunStatus, SolveReport, SolveRequest, SolverRun};
 
@@ -99,14 +101,11 @@ impl Default for EptasPolicy {
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads for the engine's pool (batch solving and parallel
-    /// portfolios); `0` = the backend default (`MSRS_THREADS` or available
+    /// Worker threads for the engine's pool, which solves the instances of
+    /// a batch in parallel (the members of one solve always run one after
+    /// another); `0` = the backend default (`MSRS_THREADS` or available
     /// parallelism).
     pub threads: usize,
-    /// Run portfolio members of a *single* [`Engine::solve`] on pool
-    /// workers (batches always parallelize across instances instead, so
-    /// workers are never oversubscribed).
-    pub parallel_portfolio: bool,
     /// Optional wall-clock deadline per instance, enforced *inside* the
     /// unbounded members: the exact branch-and-bound and the EPTAS poll a
     /// shared [`CancelToken`] and unwind cooperatively, reporting
@@ -153,7 +152,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             threads: 0,
-            parallel_portfolio: true,
             deadline: None,
             run_baselines: true,
             cache_capacity: cache_capacity_from_env(),
@@ -183,11 +181,11 @@ impl EngineConfig {
     }
 
     /// A stable fingerprint over every configuration field that can change
-    /// *report content* (as opposed to timings): the solver policies,
-    /// baseline participation, and the portfolio execution shape. Thread
-    /// count and cache capacity are deliberately excluded — reports are
-    /// bit-identical across both — so cache entries stay valid across
-    /// those knobs. Part of the [`CacheKey`].
+    /// *report content* (as opposed to timings): the solver policies and
+    /// baseline participation. Thread count and cache capacity are
+    /// deliberately excluded — reports are bit-identical across both — so
+    /// cache entries stay valid across those knobs. Part of the
+    /// [`CacheKey`].
     pub fn content_fingerprint(&self) -> u64 {
         // FNV-1a over the fields' little-endian words; stable across
         // platforms and runs, unlike `std::hash`.
@@ -259,14 +257,15 @@ struct MemberOutcome {
 }
 
 impl MemberOutcome {
-    /// A member the deadline preempted before it even started.
-    fn timed_out_unstarted() -> Self {
+    /// A run that left no schedule: unstarted, panicked, out of budget, or
+    /// invalid.
+    fn without_schedule(status: RunStatus, nodes: Option<u64>) -> Self {
         MemberOutcome {
-            status: RunStatus::TimedOut,
+            status,
             schedule: None,
             makespan: None,
             certified_horizon: None,
-            nodes: None,
+            nodes,
             wall_micros: 0,
         }
     }
@@ -379,8 +378,9 @@ impl Engine {
         Ok(stats)
     }
 
-    /// Solves one request with the planned portfolio (parallel across
-    /// members when [`EngineConfig::parallel_portfolio`] is set).
+    /// Solves one request with the planned portfolio, its members one
+    /// after another on the calling thread — the same loop a batch runs
+    /// for each of its instances, so both give the same report content.
     ///
     /// Every solve runs on the *canonical form* of the instance (sorted
     /// class multisets — order- and ID-insensitive) and the schedule is
@@ -395,11 +395,11 @@ impl Engine {
             if let Some(canonical) = self.cache.get(&key) {
                 return finalize((*canonical).clone(), &form, req, true, started);
             }
-            let canonical = Arc::new(self.solve_canonical(form.instance(), false));
+            let canonical = Arc::new(self.solve_canonical(form.instance()));
             self.cache.insert(key, Arc::clone(&canonical));
             return finalize((*canonical).clone(), &form, req, false, started);
         }
-        let canonical = self.solve_canonical(form.instance(), false);
+        let canonical = self.solve_canonical(form.instance());
         finalize(canonical, &form, req, false, started)
     }
 
@@ -448,18 +448,9 @@ impl Engine {
         self.cfg.pool().install(|| {
             (0..reqs.len())
                 .into_par_iter()
-                .map(move |i| engine.solve_one_worker(&shared[i]))
+                .map(move |i| engine.solve(&shared[i]))
                 .collect()
         })
-    }
-
-    /// Batch worker path (cache inactive): canonicalized sequential solve
-    /// through the worker's persistent [`SolveScratch`].
-    fn solve_one_worker(&self, req: &SolveRequest) -> SolveReport {
-        let started = Instant::now();
-        let form = canonical_form_pooled(&req.instance);
-        let canonical = self.solve_canonical(form.instance(), true);
-        finalize(canonical, &form, req, false, started)
     }
 
     /// Cache-enabled batch path: canonicalize, dedup, solve each distinct
@@ -506,7 +497,7 @@ impl Engine {
             pool.install(|| {
                 indices
                     .into_par_iter()
-                    .map(move |idx| engine.solve_canonical(shared_forms[idx].instance(), true))
+                    .map(move |idx| engine.solve_canonical(shared_forms[idx].instance()))
                     .collect()
             })
         };
@@ -530,9 +521,9 @@ impl Engine {
     }
 
     /// Solves a canonical instance, producing the canonical report (no id,
-    /// canonical job numbering). `on_worker` forces the sequential member
-    /// path (batch workers parallelize across instances instead).
-    fn solve_canonical(&self, inst: &Instance, on_worker: bool) -> SolveReport {
+    /// canonical job numbering). This is the one member loop: every
+    /// planned member runs in canonical order on the calling thread.
+    fn solve_canonical(&self, inst: &Instance) -> SolveReport {
         let (profile, portfolio) = {
             let _span = Stage::Plan.span();
             let profile = classify(inst);
@@ -540,25 +531,12 @@ impl Engine {
             (profile, portfolio)
         };
         let _span = Stage::MemberRace.span();
-        if !on_worker && self.cfg.parallel_portfolio && portfolio.members.len() > 1 {
-            self.run_parallel(inst, &profile, &portfolio)
-        } else {
-            self.run_sequential(inst, &profile, &portfolio)
-        }
-    }
-
-    fn run_sequential(
-        &self,
-        inst: &Instance,
-        profile: &InstanceProfile,
-        portfolio: &Portfolio,
-    ) -> SolveReport {
         let started = Instant::now();
         let cancel = self.cfg.cancel_token(started);
         // Members run with nested parallelism pinned off (exactly as they
-        // do on pool workers in the batch and parallel-portfolio paths), so
-        // a sequential portfolio produces bit-identical reports — including
-        // branch-and-bound node counts — at any ambient thread count.
+        // do on pool workers in a batch), so a report — including
+        // branch-and-bound node counts — is bit-identical at any ambient
+        // thread count.
         let one = rayon::ThreadPoolBuilder::new()
             .num_threads(1)
             .build()
@@ -568,9 +546,9 @@ impl Engine {
             // Honour the deadline between members; the first member is always
             // run so the report carries a schedule. Members that *do* start
             // additionally poll the token inside their own search loops.
-            let timed_out = idx > 0 && cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-            if timed_out {
-                outcomes.push((kind, MemberOutcome::timed_out_unstarted()));
+            if idx > 0 && cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+                let unstarted = MemberOutcome::without_schedule(RunStatus::TimedOut, None);
+                outcomes.push((kind, unstarted));
                 continue;
             }
             // The exact member is warm-started from the best heuristic
@@ -581,98 +559,23 @@ impl Engine {
             } else {
                 None
             };
-            outcomes.push((
-                kind,
-                one.install(|| run_solver(kind, inst, &self.cfg, cancel.as_ref(), warm.as_ref())),
-            ));
+            // A panic is a bug in that one solver: it is reported as an
+            // `Invalid` run, and the other members still answer.
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                one.install(|| run_solver(kind, inst, &self.cfg, cancel.as_ref(), warm.as_ref()))
+            }))
+            .unwrap_or_else(|payload| {
+                let reason = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "solver panicked".into());
+                let panicked = RunStatus::Invalid(format!("panic: {reason}"));
+                MemberOutcome::without_schedule(panicked, None)
+            });
+            outcomes.push((kind, outcome));
         }
-        assemble(profile, outcomes, started)
-    }
-
-    fn run_parallel(
-        &self,
-        inst: &Instance,
-        profile: &InstanceProfile,
-        portfolio: &Portfolio,
-    ) -> SolveReport {
-        let started = Instant::now();
-        let cancel = self.cfg.cancel_token(started);
-        // Two waves: every member except the exact solver races first, then
-        // the exact solver runs warm-started from the best heuristic
-        // schedule — the same incumbent the sequential path hands it, so
-        // both paths produce bit-identical report content. Every member
-        // joins: the unbounded ones poll the shared token and unwind
-        // cooperatively at the deadline, so joining cannot stall past
-        // deadline + slack. Panics inside a member are caught and surfaced
-        // as `Invalid` outcomes so a bug in one solver is reported instead
-        // of masquerading as a timeout.
-        let wave1: Vec<SolverKind> = portfolio
-            .members
-            .iter()
-            .copied()
-            .filter(|&k| k != SolverKind::Exact)
-            .collect();
-        // Members fan out as 'static pool jobs: they share an `Arc` of the
-        // canonical instance plus owned config/token clones (the instance
-        // clone is one allocation against a whole portfolio solve).
-        let shared_inst = Arc::new(inst.clone());
-        let shared_cfg = self.cfg.clone();
-        let shared_cancel = cancel.clone();
-        let wave_outcomes: Vec<(SolverKind, MemberOutcome)> = self.cfg.pool().install(|| {
-            wave1
-                .into_par_iter()
-                .map(move |kind| {
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_solver(
-                            kind,
-                            &shared_inst,
-                            &shared_cfg,
-                            shared_cancel.as_ref(),
-                            None,
-                        )
-                    }))
-                    .unwrap_or_else(|payload| {
-                        let reason = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "solver panicked".into());
-                        MemberOutcome {
-                            status: RunStatus::Invalid(format!("panic: {reason}")),
-                            schedule: None,
-                            makespan: None,
-                            certified_horizon: None,
-                            nodes: None,
-                            wall_micros: 0,
-                        }
-                    });
-                    (kind, outcome)
-                })
-                .collect()
-        });
-        // Reassemble in canonical member order, running the exact member
-        // (warm) in its slot. The warm incumbent considers only members
-        // *before* Exact in canonical order, mirroring run_sequential.
-        let mut outcomes: Vec<(SolverKind, MemberOutcome)> = Vec::new();
-        let mut wave_iter = wave_outcomes.into_iter();
-        for &kind in &portfolio.members {
-            if kind == SolverKind::Exact {
-                let warm = best_completed_schedule(&outcomes);
-                let one = rayon::ThreadPoolBuilder::new()
-                    .num_threads(1)
-                    .build()
-                    .expect("pool handles are always constructible");
-                outcomes.push((
-                    kind,
-                    one.install(|| {
-                        run_solver(kind, inst, &self.cfg, cancel.as_ref(), warm.as_ref())
-                    }),
-                ));
-            } else {
-                outcomes.push(wave_iter.next().expect("wave covers non-exact members"));
-            }
-        }
-        assemble(profile, outcomes, started)
+        assemble(&profile, outcomes, started)
     }
 }
 
@@ -719,6 +622,13 @@ fn finalize(
 /// terminal status (budget exhaustion).
 type RawAnswer = Result<(Schedule, Option<Time>), RunStatus>;
 
+/// Test-only fault injection: [`run_solver`] panics on these (machine
+/// count, member) pairs. A static, not a thread-local: batch members run
+/// on pool threads.
+#[cfg(test)]
+pub(crate) static INJECTED_PANICS: std::sync::Mutex<Vec<(usize, SolverKind)>> =
+    std::sync::Mutex::new(Vec::new());
+
 /// Runs one portfolio member, re-validating its output (defense in depth —
 /// the engine never trusts a schedule it did not check). The unbounded
 /// members (exact, EPTAS) poll `cancel` inside their search loops;
@@ -731,6 +641,14 @@ fn run_solver(
     cancel: Option<&CancelToken>,
     warm: Option<&Schedule>,
 ) -> MemberOutcome {
+    #[cfg(test)]
+    if INJECTED_PANICS
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .contains(&(inst.machines(), kind))
+    {
+        panic!("injected {} panic", kind.name());
+    }
     let started = Instant::now();
     let (result, nodes): (RawAnswer, Option<u64>) = match kind {
         SolverKind::FiveThirds => {
@@ -794,14 +712,7 @@ fn run_solver(
         }
     };
     let outcome = match result {
-        Err(status) => MemberOutcome {
-            status,
-            schedule: None,
-            makespan: None,
-            certified_horizon: None,
-            nodes,
-            wall_micros: 0,
-        },
+        Err(status) => MemberOutcome::without_schedule(status, nodes),
         Ok((schedule, certified_horizon)) => match validate(inst, &schedule) {
             Ok(()) => {
                 let makespan = schedule.makespan(inst);
@@ -814,14 +725,7 @@ fn run_solver(
                     wall_micros: 0,
                 }
             }
-            Err(e) => MemberOutcome {
-                status: RunStatus::Invalid(e.to_string()),
-                schedule: None,
-                makespan: None,
-                certified_horizon: None,
-                nodes,
-                wall_micros: 0,
-            },
+            Err(e) => MemberOutcome::without_schedule(RunStatus::Invalid(e.to_string()), nodes),
         },
     };
     MemberOutcome {
@@ -1006,20 +910,48 @@ mod tests {
             && r.nodes.is_some()));
     }
 
+    /// A report's JSON with every wall time zeroed.
+    fn untimed(mut report: SolveReport) -> String {
+        report.wall_micros = 0;
+        report.runs.iter_mut().for_each(|run| run.wall_micros = 0);
+        report.to_json().to_string()
+    }
+
     #[test]
-    fn sequential_and_parallel_portfolios_agree() {
-        let engine_par = Engine::new(EngineConfig::default());
-        let engine_seq = Engine::new(EngineConfig {
-            parallel_portfolio: false,
+    fn a_panicking_member_is_an_invalid_run() {
+        // No other test solves a 13-machine instance.
+        let panicky = msrs_gen::uniform(5, 13, 120, 30, 1, 50);
+        INJECTED_PANICS
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push((13, SolverKind::HebrardGreedy));
+        let plain = |seed| msrs_gen::uniform(seed, 3, 30, 8, 1, 40);
+        let reqs = [plain(1), panicky.clone(), plain(2)].map(SolveRequest::new);
+        let cfg = EngineConfig {
+            threads: 2,
+            cache_capacity: 0,
             ..EngineConfig::default()
-        });
-        for seed in 0..4 {
-            let inst = msrs_gen::photolithography(seed, 3, 9, 6);
-            let a = engine_par.solve_instance(&inst);
-            let b = engine_seq.solve_instance(&inst);
-            assert_eq!(a.makespan, b.makespan);
-            assert_eq!(a.winner, b.winner);
-            assert_eq!(a.certified_horizon, b.certified_horizon);
+        };
+        let engine = Engine::new(cfg.clone());
+        let reports = engine.solve_batch(&reqs);
+        assert_eq!(reports.len(), 3);
+        for report in [reports[1].clone(), engine.solve(&reqs[1])] {
+            let run = report
+                .runs
+                .iter()
+                .find(|r| r.solver == SolverKind::HebrardGreedy)
+                .expect("hebrard_greedy planned");
+            assert!(
+                matches!(&run.status, RunStatus::Invalid(why) if why.starts_with("panic:")),
+                "{:?}",
+                run.status
+            );
+            assert_eq!(validate(&panicky, &report.schedule), Ok(()));
+            assert!(report.makespan <= report.certified_horizon);
+        }
+        for i in [0, 2] {
+            let fresh = Engine::new(cfg.clone()).solve(&reqs[i]);
+            assert_eq!(untimed(reports[i].clone()), untimed(fresh));
         }
     }
 
@@ -1102,26 +1034,6 @@ mod tests {
         assert_eq!(validate(&inst, &report.schedule), Ok(()));
         assert!(report.makespan <= report.certified_horizon);
         assert!(!report.proven_optimal);
-    }
-
-    #[test]
-    fn deadline_bounds_the_sequential_path_too() {
-        let engine = Engine::new(EngineConfig {
-            deadline: Some(Duration::from_millis(40)),
-            parallel_portfolio: false,
-            exact: ExactPolicy {
-                max_jobs: 32,
-                max_classes: 32,
-                max_nodes: u64::MAX,
-            },
-            ..EngineConfig::default()
-        });
-        let inst = hard_exact_instance();
-        let started = Instant::now();
-        let report = engine.solve_instance(&inst);
-        assert!(started.elapsed() < Duration::from_secs(3));
-        assert!(report.runs.iter().any(|r| r.status == RunStatus::TimedOut));
-        assert_eq!(validate(&inst, &report.schedule), Ok(()));
     }
 
     #[test]

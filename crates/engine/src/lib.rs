@@ -14,11 +14,11 @@
 //!   instances where they are viable, and the prior-work baselines
 //!   (Hebrard-style greedy, list scheduling, class-merging LPT) as cheap
 //!   quality/latency trade-off probes;
-//! * [`engine`] — the [`Engine`]: runs portfolio members and whole instance
-//!   *batches* in parallel on worker threads, deterministically for a fixed
-//!   configuration, with optional wall-clock deadline cancellation, and
-//!   selects the best schedule *certified* by re-validation through
-//!   [`msrs_core::validate()`];
+//! * [`engine`] — the [`Engine`]: runs each solve's portfolio members one
+//!   after another and whole *batches* in parallel on worker threads,
+//!   deterministically for a fixed configuration, with optional wall-clock
+//!   deadline cancellation, and selects the best schedule *certified* by
+//!   re-validation through [`msrs_core::validate()`];
 //! * [`report`] — the typed [`SolveRequest`] / [`SolveReport`] API (solver
 //!   used, makespan, lower bound, certified horizon/ratio, wall time, one
 //!   [`SolverRun`] per portfolio member), suitable for a service frontend;

@@ -1,6 +1,11 @@
 //! Worker connections for `msrs dispatch`: the coordinator's listener +
 //! handshake acceptor, and the `msrs worker --connect` client loop.
 //!
+//! The `Acceptor` here is the crate's one accept loop: a thread blocked
+//! in `accept()` that hands each connection to a callback, stopped by a
+//! flag and one wake-up connection of its own. The dispatch hub and both
+//! `msrs serve` listeners run on it.
+//!
 //! Every worker reaches the coordinator through this module: the
 //! `--workers` children it spawns as well as remote workers dialing its
 //! `--listen` address. The shard protocol itself is in the
@@ -91,9 +96,29 @@ impl RemoteHub {
     pub fn local_addr(&self) -> SocketAddr {
         self.local
     }
+
+    /// Admits dialing workers on `self`: each connection gets a
+    /// short-lived handshake thread that either forwards the stream to the
+    /// coordinator as [`Msg::Joined`] or refuses it with a structured
+    /// `#reject` line.
+    pub(crate) fn accept_workers(
+        self,
+        tx: Sender<Msg>,
+        admission: Admission,
+    ) -> io::Result<Acceptor> {
+        let admission = Arc::new(admission);
+        Acceptor::spawn(self.listener, "msrs-hub", move |stream| {
+            let (tx, admission) = (tx.clone(), Arc::clone(&admission));
+            // When the OS refuses a thread, the dropped closure closes the
+            // connection, as a failed handshake would.
+            let _ = std::thread::Builder::new()
+                .name("msrs-handshake".into())
+                .spawn(move || handshake_accept(stream, &tx, &admission));
+        })
+    }
 }
 
-/// Whom the acceptor admits.
+/// Whom the hub admits.
 pub(crate) struct Admission {
     /// The coordinator's engine-config fingerprint.
     pub(crate) config_fp: u64,
@@ -103,22 +128,26 @@ pub(crate) struct Admission {
     pub(crate) open: bool,
 }
 
-/// The accept loop, on its own thread until the value is dropped: each
-/// connection gets a short-lived handshake thread that either forwards
-/// the stream to the coordinator as [`Msg::Joined`] or refuses it with a
-/// structured `#reject` line.
+/// A listener thread blocked in `accept()` that hands each connection to a
+/// callback, until the value is dropped. `msrs dispatch` runs its worker
+/// hub on one; `msrs serve` runs its session and metrics listeners on
+/// two.
 pub(crate) struct Acceptor {
-    /// The address children dial: the bound one, with an unspecified IP
-    /// replaced by loopback.
+    /// The address to dial the listener on: the bound one, with an
+    /// unspecified IP replaced by loopback.
     pub(crate) addr: SocketAddr,
-    pub(crate) admission: Arc<Admission>,
     stop: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
 }
 
 impl Acceptor {
-    pub(crate) fn spawn(hub: RemoteHub, tx: Sender<Msg>, admission: Admission) -> Acceptor {
-        let mut addr = hub.local;
+    /// Starts the thread `name`; an error means it could not start.
+    pub(crate) fn spawn(
+        listener: TcpListener,
+        name: &str,
+        mut on_conn: impl FnMut(TcpStream) + Send + 'static,
+    ) -> io::Result<Acceptor> {
+        let mut addr = listener.local_addr()?;
         if addr.ip().is_unspecified() {
             addr.set_ip(match addr {
                 SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
@@ -127,38 +156,36 @@ impl Acceptor {
         }
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
-        let admission = Arc::new(admission);
-        let shared = Arc::clone(&admission);
-        let thread = std::thread::spawn(move || {
-            for conn in hub.listener.incoming() {
-                if flag.load(Ordering::Relaxed) {
-                    return;
-                }
-                match conn {
-                    Ok(stream) => {
-                        let (tx, admission) = (tx.clone(), Arc::clone(&shared));
-                        std::thread::spawn(move || handshake_accept(stream, &tx, &admission));
+        let thread = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || {
+                for conn in listener.incoming() {
+                    // Set before the wake-up connection is made, so that
+                    // connection is closed here and never handed on.
+                    if flag.load(Ordering::SeqCst) {
+                        return;
                     }
-                    // Back off from a resource error (EMFILE) instead of
-                    // spinning on it.
-                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                    match conn {
+                        Ok(stream) => on_conn(stream),
+                        // Back off from a resource error (EMFILE) instead
+                        // of spinning on it.
+                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                    }
                 }
-            }
-        });
-        Acceptor {
+            })?;
+        Ok(Acceptor {
             addr,
-            admission,
             stop,
             thread: Some(thread),
-        }
+        })
     }
 }
 
 impl Drop for Acceptor {
     /// Sets the stop flag, wakes the blocked `accept` with one connection
-    /// of its own (never handshaken), and joins the thread.
+    /// of its own, and joins the thread.
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
         if let (Ok(_), Some(thread)) = (TcpStream::connect(self.addr), self.thread.take()) {
             let _ = thread.join();
         }
@@ -465,7 +492,8 @@ mod tests {
             secret: SECRET.into(),
             open: false,
         };
-        (Acceptor::spawn(hub, tx, admission), rx)
+        let acceptor = hub.accept_workers(tx, admission).expect("acceptor starts");
+        (acceptor, rx)
     }
 
     /// Dials the acceptor and sends `hello`.

@@ -41,8 +41,9 @@ pub enum RunStatus {
     /// cancelled cooperatively inside its search loop (its `wall_micros`
     /// then reports the true, overshoot-free runtime).
     TimedOut,
-    /// Produced output that failed re-validation (defense in depth — never
-    /// expected; such output is discarded and reported).
+    /// Produced output that failed re-validation, or panicked (`panic: …`)
+    /// — defense in depth, never expected; such output is discarded and
+    /// reported.
     Invalid(String),
 }
 

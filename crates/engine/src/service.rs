@@ -33,7 +33,8 @@
 //!   JSON (the same document `msrs stats --json` prints).
 //! * `#shutdown` — begins graceful shutdown: every session finishes the
 //!   requests it has already admitted, responses are flushed, then
-//!   connections close and the listener exits.
+//!   connections close and the listeners exit. A connection accepted
+//!   after shutdown began is closed unserved.
 //! * anything else starting with `#` is ignored, exactly as in a corpus.
 //!
 //! Deadlines: a server-wide `--deadline-ms` becomes the engine's
@@ -47,6 +48,11 @@
 //! GET with the Prometheus rendering of the registry (or JSON when the
 //! request path contains `json`) — the live equivalent of
 //! `msrs batch --metrics-out`.
+//!
+//! Both listeners block in `accept()` on the crate's one acceptor (the
+//! dispatch hub's, in [`crate::remote`]). Each session runs on its own
+//! thread, which is reaped when the session ends, by a panic too; the
+//! peer then sees EOF.
 //!
 //! ## Pipelined decode (`--decode-threads`)
 //!
@@ -62,21 +68,16 @@
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use msrs_telemetry::registry;
 
 use crate::engine::Engine;
 use crate::json::Json;
+use crate::remote::Acceptor;
 use crate::report::{RunStatus, SolveReport};
 use crate::stream::ServiceCore;
-
-/// How the accept and metrics loops poll for shutdown between
-/// non-blocking accepts: long enough to stay invisible in profiles,
-/// short enough that shutdown latency is imperceptible.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Configuration of one [`serve`] call.
 #[derive(Debug, Clone, Default)]
@@ -111,7 +112,7 @@ pub struct ServeSummary {
     pub errors: u64,
 }
 
-/// State shared by the accept loop, every session thread, and the handle.
+/// State shared by the listeners, every session thread, and the handle.
 struct ServerShared {
     engine: Engine,
     max_inflight: usize,
@@ -128,7 +129,9 @@ struct ServerShared {
     /// removed when its session exits — a lingering clone would keep the
     /// socket's write half open and rob the peer of its EOF.
     sessions: Mutex<Vec<(u64, TcpStream)>>,
-    session_threads: Mutex<Vec<JoinHandle<()>>>,
+    /// Signalled, under `sessions`, when shutdown begins and when a
+    /// session ends.
+    changed: Condvar,
     sessions_total: AtomicU64,
     requests_total: AtomicU64,
     sheds_total: AtomicU64,
@@ -172,13 +175,40 @@ impl ServerShared {
     /// write halves stay open: in-flight requests still deliver their
     /// responses before the sessions close.
     fn begin_shutdown(&self) {
+        let sessions = self.sessions.lock().expect("session list lock");
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        let sessions = self.sessions.lock().expect("session list lock");
         for (_, stream) in sessions.iter() {
             let _ = stream.shutdown(Shutdown::Read);
         }
+        self.changed.notify_all();
+    }
+}
+
+/// An open session's entry in [`ServerShared::sessions`]. Dropping it
+/// removes the entry, so the peer sees EOF and [`ServerHandle::wait`]
+/// wakes. It drops when the session thread ends, by a panic too, or
+/// when that thread cannot start.
+struct Registered {
+    shared: Arc<ServerShared>,
+    id: u64,
+}
+
+impl Drop for Registered {
+    fn drop(&mut self) {
+        let mut sessions = self
+            .shared
+            .sessions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(at) = sessions.iter().position(|(id, _)| *id == self.id) {
+            // FIN first: a close with request bytes still unread sends a
+            // reset, which the peer must meet after its EOF, not instead.
+            let _ = sessions.swap_remove(at).1.shutdown(Shutdown::Write);
+        }
+        registry().serve_sessions_open.sub(1);
+        self.shared.changed.notify_all();
     }
 }
 
@@ -187,8 +217,9 @@ impl ServerShared {
 /// line from any client).
 pub struct ServerHandle {
     shared: Arc<ServerShared>,
-    accept_thread: JoinHandle<()>,
-    metrics_thread: Option<JoinHandle<()>>,
+    /// The session listener, then the metrics listener if one was asked
+    /// for; dropping them stops both.
+    _listeners: Vec<Acceptor>,
     local_addr: SocketAddr,
     metrics_local_addr: Option<SocketAddr>,
 }
@@ -210,24 +241,16 @@ impl ServerHandle {
         self.shared.begin_shutdown();
     }
 
-    /// Blocks until the accept loop and every session have exited and
-    /// returns the lifetime totals. Call after
+    /// Blocks until shutdown has begun and every session has ended, then
+    /// stops both listeners and returns the lifetime totals. Call after
     /// [`begin_shutdown`](Self::begin_shutdown) (or rely on a client's
     /// `#shutdown`).
     pub fn wait(self) -> ServeSummary {
-        let _ = self.accept_thread.join();
-        loop {
-            let handle = self.shared.session_threads.lock().expect("threads").pop();
-            match handle {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => break,
-            }
-        }
-        if let Some(metrics) = self.metrics_thread {
-            let _ = metrics.join();
-        }
+        let sessions = self.shared.sessions.lock().expect("session list lock");
+        let ended = self.shared.changed.wait_while(sessions, |open| {
+            !self.shared.shutdown.load(Ordering::SeqCst) || !open.is_empty()
+        });
+        drop(ended.expect("session list lock"));
         ServeSummary {
             sessions: self.shared.sessions_total.load(Ordering::SeqCst),
             requests: self.shared.requests_total.load(Ordering::SeqCst),
@@ -239,12 +262,14 @@ impl ServerHandle {
 
 /// Binds `addr` and starts serving JSONL sessions on `engine` (one
 /// thread per connection, all sharing the engine's result cache and
-/// worker pool). Returns once the listener is bound; drive shutdown via
-/// the returned handle or a `#shutdown` control line.
+/// worker pool). Returns once the listeners are bound and their threads
+/// run; drive shutdown via the returned handle or a `#shutdown` control
+/// line.
 pub fn serve(engine: Engine, addr: &str, config: ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let local_addr = listener.local_addr()?;
+    let metrics = config.metrics_addr.map(TcpListener::bind).transpose()?;
+    let metrics_local_addr = metrics.as_ref().map(TcpListener::local_addr).transpose()?;
     let shared = Arc::new(ServerShared {
         engine,
         max_inflight: config.max_inflight,
@@ -254,85 +279,61 @@ pub fn serve(engine: Engine, addr: &str, config: ServeConfig) -> io::Result<Serv
         shutdown: AtomicBool::new(false),
         inflight: AtomicUsize::new(0),
         sessions: Mutex::new(Vec::new()),
-        session_threads: Mutex::new(Vec::new()),
+        changed: Condvar::new(),
         sessions_total: AtomicU64::new(0),
         requests_total: AtomicU64::new(0),
         sheds_total: AtomicU64::new(0),
         errors_total: AtomicU64::new(0),
     });
-    let (metrics_thread, metrics_local_addr) = match config.metrics_addr.as_deref() {
-        Some(addr) => {
-            let listener = TcpListener::bind(addr)?;
-            listener.set_nonblocking(true)?;
-            let bound = listener.local_addr()?;
-            let shared = Arc::clone(&shared);
-            let thread = std::thread::Builder::new()
-                .name("msrs-metrics".into())
-                .spawn(move || metrics_loop(&listener, &shared))
-                .expect("metrics thread spawns");
-            (Some(thread), Some(bound))
-        }
-        None => (None, None),
-    };
     let accept_shared = Arc::clone(&shared);
-    let accept_thread = std::thread::Builder::new()
-        .name("msrs-accept".into())
-        .spawn(move || accept_loop(&listener, &accept_shared))
-        .expect("accept thread spawns");
+    let mut listeners = vec![Acceptor::spawn(listener, "msrs-accept", move |stream| {
+        start_session(stream, &accept_shared)
+    })?];
+    if let Some(listener) = metrics {
+        listeners.push(Acceptor::spawn(listener, "msrs-metrics", |mut stream| {
+            let _ = serve_metrics_request(&mut stream);
+        })?);
+    }
     Ok(ServerHandle {
         shared,
-        accept_thread,
-        metrics_thread,
+        _listeners: listeners,
         local_addr,
         metrics_local_addr,
     })
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Responses are small single-line writes in a request-response
-                // protocol: leaving Nagle on would stall each one behind the
-                // peer's delayed ACK.
-                let _ = stream.set_nodelay(true);
-                let session_id = shared.sessions_total.fetch_add(1, Ordering::SeqCst);
-                registry().serve_sessions_total.inc();
-                registry().serve_sessions_open.add(1);
-                if let Ok(clone) = stream.try_clone() {
-                    shared
-                        .sessions
-                        .lock()
-                        .expect("session list lock")
-                        .push((session_id, clone));
-                }
-                let session_shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name("msrs-session".into())
-                    .spawn(move || {
-                        let _ = session_loop(stream, &session_shared);
-                        // Deregister so the last handle on the socket drops
-                        // with this thread and the peer sees a clean close.
-                        session_shared
-                            .sessions
-                            .lock()
-                            .expect("session list lock")
-                            .retain(|(id, _)| *id != session_id);
-                        registry().serve_sessions_open.sub(1);
-                    })
-                    .expect("session thread spawns");
-                shared
-                    .session_threads
-                    .lock()
-                    .expect("threads lock")
-                    .push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
+/// Registers an accepted connection and starts its session thread. A
+/// connection accepted after shutdown has begun, or one whose socket or
+/// thread cannot be set up, is closed unserved.
+fn start_session(stream: TcpStream, shared: &Arc<ServerShared>) {
+    // Responses are small single-line writes in a request-response
+    // protocol: leaving Nagle on would stall each one behind the peer's
+    // delayed ACK.
+    let _ = stream.set_nodelay(true);
+    let Ok(clone) = stream.try_clone() else {
+        return;
+    };
+    let mut sessions = shared.sessions.lock().expect("session list lock");
+    // Checked under the lock `begin_shutdown` holds, so no session
+    // registers after its sweep and keeps a reader it cannot unblock.
+    if shared.shutdown.load(Ordering::SeqCst) {
+        return;
     }
+    let id = shared.sessions_total.fetch_add(1, Ordering::SeqCst);
+    sessions.push((id, clone));
+    drop(sessions);
+    registry().serve_sessions_total.inc();
+    registry().serve_sessions_open.add(1);
+    let session = Registered {
+        shared: Arc::clone(shared),
+        id,
+    };
+    let _ = std::thread::Builder::new()
+        .name("msrs-session".into())
+        .spawn(move || {
+            let _ = session_loop(stream, &session.shared);
+            drop(session);
+        });
 }
 
 /// Renders one structured error line (including the trailing newline).
@@ -715,20 +716,6 @@ fn serve_burst(
 /// A minimal HTTP/1.1 responder for the metrics listener: every GET gets
 /// the Prometheus rendering (JSON when the path mentions `json`),
 /// `Connection: close`.
-fn metrics_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let _ = serve_metrics_request(&mut stream);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
-
 fn serve_metrics_request(stream: &mut TcpStream) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     // Read just the request head (first line is all we route on).
@@ -752,4 +739,37 @@ fn serve_metrics_request(stream: &mut TcpStream) -> io::Result<()> {
     stream.write_all(header.as_bytes())?;
     stream.write_all(body.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::INJECTED_PANICS;
+    use crate::portfolio::SolverKind;
+
+    #[test]
+    fn a_panicking_session_still_closes() {
+        // No other test solves an 11-machine instance. With every member
+        // panicking, `assemble` panics inside the session thread.
+        INJECTED_PANICS
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .extend(SolverKind::all().map(|kind| (11, kind)));
+        let engine = Engine::new(crate::EngineConfig {
+            cache_capacity: 0,
+            ..crate::EngineConfig::default()
+        });
+        let handle = serve(engine, "127.0.0.1:0", ServeConfig::default()).expect("server binds");
+        let mut client = TcpStream::connect(handle.local_addr()).expect("client connects");
+        let inst = msrs_gen::uniform(3, 11, 80, 20, 1, 30);
+        let line = crate::jsonl::write_instance_line(Some("p"), &inst) + "\n";
+        client.write_all(line.as_bytes()).expect("request sent");
+        client
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("timeout set");
+        let mut reply = Vec::new();
+        client.read_to_end(&mut reply).expect("EOF within 2 s");
+        handle.begin_shutdown();
+        handle.wait();
+    }
 }

@@ -19,7 +19,10 @@
 //!   `idle_timeout` line after `--idle-timeout-ms`, a session that served
 //!   `--max-requests-per-session` requests is closed with a
 //!   `session_limit` line, and a peer that hangs up mid-conversation ends
-//!   its session cleanly (counted, never a session-thread error).
+//!   its session cleanly (counted, never a session-thread error);
+//! * **connection churn** — thousands of one-request connections to a
+//!   `msrs serve` process are each answered without a poll delay, and
+//!   leave its address space and thread count flat.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -712,4 +715,110 @@ fn peer_disconnect_ends_session_cleanly() {
     handle.begin_shutdown();
     let summary = handle.wait();
     assert_eq!(summary.sessions, 2);
+}
+
+/// A spawned `msrs serve`, killed on drop so a failing test never leaks
+/// it.
+#[cfg(target_os = "linux")]
+struct ServerProcess(std::process::Child);
+
+#[cfg(target_os = "linux")]
+impl Drop for ServerProcess {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// A `/proc/<pid>/status` field's leading number (`VmSize` is in kB).
+#[cfg(target_os = "linux")]
+fn proc_status(pid: u32, field: &str) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("status readable");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))
+        .and_then(|v| v.split_whitespace().next()?.parse().ok())
+        .unwrap_or_else(|| panic!("no {field} in /proc/{pid}/status"))
+}
+
+/// Finished sessions are reaped and no accept waits on a poll: 2,000
+/// sequential one-request connections to a `msrs serve` process stay
+/// fast, and leave its address space and thread count flat.
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_connection_churn_stays_fast_and_flat() {
+    use std::process::{Command, Stdio};
+    let mut server = ServerProcess(
+        Command::new(env!("CARGO_BIN_EXE_msrs"))
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            // glibc reserves 64 MiB of address space for each malloc arena
+            // and adds one whenever more threads than ever before overlap,
+            // so a scheduling stall alone could move VmSize by 64 MiB. One
+            // arena leaves VmSize to measure stacks and heap.
+            .env("MALLOC_ARENA_MAX", "1")
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("msrs serve starts"),
+    );
+    let pid = server.0.id();
+    let mut stderr = BufReader::new(server.0.stderr.take().expect("stderr piped"));
+    let addr = loop {
+        let mut line = String::new();
+        assert!(
+            stderr.read_line(&mut line).expect("stderr readable") > 0,
+            "msrs serve exited before listening"
+        );
+        if let Some(addr) = line.trim().strip_prefix("serve: listening on ") {
+            break addr.to_string();
+        }
+    };
+    let request = tiny_line("churn") + "\n";
+    let started = Instant::now();
+    let mut at_500 = (0, 0);
+    for i in 0..2000 {
+        if i == 500 {
+            at_500 = (proc_status(pid, "VmSize"), proc_status(pid, "Threads"));
+        }
+        let mut conn = TcpStream::connect(&addr).expect("server accepts");
+        conn.write_all(request.as_bytes()).expect("request sent");
+        let mut reply = String::new();
+        BufReader::new(&conn)
+            .read_line(&mut reply)
+            .expect("reply read");
+        assert!(reply.contains("\"makespan\""), "{reply:?}");
+    }
+    let elapsed = started.elapsed();
+    let (vm_kb, threads) = (proc_status(pid, "VmSize"), proc_status(pid, "Threads"));
+    assert!(
+        vm_kb < at_500.0 + 64 * 1024,
+        "VmSize grew from {} to {vm_kb} kB",
+        at_500.0
+    );
+    assert!(
+        threads <= at_500.1 + 2,
+        "threads grew from {} to {threads}",
+        at_500.1
+    );
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "2000 connections took {elapsed:?}"
+    );
+    TcpStream::connect(&addr)
+        .expect("server accepts")
+        .write_all(b"#shutdown\n")
+        .expect("shutdown sent");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = server.0.try_wait().expect("server pollable") {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "server still up 5 s after #shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "{status}");
 }

@@ -22,9 +22,9 @@
 //! * [`multires`] — the multi-resource extension, DPLL SAT substrate, and
 //!   the Theorem 23 inapproximability reduction;
 //! * [`engine`] — the solver-portfolio orchestrator: instance
-//!   classification, parallel portfolio/batch execution with deterministic
-//!   reports, certified best-of selection, JSON-lines corpus I/O, and the
-//!   `msrs` CLI (`gen` / `solve` / `batch` / `bench`).
+//!   classification, portfolio and parallel batch execution with
+//!   deterministic reports, certified best-of selection, JSON-lines corpus
+//!   I/O, and the `msrs` CLI (`gen` / `solve` / `batch` / `bench`).
 //!
 //! ## Quickstart
 //!

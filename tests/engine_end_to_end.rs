@@ -106,7 +106,6 @@ fn report_digest_is_pinned() {
     use msrs::engine::{checkpoint::fnv1a_64, classify, SizeTier};
     let engine = Engine::new(EngineConfig {
         threads: 1,
-        parallel_portfolio: false,
         cache_capacity: 0,
         ..EngineConfig::default()
     });
