@@ -93,8 +93,6 @@ BATCH FLAGS:
                          stage-latency histograms, per-(profile, member)
                          outcome table) to this file
     --metrics-format <F> Snapshot format: json|prometheus        [default: json]
-    --decode-threads <N> Decode shards on N pool workers instead of inline on
-                         the reader thread (0/1 = inline)        [default: 1]
     --cache-path <P>     Durable result-cache store: warm-load compatible
                          records on start, persist fresh solves write-through
                          (crash-safe append-only segment log)
@@ -115,9 +113,6 @@ SERVE FLAGS:
     --max-requests-per-session <N> Close a session with a structured
                          `session_limit` error line after N served requests
                          (0 = unlimited)                         [default: 0]
-    --decode-threads <N> Decode bursts of pipelined request lines on N pool
-                         workers instead of inline (0/1 = inline; response
-                         order is preserved)                     [default: 1]
     --cache-path <P>     Durable result-cache store: a restarted server
                          answers previously served traffic from the fast
                          path immediately (warm restart)
@@ -172,8 +167,6 @@ WORKER FLAGS:
                                                                  [default: 200]
     --reconnect-max <N>  Consecutive failed connection attempts before the
                          worker gives up                         [default: 8]
-    --decode-threads <N> Decode shard lines on N pool workers instead of
-                         inline (0/1 = inline)                   [default: 1]
 
 STATS FLAGS:
     --input <PATH|->     A JSON telemetry snapshot (from `batch --metrics-out`)
@@ -225,7 +218,6 @@ fn main() -> ExitCode {
             "--shard-size",
             "--metrics-out",
             "--metrics-format",
-            "--decode-threads",
             "--cache-path",
         ],
         "serve" => &[
@@ -235,7 +227,6 @@ fn main() -> ExitCode {
             "--quiet",
             "--idle-timeout-ms",
             "--max-requests-per-session",
-            "--decode-threads",
             "--cache-path",
         ],
         "dispatch" => &[
@@ -264,7 +255,6 @@ fn main() -> ExitCode {
             "--connect",
             "--reconnect-ms",
             "--reconnect-max",
-            "--decode-threads",
         ],
         "stats" => &["--input"],
         "bench" => &[
@@ -602,10 +592,8 @@ fn cmd_batch(flags: &Flags) -> Result<(), String> {
         }
     };
     check_metrics_format(flags)?;
-    let decode_threads: usize = flags.get_num("--decode-threads", 1)?;
     let before = telemetry::snapshot();
     let outcome = JsonlServer::new()
-        .with_decode_threads(decode_threads)
         .serve(&engine, input, &mut out, shard_size)
         .map_err(|e| format!("writing reports: {e}"))?;
     out.flush().map_err(|e| format!("writing reports: {e}"))?;
@@ -691,7 +679,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         metrics_addr: flags.get("--metrics-addr").map(String::from),
         idle_timeout,
         max_requests_per_session: flags.get_num("--max-requests-per-session", 0usize)?,
-        decode_threads: flags.get_num("--decode-threads", 1usize)?,
     };
     let handle =
         service::serve(engine, addr, config).map_err(|e| format!("binding {addr}: {e}"))?;
@@ -943,7 +930,6 @@ fn cmd_worker(flags: &Flags) -> Result<(), String> {
                 .max(1),
         ),
         reconnect_attempts: flags.get_num("--reconnect-max", defaults.reconnect_attempts)?,
-        decode_threads: flags.get_num("--decode-threads", 1)?,
         ..defaults
     };
     run_remote_worker(&engine, &cfg).map_err(|e| format!("worker: {e}"))
@@ -1255,9 +1241,7 @@ fn telemetry_delta(before: &telemetry::Snapshot, after: &telemetry::Snapshot) ->
 ///   corpus pushed through the byte-level serving data plane
 ///   (`JsonlServer`, default shard size) at 4 threads with the default
 ///   cache: sustained bytes-in→bytes-out throughput in O(shard) memory,
-///   with the parse/solve/serialize time split recorded — once with the
-///   sequential zero-allocation decode and once with `--decode-threads 4`
-///   (`stream_traffic_pardecode`, the parallel-decode ablation).
+///   with the parse/solve/serialize time split recorded.
 /// * `serve_tcp` — the same traffic family served over loopback TCP
 ///   through `msrs serve`: 4 concurrent sessions in request-response
 ///   lockstep against one shared engine, measuring per-request service
@@ -1416,67 +1400,59 @@ fn run_baseline_suite(machines: usize, count: u64) -> Result<Vec<Json>, String> 
             ));
             corpus.push('\n');
         }
-        // Sequential decode (the zero-allocation path) vs the same corpus
-        // with shard decode fanned out over 4 pool workers: the ablation
-        // isolating the single-reader parse bottleneck.
-        for (name, decode_threads) in [("stream_traffic", 1usize), ("stream_traffic_pardecode", 4)]
-        {
-            let engine = Engine::new(EngineConfig {
-                threads: 4,
-                cache_capacity: DEFAULT_CACHE_CAPACITY,
-                ..EngineConfig::default()
-            });
-            let mut sink = std::io::sink();
-            let t_before = telemetry::snapshot();
-            let start = std::time::Instant::now();
-            let outcome = JsonlServer::new()
-                .with_decode_threads(decode_threads)
-                .serve(&engine, corpus.as_bytes(), &mut sink, DEFAULT_SHARD_SIZE)
-                .map_err(|e| format!("stream: {e}"))?;
-            let wall = start.elapsed().as_micros() as i128;
-            let s = outcome.stats;
-            let ips = s.instances as f64 / (wall.max(1) as f64 / 1e6);
-            eprintln!(
-                "{name}: {} instances in {} shard(s), {wall} µs \
-                 ({ips:.0} inst/s, {} cache-served, max resident {}; \
-                 parse {} µs, canonicalize {} µs, solve {} µs, serialize {} µs)",
-                s.instances,
-                s.shards,
-                s.fast_path_hits,
-                s.max_resident,
-                s.parse_micros,
-                s.canon_micros,
-                s.solve_micros,
-                s.serialize_micros,
-            );
-            experiments.push(Json::Obj(vec![
-                ("name".into(), Json::Str(name.into())),
-                ("threads".into(), Json::Num(4)),
-                (
-                    "cache_capacity".into(),
-                    Json::Num(DEFAULT_CACHE_CAPACITY as i128),
-                ),
-                ("decode_threads".into(), Json::Num(decode_threads as i128)),
-                ("instances".into(), Json::Num(s.instances as i128)),
-                ("shards".into(), Json::Num(s.shards as i128)),
-                ("shard_size".into(), Json::Num(s.shard_size as i128)),
-                ("max_resident".into(), Json::Num(s.max_resident as i128)),
-                ("fast_path_hits".into(), Json::Num(s.fast_path_hits as i128)),
-                ("wall_micros".into(), Json::Num(wall)),
-                ("parse_micros".into(), Json::Num(s.parse_micros as i128)),
-                ("canon_micros".into(), Json::Num(s.canon_micros as i128)),
-                ("solve_micros".into(), Json::Num(s.solve_micros as i128)),
-                (
-                    "serialize_micros".into(),
-                    Json::Num(s.serialize_micros as i128),
-                ),
-                ("instances_per_sec".into(), Json::Num(ips as i128)),
-                (
-                    "telemetry".into(),
-                    telemetry_delta(&t_before, &telemetry::snapshot()),
-                ),
-            ]));
-        }
+        let engine = Engine::new(EngineConfig {
+            threads: 4,
+            cache_capacity: DEFAULT_CACHE_CAPACITY,
+            ..EngineConfig::default()
+        });
+        let mut sink = std::io::sink();
+        let t_before = telemetry::snapshot();
+        let start = std::time::Instant::now();
+        let outcome = JsonlServer::new()
+            .serve(&engine, corpus.as_bytes(), &mut sink, DEFAULT_SHARD_SIZE)
+            .map_err(|e| format!("stream: {e}"))?;
+        let wall = start.elapsed().as_micros() as i128;
+        let s = outcome.stats;
+        let ips = s.instances as f64 / (wall.max(1) as f64 / 1e6);
+        eprintln!(
+            "stream_traffic: {} instances in {} shard(s), {wall} µs \
+             ({ips:.0} inst/s, {} cache-served, max resident {}; \
+             parse {} µs, canonicalize {} µs, solve {} µs, serialize {} µs)",
+            s.instances,
+            s.shards,
+            s.fast_path_hits,
+            s.max_resident,
+            s.parse_micros,
+            s.canon_micros,
+            s.solve_micros,
+            s.serialize_micros,
+        );
+        experiments.push(Json::Obj(vec![
+            ("name".into(), Json::Str("stream_traffic".into())),
+            ("threads".into(), Json::Num(4)),
+            (
+                "cache_capacity".into(),
+                Json::Num(DEFAULT_CACHE_CAPACITY as i128),
+            ),
+            ("instances".into(), Json::Num(s.instances as i128)),
+            ("shards".into(), Json::Num(s.shards as i128)),
+            ("shard_size".into(), Json::Num(s.shard_size as i128)),
+            ("max_resident".into(), Json::Num(s.max_resident as i128)),
+            ("fast_path_hits".into(), Json::Num(s.fast_path_hits as i128)),
+            ("wall_micros".into(), Json::Num(wall)),
+            ("parse_micros".into(), Json::Num(s.parse_micros as i128)),
+            ("canon_micros".into(), Json::Num(s.canon_micros as i128)),
+            ("solve_micros".into(), Json::Num(s.solve_micros as i128)),
+            (
+                "serialize_micros".into(),
+                Json::Num(s.serialize_micros as i128),
+            ),
+            ("instances_per_sec".into(), Json::Num(ips as i128)),
+            (
+                "telemetry".into(),
+                telemetry_delta(&t_before, &telemetry::snapshot()),
+            ),
+        ]));
     }
 
     // -- Concurrent TCP serving through `msrs serve`. ----------------------

@@ -152,7 +152,7 @@ use crate::json::{Json, JsonError};
 use crate::jsonl::CorpusError;
 use crate::remote::{Acceptor, Admission, RemoteHub, REMOTE_PROTO_VERSION, SECRET_ENV};
 use crate::report::SolveReport;
-use crate::stream::{ServiceCore, StreamStats};
+use crate::stream::{DecodedLine, PreDecoder, ServiceCore, StreamStats};
 use crate::Engine;
 
 /// Default worker heartbeat period.
@@ -342,12 +342,15 @@ pub(crate) enum WorkerExit {
 /// Injected faults (`MSRS_FAULT`) mostly terminate the *process* via
 /// [`std::process::exit`]; they exist for the crash-tolerance test suite
 /// and CI.
+///
+/// `_decode_threads` is ignored: the worker decodes every line on its own
+/// thread.
 pub fn run_worker<R, W>(
     engine: &Engine,
     input: R,
     output: W,
     heartbeat: Duration,
-    decode_threads: usize,
+    _decode_threads: usize,
 ) -> io::Result<()>
 where
     R: BufRead,
@@ -356,15 +359,7 @@ where
     let worker_index = std::env::var("MSRS_WORKER_INDEX")
         .ok()
         .and_then(|v| v.parse().ok());
-    run_worker_conn(
-        engine,
-        input,
-        output,
-        heartbeat,
-        worker_index,
-        decode_threads,
-    )
-    .map(|_| ())
+    run_worker_conn(engine, input, output, heartbeat, worker_index).map(|_| ())
 }
 
 /// One connected worker session over any `(BufRead, Write)` pair (a TCP
@@ -377,7 +372,6 @@ pub(crate) fn run_worker_conn<R, W>(
     output: W,
     heartbeat: Duration,
     worker_index: Option<u64>,
-    decode_threads: usize,
 ) -> io::Result<WorkerExit>
 where
     R: BufRead,
@@ -392,14 +386,7 @@ where
         Arc::clone(&hb_enabled),
         heartbeat,
     );
-    let result = worker_loop(
-        engine,
-        input,
-        &out,
-        &hb_enabled,
-        worker_index,
-        decode_threads,
-    );
+    let result = worker_loop(engine, input, &out, &hb_enabled, worker_index);
     stop.store(true, Ordering::Relaxed);
     let _ = hb_thread.join();
     match result {
@@ -437,15 +424,14 @@ fn worker_loop<R: BufRead, W: Write + Send>(
     out: &Arc<Mutex<W>>,
     hb_enabled: &Arc<AtomicBool>,
     worker_index: Option<u64>,
-    decode_threads: usize,
 ) -> io::Result<WorkerExit> {
     let fault = FaultSpec::from_env();
     let mut core = ServiceCore::new();
+    // The decode-first pass decodes into buffers of its own, never into
+    // the core that then admits the lines.
+    let mut predecoder = PreDecoder::default();
     let mut buf = String::new();
     let mut lines: Vec<String> = Vec::new();
-    // Built lazily: only shards that use the burst-decode path (the
-    // fleet cache exchange, or `--decode-threads` > 1) need a pool.
-    let mut pool: Option<rayon::ThreadPool> = None;
     loop {
         buf.clear();
         if input.read_line(&mut buf)? == 0 {
@@ -486,33 +472,23 @@ fn worker_loop<R: BufRead, W: Write + Send>(
                 _ => inject_fault(f, out, hb_enabled)?,
             }
         }
-        // Burst-decode up front when the coordinator offers the shared
-        // cache (we need fingerprints before solving to probe it) or when
-        // pipelined decode was requested; otherwise keep the sequential
-        // admit path byte-for-byte as before.
-        let serve_cache = engine.serve_cache_active();
+        // Decode the whole shard first when the coordinator offers the
+        // shared cache: probing it needs every fingerprint before solving.
+        // Otherwise the core decodes each line as it admits it.
         let mut decoded = None;
         let mut fills = Vec::new();
-        if ((cache_plane && serve_cache) || decode_threads > 1) && !lines.is_empty() {
-            let pool = pool.get_or_insert_with(|| {
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(decode_threads.max(1))
-                    .build()
-                    .expect("pool handles are always constructible")
-            });
-            let numbered: Vec<(usize, &str)> = lines
+        if cache_plane && engine.serve_cache_active() && !lines.is_empty() {
+            // Shard-local 1-based ordinals, as `solve_shard` numbers them.
+            let shard_lines: Vec<DecodedLine> = lines
                 .iter()
                 .enumerate()
-                .map(|(i, l)| (i + 1, l.as_str()))
+                .map(|(i, line)| predecoder.decode(i + 1, line))
                 .collect();
-            let burst = crate::stream::decode_burst(pool, &numbered, serve_cache);
-            if cache_plane && serve_cache {
-                match cache_exchange(engine, &mut input, out, &burst)? {
-                    Some(f) => fills = f,
-                    None => return Ok(WorkerExit::Eof),
-                }
+            match cache_exchange(engine, &mut input, out, &shard_lines)? {
+                Some(f) => fills = f,
+                None => return Ok(WorkerExit::Eof),
             }
-            decoded = Some(burst);
+            decoded = Some(shard_lines);
         }
         solve_shard(
             engine,
@@ -561,15 +537,13 @@ fn cache_exchange<R: BufRead, W: Write + Send>(
     engine: &Engine,
     input: &mut R,
     out: &Arc<Mutex<W>>,
-    decoded: &[crate::stream::DecodedLine],
+    decoded: &[DecodedLine],
 ) -> io::Result<Option<Vec<u128>>> {
     let mut probes: Vec<u128> = Vec::new();
     let mut seen: HashSet<u128> = HashSet::new();
-    for line in decoded {
-        if let Ok((Some(fp), _)) = line {
-            if seen.insert(*fp) && engine.serve_cached_peek(*fp).is_none() {
-                probes.push(*fp);
-            }
+    for (fp, _) in decoded.iter().flatten() {
+        if seen.insert(*fp) && engine.serve_cached_peek(*fp).is_none() {
+            probes.push(*fp);
         }
     }
     if probes.is_empty() {
@@ -683,14 +657,14 @@ fn inject_fault<W: Write + Send>(
 }
 
 /// One shard assignment as the worker solves it: the raw lines, the
-/// optional pre-decoded burst, and the cache-plane obligations attached
-/// to it.
+/// lines the decode-first pass decoded, if it ran, and the cache-plane
+/// obligations attached to it.
 struct ShardJob<'a> {
     shard: usize,
     attempt: u32,
     worker_index: Option<u64>,
     lines: &'a [String],
-    decoded: Option<Vec<crate::stream::DecodedLine>>,
+    decoded: Option<Vec<DecodedLine>>,
     fills: Vec<u128>,
     dup_done: bool,
     stale_fill_ms: Option<u64>,
@@ -708,9 +682,8 @@ fn solve_shard<W: Write + Send>(
     let mut error = None;
     match job.decoded {
         Some(decoded) => {
-            // Decoded lines carry their shard-local 1-based ordinal
-            // already (decode_burst is handed numbered lines), so the
-            // first error matches the sequential path byte-for-byte.
+            // The pass numbered the lines as below, so the first error
+            // matches the sequential path byte-for-byte.
             for line in decoded {
                 match line {
                     Ok((fingerprint, request)) => {

@@ -312,8 +312,6 @@ pub struct RemoteWorkerConfig {
     pub reconnect_cap: Duration,
     /// Consecutive dial/handshake failures tolerated before giving up.
     pub reconnect_attempts: u32,
-    /// Threads for burst-decoding shard lines (1 = sequential).
-    pub decode_threads: usize,
 }
 
 impl Default for RemoteWorkerConfig {
@@ -325,7 +323,6 @@ impl Default for RemoteWorkerConfig {
             reconnect_base: Duration::from_millis(200),
             reconnect_cap: Duration::from_secs(5),
             reconnect_attempts: 8,
-            decode_threads: 1,
         }
     }
 }
@@ -386,7 +383,6 @@ pub fn run_remote_worker(engine: &Engine, cfg: &RemoteWorkerConfig) -> io::Resul
                     io::BufWriter::new(stream),
                     cfg.heartbeat,
                     env_index.or(Some(ordinal)),
-                    cfg.decode_threads,
                 )?;
                 sessions += 1;
                 match exit {

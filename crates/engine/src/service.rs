@@ -53,17 +53,6 @@
 //! dispatch hub's, in [`crate::remote`]). Each session runs on its own
 //! thread, which is reaped when the session ends, by a panic too; the
 //! peer then sees EOF.
-//!
-//! ## Pipelined decode (`--decode-threads`)
-//!
-//! With `--decode-threads N` (N > 1) a session coalesces every complete
-//! request line a pipelining client has already delivered into one
-//! *burst*: admission control runs per line in arrival order, the
-//! admitted lines are decoded in parallel on an N-thread pool, and the
-//! responses are written strictly in request order (shed and parse-error
-//! lines interleaved in place). A control line cuts the burst so its
-//! effect stays ordered too. `--decode-threads 1` (the default) keeps
-//! the line-at-a-time path.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -94,9 +83,6 @@ pub struct ServeConfig {
     /// Close a session (with a `session_limit` error line) after it has
     /// served this many requests; `0` means unlimited.
     pub max_requests_per_session: usize,
-    /// Decode pipelined request bursts on this many pool threads per
-    /// session; `0` or `1` keeps the sequential line-at-a-time path.
-    pub decode_threads: usize,
 }
 
 /// Totals of one server lifetime, returned by [`ServerHandle::wait`].
@@ -118,7 +104,6 @@ struct ServerShared {
     max_inflight: usize,
     idle_timeout: Option<Duration>,
     max_requests_per_session: usize,
-    decode_threads: usize,
     shutdown: AtomicBool,
     /// Admitted-but-unanswered requests across all sessions. The
     /// admission CAS runs against this; the `serve_inflight` gauge
@@ -140,35 +125,18 @@ struct ServerShared {
 
 impl ServerShared {
     /// Acquires an in-flight slot unless the bound is reached.
-    fn try_admit(&self) -> bool {
-        if self.max_inflight == 0 {
-            self.inflight.fetch_add(1, Ordering::SeqCst);
-            registry().serve_inflight.add(1);
-            return true;
-        }
-        let mut current = self.inflight.load(Ordering::SeqCst);
-        loop {
-            if current >= self.max_inflight {
-                return false;
-            }
-            match self.inflight.compare_exchange(
-                current,
-                current + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => {
-                    registry().serve_inflight.add(1);
-                    return true;
-                }
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    fn release(&self) {
-        self.inflight.fetch_sub(1, Ordering::SeqCst);
-        registry().serve_inflight.sub(1);
+    fn try_admit(&self) -> Option<InflightSlot<'_>> {
+        let bound = match self.max_inflight {
+            0 => usize::MAX,
+            n => n,
+        };
+        self.inflight
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < bound).then_some(n + 1)
+            })
+            .ok()?;
+        registry().serve_inflight.add(1);
+        Some(InflightSlot(self))
     }
 
     /// Flips the shutdown flag and unblocks every session reader. The
@@ -183,6 +151,17 @@ impl ServerShared {
             let _ = stream.shutdown(Shutdown::Read);
         }
         self.changed.notify_all();
+    }
+}
+
+/// An admitted request's in-flight slot. Dropping it frees the slot, also
+/// when the solve panics and unwinds the session thread.
+struct InflightSlot<'a>(&'a ServerShared);
+
+impl Drop for InflightSlot<'_> {
+    fn drop(&mut self) {
+        self.0.inflight.fetch_sub(1, Ordering::SeqCst);
+        registry().serve_inflight.sub(1);
     }
 }
 
@@ -275,7 +254,6 @@ pub fn serve(engine: Engine, addr: &str, config: ServeConfig) -> io::Result<Serv
         max_inflight: config.max_inflight,
         idle_timeout: config.idle_timeout,
         max_requests_per_session: config.max_requests_per_session,
-        decode_threads: config.decode_threads.max(1),
         shutdown: AtomicBool::new(false),
         inflight: AtomicUsize::new(0),
         sessions: Mutex::new(Vec::new()),
@@ -336,20 +314,15 @@ fn start_session(stream: TcpStream, shared: &Arc<ServerShared>) {
         });
 }
 
-/// Renders one structured error line (including the trailing newline).
-fn error_line_bytes(kind: &str, fields: &[(&str, Json)]) -> Vec<u8> {
+/// Writes one structured error line.
+fn write_error_line(out: &mut TcpStream, kind: &str, fields: &[(&str, Json)]) -> io::Result<()> {
     let mut obj = vec![("error".to_string(), Json::Str(kind.to_string()))];
     for (k, v) in fields {
         obj.push(((*k).to_string(), v.clone()));
     }
     let mut line = Json::Obj(obj).to_string();
     line.push('\n');
-    line.into_bytes()
-}
-
-/// Writes one structured error line.
-fn write_error_line(out: &mut TcpStream, kind: &str, fields: &[(&str, Json)]) -> io::Result<()> {
-    out.write_all(&error_line_bytes(kind, fields))
+    out.write_all(line.as_bytes())
 }
 
 /// Counts a served report against the deadline-hit counter when any of
@@ -388,9 +361,6 @@ fn is_idle_expiry(e: &io::Error) -> bool {
 }
 
 fn session_conversation(stream: TcpStream, shared: &Arc<ServerShared>) -> io::Result<()> {
-    if shared.decode_threads > 1 {
-        return session_conversation_batched(stream, shared);
-    }
     let reader_stream = stream.try_clone()?;
     reader_stream.set_read_timeout(shared.idle_timeout)?;
     let mut reader = BufReader::new(reader_stream);
@@ -436,7 +406,7 @@ fn session_conversation(stream: TcpStream, shared: &Arc<ServerShared>) -> io::Re
             continue;
         }
         // ---- Admission control. -------------------------------------------
-        if !shared.try_admit() {
+        let Some(slot) = shared.try_admit() else {
             shared.sheds_total.fetch_add(1, Ordering::SeqCst);
             registry().serve_sheds_total.inc();
             write_error_line(
@@ -446,7 +416,7 @@ fn session_conversation(stream: TcpStream, shared: &Arc<ServerShared>) -> io::Re
             )?;
             out.flush()?;
             continue;
-        }
+        };
         // ---- Serve one request through the core. --------------------------
         let t0 = Instant::now();
         let result = core.admit_line(&shared.engine, line_no, line, t0);
@@ -473,7 +443,7 @@ fn session_conversation(stream: TcpStream, shared: &Arc<ServerShared>) -> io::Re
                 )
             }
         };
-        shared.release();
+        drop(slot);
         served?;
         if admitted {
             shared.requests_total.fetch_add(1, Ordering::SeqCst);
@@ -497,220 +467,6 @@ fn session_conversation(stream: TcpStream, shared: &Arc<ServerShared>) -> io::Re
         }
     }
     Ok(())
-}
-
-/// Maximum request lines coalesced into one pipelined burst: bounds the
-/// latency of the burst's first response and the per-burst allocations.
-const MAX_SERVE_BATCH: usize = 256;
-
-/// One response slot of a burst, in request order.
-enum Plan {
-    /// Already rendered (shed or parse error) — written in place.
-    Immediate(Vec<u8>),
-    /// Answered by the next report the core emits.
-    Core,
-}
-
-/// The `--decode-threads` session path: coalesces every complete request
-/// line a pipelining client has already delivered into a burst, decodes
-/// the admitted lines in parallel, and answers strictly in request order.
-/// Semantics are otherwise identical to the sequential path.
-fn session_conversation_batched(stream: TcpStream, shared: &Arc<ServerShared>) -> io::Result<()> {
-    let reader_stream = stream.try_clone()?;
-    reader_stream.set_read_timeout(shared.idle_timeout)?;
-    let mut reader = BufReader::new(reader_stream);
-    let mut out = stream;
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(shared.decode_threads)
-        .build()
-        .expect("decode pool builds");
-    let mut core = ServiceCore::new();
-    core.begin(1);
-    let mut line_buf = String::new();
-    let mut line_no = 0usize;
-    let mut served_requests = 0usize;
-    let mut closing = false;
-    while !closing {
-        line_buf.clear();
-        line_no += 1;
-        match reader.read_line(&mut line_buf) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e) if is_idle_expiry(&e) => {
-                registry().serve_idle_closes_total.inc();
-                let idle_ms = shared
-                    .idle_timeout
-                    .map(|d| d.as_millis() as i128)
-                    .unwrap_or(0);
-                write_error_line(&mut out, "idle_timeout", &[("idle_ms", Json::Num(idle_ms))])?;
-                out.flush()?;
-                break;
-            }
-            Err(e) => return Err(e),
-        }
-        // ---- Coalesce the burst: the line just read plus every complete
-        // line already sitting in the read buffer. A control line cuts the
-        // burst so its effect stays ordered relative to the responses.
-        let mut batch: Vec<(usize, String)> = Vec::new();
-        let mut pending_control: Option<String> = None;
-        loop {
-            let line = line_buf.trim();
-            if !line.is_empty() {
-                if line.starts_with('#') {
-                    pending_control = Some(line.to_string());
-                    break;
-                }
-                batch.push((line_no, line.to_string()));
-            }
-            if batch.len() >= MAX_SERVE_BATCH || !reader.buffer().contains(&b'\n') {
-                break;
-            }
-            line_buf.clear();
-            line_no += 1;
-            match reader.read_line(&mut line_buf) {
-                Ok(0) => {
-                    closing = true;
-                    break;
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    // Only already-buffered lines are drained here, so an
-                    // expiry cannot happen — treat anything as session end.
-                    if is_idle_expiry(&e) {
-                        closing = true;
-                        break;
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        if !batch.is_empty() {
-            serve_burst(
-                &mut core,
-                &pool,
-                &mut out,
-                shared,
-                &batch,
-                &mut served_requests,
-            )?;
-        }
-        if let Some(control) = pending_control.as_deref().and_then(|l| l.strip_prefix('#')) {
-            match control.trim() {
-                "stats" => {
-                    let mut doc = registry().snapshot().to_json_string();
-                    doc.push('\n');
-                    out.write_all(doc.as_bytes())?;
-                    out.flush()?;
-                }
-                "shutdown" => shared.begin_shutdown(),
-                _ => {}
-            }
-        }
-        if shared.max_requests_per_session != 0
-            && served_requests >= shared.max_requests_per_session
-        {
-            registry().serve_limit_closes_total.inc();
-            write_error_line(
-                &mut out,
-                "session_limit",
-                &[(
-                    "max_requests",
-                    Json::Num(shared.max_requests_per_session as i128),
-                )],
-            )?;
-            out.flush()?;
-            break;
-        }
-    }
-    Ok(())
-}
-
-/// Serves one burst: admission per line in arrival order, parallel decode
-/// of the admitted lines, responses written strictly in request order
-/// (the N-th line written answers the N-th line of the burst).
-fn serve_burst(
-    core: &mut ServiceCore,
-    pool: &rayon::ThreadPool,
-    out: &mut TcpStream,
-    shared: &ServerShared,
-    batch: &[(usize, String)],
-    served_requests: &mut usize,
-) -> io::Result<()> {
-    let mut plans: Vec<Plan> = Vec::with_capacity(batch.len());
-    let mut to_decode: Vec<(usize, &str)> = Vec::new();
-    let mut decode_slots: Vec<usize> = Vec::new();
-    for (slot, (line_no, line)) in batch.iter().enumerate() {
-        if shared.try_admit() {
-            to_decode.push((*line_no, line.as_str()));
-            decode_slots.push(slot);
-            plans.push(Plan::Core);
-        } else {
-            shared.sheds_total.fetch_add(1, Ordering::SeqCst);
-            registry().serve_sheds_total.inc();
-            plans.push(Plan::Immediate(error_line_bytes(
-                "overloaded",
-                &[("max_inflight", Json::Num(shared.max_inflight as i128))],
-            )));
-        }
-    }
-    let t0 = Instant::now();
-    let decoded = if to_decode.is_empty() {
-        Vec::new()
-    } else {
-        crate::stream::decode_burst(pool, &to_decode, shared.engine.serve_cache_active())
-    };
-    let mut admitted = 0usize;
-    for (&slot, result) in decode_slots.iter().zip(decoded) {
-        match result {
-            Ok((fp, request)) => {
-                core.admit_prepared(&shared.engine, fp, request, t0);
-                admitted += 1;
-            }
-            Err(e) => {
-                shared.release();
-                shared.errors_total.fetch_add(1, Ordering::SeqCst);
-                let (kind, line) = match &e {
-                    crate::jsonl::CorpusError::Json { line, .. } => ("parse", *line),
-                    crate::jsonl::CorpusError::Malformed { line, .. } => ("parse", *line),
-                    crate::jsonl::CorpusError::Io { line, .. } => ("io", *line),
-                };
-                plans[slot] = Plan::Immediate(error_line_bytes(
-                    kind,
-                    &[
-                        ("line", Json::Num(line as i128)),
-                        ("message", Json::Str(e.to_string())),
-                    ],
-                ));
-            }
-        }
-    }
-    // Emit: each core report answers the next `Core` slot; `Immediate`
-    // lines ahead of it are flushed first so ordering holds.
-    let mut cursor = 0usize;
-    let served = core.flush_with(&shared.engine, |bytes, report| {
-        while let Some(Plan::Immediate(line)) = plans.get(cursor) {
-            out.write_all(line)?;
-            cursor += 1;
-        }
-        count_deadline_hit(report);
-        cursor += 1;
-        out.write_all(bytes)
-    });
-    for _ in 0..admitted {
-        shared.release();
-    }
-    served?;
-    while cursor < plans.len() {
-        if let Plan::Immediate(line) = &plans[cursor] {
-            out.write_all(line)?;
-        }
-        cursor += 1;
-    }
-    shared
-        .requests_total
-        .fetch_add(admitted as u64, Ordering::SeqCst);
-    *served_requests += admitted;
-    out.flush()
 }
 
 /// A minimal HTTP/1.1 responder for the metrics listener: every GET gets
@@ -769,6 +525,50 @@ mod tests {
             .expect("timeout set");
         let mut reply = Vec::new();
         client.read_to_end(&mut reply).expect("EOF within 2 s");
+        handle.begin_shutdown();
+        handle.wait();
+    }
+
+    #[test]
+    fn a_panicking_request_frees_its_admission_slot() {
+        // As above, every member panics on 11 machines. With one slot in
+        // all, a slot the panic kept would shed every later request.
+        INJECTED_PANICS
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .extend(SolverKind::all().map(|kind| (11, kind)));
+        let engine = Engine::new(crate::EngineConfig {
+            cache_capacity: 0,
+            ..crate::EngineConfig::default()
+        });
+        let config = ServeConfig {
+            max_inflight: 1,
+            ..ServeConfig::default()
+        };
+        let handle = serve(engine, "127.0.0.1:0", config).expect("server binds");
+        let mut panicking = TcpStream::connect(handle.local_addr()).expect("client A connects");
+        let inst = msrs_gen::uniform(3, 11, 80, 20, 1, 30);
+        let line = crate::jsonl::write_instance_line(Some("p"), &inst) + "\n";
+        panicking.write_all(line.as_bytes()).expect("request sent");
+        panicking
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("timeout set");
+        panicking
+            .read_to_end(&mut Vec::new())
+            .expect("EOF within 2 s");
+
+        let mut plain = TcpStream::connect(handle.local_addr()).expect("client B connects");
+        let inst = msrs_gen::uniform(1, 2, 6, 2, 1, 9);
+        let line = crate::jsonl::write_instance_line(Some("q"), &inst) + "\n";
+        plain.write_all(line.as_bytes()).expect("request sent");
+        plain
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout set");
+        let mut reply = String::new();
+        BufReader::new(&plain)
+            .read_line(&mut reply)
+            .expect("reply within 5 s");
+        assert!(reply.starts_with("{\"id\":\"q\","), "{reply}");
         handle.begin_shutdown();
         handle.wait();
     }

@@ -13,12 +13,12 @@
 //!   in [`crate::service`] and the dispatch workers all run on it, so
 //!   there is exactly one data plane.
 //! * [`JsonlServer`] — the thin *batch driver*: JSONL in, JSONL out,
-//!   feeding `ServiceCore` shard by shard. With
-//!   [`JsonlServer::set_decode_threads`] the single-reader parse bottleneck
-//!   is broken: whole shards of raw lines are decoded on pool workers
-//!   (thread-local [`LineDecoder`]s, chunked deterministically,
-//!   order-preserving merge) before the sequential cache-probe/solve/emit
-//!   steps. Output is byte-identical to the sequential path.
+//!   decoding each line on the reader thread and feeding `ServiceCore`
+//!   shard by shard.
+//!
+//! One private step decodes and fingerprints every line, whether the core
+//! admits it at once or the dispatch worker decodes its shard first to
+//! probe the fleet cache.
 //!
 //! Error semantics are *prefix-faithful*: when a malformed line is hit
 //! mid-stream, everything successfully parsed before it — including a
@@ -27,12 +27,12 @@
 //! afterwards.
 //!
 //! Determinism: a sharded run's reports are bit-identical to an unsharded
-//! [`Engine::solve_batch`] over the same corpus — at any thread count, with
-//! or without parallel decode — except for the `wall_micros` timings and
-//! `cache_hit` provenance flags (sharding changes *when* a duplicate is
-//! served from the cache versus deduplicated within its batch, never what
-//! the report says about the schedule). Covered by `tests/stream.rs`,
-//! `tests/serve.rs`, and `tests/service.rs`.
+//! [`Engine::solve_batch`] over the same corpus — at any thread count —
+//! except for the `wall_micros` timings and `cache_hit` provenance flags
+//! (sharding changes *when* a duplicate is served from the cache versus
+//! deduplicated within its batch, never what the report says about the
+//! schedule). Covered by `tests/stream.rs`, `tests/serve.rs`, and
+//! `tests/service.rs`.
 
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
@@ -40,7 +40,6 @@ use std::time::{Duration, Instant};
 
 use msrs_core::CanonicalScratch;
 use msrs_telemetry::{registry, Stage};
-use rayon::prelude::*;
 
 use crate::engine::Engine;
 use crate::jsonl::{CorpusError, LineDecoder};
@@ -208,9 +207,7 @@ enum Slot {
 ///
 /// 1. [`begin`](Self::begin) once per run (resets stats and shard state);
 /// 2. [`admit_line`](Self::admit_line) per meaningful input line — decode,
-///    fingerprint, cache/dedup probe, classify into the pending shard
-///    (or [`admit_prepared`](Self::admit_prepared) when the line was
-///    already decoded elsewhere, e.g. on a pool worker);
+///    fingerprint, cache/dedup probe, classify into the pending shard;
 /// 3. [`flush_with`](Self::flush_with) whenever the pending shard should be
 ///    solved and emitted (reports come back in admission order).
 ///
@@ -290,27 +287,27 @@ impl ServiceCore {
         line: &str,
         started: Instant,
     ) -> Result<(), CorpusError> {
-        if let Err(e) = self.decoder.decode(line_no, line) {
-            self.phases.parse += started.elapsed();
-            return Err(e);
-        }
-        // Decode is done: close the parse slice here so the
-        // fingerprint/canonicalize/probe work below is attributed to its
-        // own phase (and stage histogram), not folded into parse — the
-        // phase sums then track wall time hop by hop.
-        let decoded = started.elapsed();
-        self.phases.parse += decoded;
-        Stage::Decode.record_nanos(nanos(decoded));
-        let t_canon = Instant::now();
-        if engine.serve_cache_active() {
-            let builder = self.decoder.builder();
-            let fp = msrs_core::flat_fingerprint(
-                builder.machines(),
-                builder.sizes(),
-                builder.offsets(),
-                &mut self.scratch,
-            );
-            Stage::Canonicalize.record_nanos(nanos(t_canon.elapsed()));
+        let decoded = decode_fingerprint(
+            &mut self.decoder,
+            &mut self.scratch,
+            line_no,
+            line,
+            started,
+            engine.serve_cache_active(),
+        );
+        let (fingerprint, decoded_at) = match decoded {
+            Ok(done) => done,
+            Err(e) => {
+                self.phases.parse += started.elapsed();
+                return Err(e);
+            }
+        };
+        // The parse slice ends where decoding did, so the
+        // fingerprint/canonicalize/probe work is attributed to its own
+        // phase, not folded into parse — the phase sums then track wall
+        // time hop by hop.
+        self.phases.parse += decoded_at - started;
+        if let Some(fp) = fingerprint {
             let id = self.decoder.id().map(|bytes| {
                 let start = self.ids.len();
                 self.ids.extend_from_slice(bytes);
@@ -321,39 +318,28 @@ impl ServiceCore {
             self.slots.push(Slot::Miss(self.misses.len()));
             self.misses.push(self.decoder.build_request());
         }
-        self.phases.canon += t_canon.elapsed();
+        self.phases.canon += decoded_at.elapsed();
         Ok(())
     }
 
-    /// Admits a line that was already decoded (and, with an active serve
-    /// cache, fingerprinted) elsewhere — the merge half of the parallel
-    /// decode path. The cache/dedup probe still happens here, sequentially
-    /// and in admission order, so classification is identical to
-    /// [`admit_line`](Self::admit_line): nothing was inserted into the
-    /// cache between the worker's decode and this probe that a sequential
-    /// pass would not also have seen.
-    ///
-    /// `fingerprint` must be `Some` exactly when the engine's serve cache
-    /// is active (the driver captures that before fanning out).
-    pub fn admit_prepared(
+    /// Admits a line that a [`PreDecoder`] already decoded and
+    /// fingerprinted. The cache/dedup probe still happens here, in
+    /// admission order, so classification is identical to
+    /// [`admit_line`](Self::admit_line)'s.
+    pub(crate) fn admit_prepared(
         &mut self,
         engine: &Engine,
-        fingerprint: Option<u128>,
+        fingerprint: u128,
         request: SolveRequest,
         started: Instant,
     ) {
         let t_canon = Instant::now();
-        if let Some(fp) = fingerprint {
-            let id = request.id.as_deref().map(|id| {
-                let start = self.ids.len();
-                self.ids.extend_from_slice(id.as_bytes());
-                (start, self.ids.len())
-            });
-            self.classify(engine, fp, id, started, move |_| request);
-        } else {
-            self.slots.push(Slot::Miss(self.misses.len()));
-            self.misses.push(request);
-        }
+        let id = request.id.as_deref().map(|id| {
+            let start = self.ids.len();
+            self.ids.extend_from_slice(id.as_bytes());
+            (start, self.ids.len())
+        });
+        self.classify(engine, fingerprint, id, started, move |_| request);
         self.phases.canon += t_canon.elapsed();
     }
 
@@ -480,134 +466,83 @@ impl ServiceCore {
     }
 }
 
-/// A shard of raw input accumulated for parallel decode: the concatenated
-/// trimmed line text plus one `(line_no, start, end)` span per meaningful
-/// line. `Arc`-shared with the pool workers and recycled between shards
-/// when no stranded pool ticket still holds a clone.
-#[derive(Default)]
-struct RawShard {
-    text: String,
-    spans: Vec<(usize, usize, usize)>,
-}
-
-/// Lines per parallel-decode work unit. Fixed (independent of thread
-/// count) so the chunking — and therefore every worker-side decode — is
-/// deterministic for any pool size; small enough that a default shard
-/// (4096 lines) splits into enough units to keep every worker busy.
-const DECODE_UNIT_LINES: usize = 64;
-
-/// One worker-decoded line: the canonical fingerprint (when the serve
-/// cache was active at fan-out) and the materialized request.
-pub(crate) type DecodedLine = Result<(Option<u128>, SolveRequest), CorpusError>;
-
-/// Decodes `shard.spans[lo..hi]` with thread-local decoder/scratch
-/// buffers (workers are persistent, so the buffers stay warm across
-/// shards), one result per line. An error does not stop the unit: serve
-/// sessions answer a malformed line and go on, while the batch driver's
-/// merge walks results in corpus order and stops at the first error.
-fn decode_range(shard: &RawShard, lo: usize, hi: usize, fingerprint: bool) -> Vec<DecodedLine> {
-    thread_local! {
-        static DECODE_TLS: std::cell::RefCell<(LineDecoder, CanonicalScratch)> =
-            std::cell::RefCell::new((LineDecoder::new(), CanonicalScratch::default()));
-    }
-    DECODE_TLS.with(|tls| {
-        let (decoder, scratch) = &mut *tls.borrow_mut();
-        let mut out = Vec::with_capacity(hi - lo);
-        for &(line_no, start, end) in &shard.spans[lo..hi] {
-            let t0 = Instant::now();
-            match decoder.decode(line_no, &shard.text[start..end]) {
-                Ok(()) => {
-                    Stage::Decode.record_nanos(nanos(t0.elapsed()));
-                    let fp = if fingerprint {
-                        let t1 = Instant::now();
-                        let builder = decoder.builder();
-                        let fp = msrs_core::flat_fingerprint(
-                            builder.machines(),
-                            builder.sizes(),
-                            builder.offsets(),
-                            scratch,
-                        );
-                        Stage::Canonicalize.record_nanos(nanos(t1.elapsed()));
-                        Some(fp)
-                    } else {
-                        None
-                    };
-                    out.push(Ok((fp, decoder.build_request())));
-                }
-                Err(e) => out.push(Err(e)),
-            }
-        }
-        out
-    })
-}
-
-/// Decodes a burst of pipelined request lines on pool workers in
-/// deterministic fixed-size units: one result per input line, in input
-/// order, errors included ([`decode_range`]). Used by the serve sessions'
-/// `--decode-threads` path and the dispatch workers' cache plane.
-pub(crate) fn decode_burst(
-    pool: &rayon::ThreadPool,
-    lines: &[(usize, &str)],
+/// The one decode step of the data plane: decodes `line` into `decoder`
+/// and, when `fingerprint` is set (an active serve cache), fingerprints
+/// the flat data in place via [`msrs_core::flat_fingerprint`]. Records the
+/// `decode` stage span from `started` and the `canonicalize` span of the
+/// fingerprint. Returns the fingerprint and the instant decoding finished,
+/// which ends the caller's parse phase.
+fn decode_fingerprint(
+    decoder: &mut LineDecoder,
+    scratch: &mut CanonicalScratch,
+    line_no: usize,
+    line: &str,
+    started: Instant,
     fingerprint: bool,
-) -> Vec<DecodedLine> {
-    let mut raw = RawShard::default();
-    for &(line_no, text) in lines {
-        let start = raw.text.len();
-        raw.text.push_str(text);
-        raw.spans.push((line_no, start, raw.text.len()));
-    }
-    let shard = Arc::new(raw);
-    let n = shard.spans.len();
-    let units: Vec<(usize, usize)> = (0..n)
-        .step_by(DECODE_UNIT_LINES)
-        .map(|lo| (lo, (lo + DECODE_UNIT_LINES).min(n)))
-        .collect();
-    let worker_shard = Arc::clone(&shard);
-    let decoded: Vec<Vec<DecodedLine>> = pool.install(|| {
-        units
-            .into_par_iter()
-            .map(move |(lo, hi)| decode_range(&worker_shard, lo, hi, fingerprint))
-            .collect()
+) -> Result<(Option<u128>, Instant), CorpusError> {
+    decoder.decode(line_no, line)?;
+    let decoded_at = Instant::now();
+    Stage::Decode.record_nanos(nanos(decoded_at - started));
+    let fp = fingerprint.then(|| {
+        let builder = decoder.builder();
+        let fp = msrs_core::flat_fingerprint(
+            builder.machines(),
+            builder.sizes(),
+            builder.offsets(),
+            scratch,
+        );
+        Stage::Canonicalize.record_nanos(nanos(decoded_at.elapsed()));
+        fp
     });
-    decoded.into_iter().flatten().collect()
+    Ok((fp, decoded_at))
+}
+
+/// One line decoded ahead of admission: its canonical fingerprint and
+/// materialized request, or the line's decode error.
+pub(crate) type DecodedLine = Result<(u128, SolveRequest), CorpusError>;
+
+/// Decoder and scratch for a pass that decodes a whole shard before the
+/// core admits any of it: the dispatch worker's fleet-cache probe needs
+/// every fingerprint first. Kept apart from the admitting
+/// [`ServiceCore`]'s own buffers. Use only with an active serve cache.
+#[derive(Default)]
+pub(crate) struct PreDecoder {
+    decoder: LineDecoder,
+    scratch: CanonicalScratch,
+}
+
+impl PreDecoder {
+    /// Decodes and fingerprints line `line_no` (1-based) for
+    /// [`ServiceCore::admit_prepared`].
+    pub(crate) fn decode(&mut self, line_no: usize, line: &str) -> DecodedLine {
+        let (fp, _) = decode_fingerprint(
+            &mut self.decoder,
+            &mut self.scratch,
+            line_no,
+            line,
+            Instant::now(),
+            true,
+        )?;
+        let fp = fp.expect("fingerprinting was asked for");
+        Ok((fp, self.decoder.build_request()))
+    }
 }
 
 /// The JSONL **batch driver** over [`ServiceCore`]: reads a corpus from a
 /// `BufRead`, feeds the core shard by shard, and writes one report line per
-/// instance (corpus order) to a `Write`.
-///
-/// By default lines are decoded inline on the reader thread — the
-/// allocation-free steady state asserted by `tests/alloc_free.rs`. With
-/// [`set_decode_threads`](Self::set_decode_threads)` > 1` the driver
-/// instead accumulates each shard's raw lines and decodes them on pool
-/// workers in deterministic fixed-size units, merging in corpus order;
-/// output stays byte-identical (the cache probe and solve still run
-/// sequentially in the merge), at the cost of materializing every line.
+/// instance (corpus order) to a `Write`. Lines are decoded inline on the
+/// reader thread — the allocation-free steady state asserted by
+/// `tests/alloc_free.rs`.
 #[derive(Default)]
 pub struct JsonlServer {
     core: ServiceCore,
     line_buf: String,
-    raw: RawShard,
-    decode_threads: usize,
 }
 
 impl JsonlServer {
     /// A fresh server (buffers grow on first use, then persist).
     pub fn new() -> Self {
         JsonlServer::default()
-    }
-
-    /// Sets the decode fan-out: `0` or `1` decodes inline on the reader
-    /// thread (the zero-allocation path), anything larger decodes shards
-    /// on that many pool workers.
-    pub fn set_decode_threads(&mut self, threads: usize) {
-        self.decode_threads = threads;
-    }
-
-    /// Builder-style [`set_decode_threads`](Self::set_decode_threads).
-    pub fn with_decode_threads(mut self, threads: usize) -> Self {
-        self.decode_threads = threads;
-        self
     }
 
     /// Serves a JSONL corpus end to end: decode each line, serve cache hits
@@ -621,28 +556,13 @@ impl JsonlServer {
     pub fn serve<R: BufRead, W: Write>(
         &mut self,
         engine: &Engine,
-        input: R,
+        mut input: R,
         out: &mut W,
         shard_size: usize,
     ) -> io::Result<StreamOutcome> {
         let shard_size = shard_size.max(1);
         let started = Instant::now();
         self.core.begin(shard_size);
-        if self.decode_threads > 1 {
-            self.serve_parallel(engine, input, out, shard_size, started)
-        } else {
-            self.serve_sequential(engine, input, out, shard_size, started)
-        }
-    }
-
-    fn serve_sequential<R: BufRead, W: Write>(
-        &mut self,
-        engine: &Engine,
-        mut input: R,
-        out: &mut W,
-        shard_size: usize,
-        started: Instant,
-    ) -> io::Result<StreamOutcome> {
         let mut error: Option<CorpusError> = None;
         let mut line_no = 0usize;
         let mut eof = false;
@@ -679,101 +599,6 @@ impl JsonlServer {
                 }
             }
             // ---- Solve the misses and emit in corpus order. ---------------
-            self.core
-                .flush_with(engine, |bytes, _| out.write_all(bytes))?;
-        }
-        Ok(self.core.finish(started, error))
-    }
-
-    fn serve_parallel<R: BufRead, W: Write>(
-        &mut self,
-        engine: &Engine,
-        mut input: R,
-        out: &mut W,
-        shard_size: usize,
-        started: Instant,
-    ) -> io::Result<StreamOutcome> {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(self.decode_threads)
-            .build()
-            .expect("pool handles are always constructible");
-        let mut error: Option<CorpusError> = None;
-        let mut line_no = 0usize;
-        let mut eof = false;
-        while !eof && error.is_none() {
-            // ---- Accumulate one shard of raw lines. -----------------------
-            let t_read = Instant::now();
-            self.raw.text.clear();
-            self.raw.spans.clear();
-            while self.raw.spans.len() < shard_size {
-                self.line_buf.clear();
-                line_no += 1;
-                match input.read_line(&mut self.line_buf) {
-                    Ok(0) => {
-                        eof = true;
-                        break;
-                    }
-                    Ok(_) => {}
-                    Err(e) => {
-                        error = Some(CorpusError::Io {
-                            line: line_no,
-                            message: e.to_string(),
-                        });
-                        break;
-                    }
-                }
-                let line = self.line_buf.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                let start = self.raw.text.len();
-                self.raw.text.push_str(line);
-                self.raw.spans.push((line_no, start, self.raw.text.len()));
-            }
-            self.core.note_parse(t_read.elapsed());
-            if self.raw.spans.is_empty() {
-                continue;
-            }
-            // ---- Decode the shard on pool workers. ------------------------
-            // Fixed-size units keep the fan-out deterministic; the Arc lets
-            // the `'static` pool jobs share the raw text without copying.
-            let t_decode = Instant::now();
-            let shard = Arc::new(std::mem::take(&mut self.raw));
-            let lines = shard.spans.len();
-            let fingerprint = engine.serve_cache_active();
-            let units: Vec<(usize, usize)> = (0..lines)
-                .step_by(DECODE_UNIT_LINES)
-                .map(|lo| (lo, (lo + DECODE_UNIT_LINES).min(lines)))
-                .collect();
-            let worker_shard = Arc::clone(&shard);
-            let decoded: Vec<Vec<DecodedLine>> = pool.install(|| {
-                units
-                    .into_par_iter()
-                    .map(move |(lo, hi)| decode_range(&worker_shard, lo, hi, fingerprint))
-                    .collect()
-            });
-            self.core.note_parse(t_decode.elapsed());
-            // Recycle the raw buffers unless a stranded pool ticket still
-            // holds a clone (possible: enqueued-but-unstarted helper jobs
-            // may outlive the operation) — then just start fresh.
-            if let Ok(mut raw) = Arc::try_unwrap(shard) {
-                raw.text.clear();
-                raw.spans.clear();
-                self.raw = raw;
-            }
-            // ---- Merge in corpus order: probe, classify, solve, emit. -----
-            let t_merge = Instant::now();
-            for line in decoded.into_iter().flatten() {
-                match line {
-                    Ok((fp, request)) => {
-                        self.core.admit_prepared(engine, fp, request, t_merge);
-                    }
-                    Err(e) => {
-                        error = Some(e);
-                        break;
-                    }
-                }
-            }
             self.core
                 .flush_with(engine, |bytes, _| out.write_all(bytes))?;
         }
@@ -889,111 +714,6 @@ mod tests {
             "phase sum {sum} vs wall {}",
             outcome.stats.wall_micros
         );
-    }
-
-    /// `wall_micros` and `cache_hit` are serving-dependent; everything else
-    /// in a report line is part of the determinism contract.
-    fn redact(line: &str) -> String {
-        fn walk(json: &mut crate::json::Json) {
-            match json {
-                crate::json::Json::Obj(pairs) => {
-                    for (k, v) in pairs.iter_mut() {
-                        if k == "wall_micros" {
-                            *v = crate::json::Json::Num(0);
-                        } else if k == "cache_hit" {
-                            *v = crate::json::Json::Bool(false);
-                        } else {
-                            walk(v);
-                        }
-                    }
-                }
-                crate::json::Json::Arr(items) => items.iter_mut().for_each(walk),
-                _ => {}
-            }
-        }
-        let mut v = crate::json::Json::parse(line).expect("report line parses");
-        walk(&mut v);
-        v.to_string()
-    }
-
-    #[test]
-    fn parallel_decode_is_bit_identical_to_sequential() {
-        // Mixed corpus: duplicates (cache hits + in-shard dups), distinct
-        // instances, ids present and absent, blanks and comments.
-        let mut corpus = String::from("# parallel decode corpus\n\n");
-        for i in 0..96 {
-            let inst = msrs_gen::uniform(i % 7, 2, 6, 2, 1, 9);
-            let req = SolveRequest::with_id(format!("line-{i}"), inst);
-            corpus.push_str(&crate::jsonl::write_instance_line(
-                req.id.as_deref(),
-                &req.instance,
-            ));
-            corpus.push('\n');
-        }
-        corpus.push_str("{\"machines\":2,\"classes\":[[5,3],[7]]}\n");
-        for cache_capacity in [0, 1024] {
-            let mk = || {
-                Engine::new(EngineConfig {
-                    threads: 2,
-                    cache_capacity,
-                    ..EngineConfig::default()
-                })
-            };
-            let mut seq_out = Vec::new();
-            let seq = JsonlServer::new()
-                .serve(&mk(), Cursor::new(corpus.as_bytes()), &mut seq_out, 32)
-                .unwrap();
-            let mut par_out = Vec::new();
-            let par = JsonlServer::new()
-                .with_decode_threads(4)
-                .serve(&mk(), Cursor::new(corpus.as_bytes()), &mut par_out, 32)
-                .unwrap();
-            assert!(seq.error.is_none() && par.error.is_none());
-            assert_eq!(seq.stats.instances, 97);
-            assert_eq!(par.stats.instances, 97);
-            assert_eq!(par.stats.shards, seq.stats.shards);
-            assert_eq!(par.stats.fast_path_hits, seq.stats.fast_path_hits);
-            let seq_lines: Vec<String> = String::from_utf8(seq_out)
-                .unwrap()
-                .lines()
-                .map(redact)
-                .collect();
-            let par_lines: Vec<String> = String::from_utf8(par_out)
-                .unwrap()
-                .lines()
-                .map(redact)
-                .collect();
-            assert_eq!(seq_lines, par_lines, "cache_capacity={cache_capacity}");
-        }
-    }
-
-    #[test]
-    fn parallel_decode_keeps_prefix_error_semantics() {
-        let mut corpus = String::new();
-        for i in 0..10 {
-            let inst = msrs_gen::uniform(i, 2, 5, 2, 1, 9);
-            corpus.push_str(&crate::jsonl::write_instance_line(None, &inst));
-            corpus.push('\n');
-        }
-        corpus.push_str("not json\n");
-        corpus.push_str("{\"machines\":1,\"classes\":[[1]]}\n");
-        let engine = Engine::new(EngineConfig {
-            cache_capacity: 64,
-            ..EngineConfig::default()
-        });
-        let mut out = Vec::new();
-        let outcome = JsonlServer::new()
-            .with_decode_threads(3)
-            .serve(&engine, Cursor::new(corpus.as_bytes()), &mut out, 4)
-            .unwrap();
-        // Every line before the malformed one was emitted; the error names
-        // the physical line; nothing after it was served.
-        assert_eq!(outcome.stats.instances, 10);
-        match outcome.error {
-            Some(CorpusError::Json { line, .. }) => assert_eq!(line, 11),
-            other => panic!("expected Json error on line 11, got {other:?}"),
-        }
-        assert_eq!(String::from_utf8(out).unwrap().lines().count(), 10);
     }
 
     #[test]

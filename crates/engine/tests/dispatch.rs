@@ -369,6 +369,50 @@ fn fleet_cache_plane_serves_probes_and_output_is_identical() {
     fs::remove_file(&store).ok();
 }
 
+/// A malformed line ends a dispatch run where it ends a batch run: the
+/// same error, on the same physical line, after the same reports. With a
+/// `cache_path`, workers decode each shard before admitting it, so both
+/// decode paths must number lines alike.
+#[test]
+fn a_malformed_line_ends_dispatch_where_it_ends_batch() {
+    // After the comment and the blank line, physical line 13 is local
+    // line 3 of shard 2 at shard size 4.
+    let mut lines: Vec<String> = corpus_text(18).lines().map(str::to_string).collect();
+    lines.insert(12, "this is not json".to_string());
+    let text = lines.join("\n") + "\n";
+    let mut batch_out = Vec::new();
+    let batch = JsonlServer::new()
+        .serve(&engine(1), text.as_bytes(), &mut batch_out, 4)
+        .expect("reference batch run");
+    let error = batch.error.expect("batch stops at the malformed line");
+    assert!(
+        matches!(error, jsonl::CorpusError::Json { line: 13, .. }),
+        "{error:?}"
+    );
+    let reference: Vec<String> = String::from_utf8(batch_out)
+        .expect("utf8 reports")
+        .lines()
+        .map(redacted)
+        .collect();
+    assert_eq!(reference.len(), 10);
+    for cached in [false, true] {
+        let out = tmp(&format!("malformed-{cached}.jsonl"));
+        let store = tmp(&format!("malformed-{cached}.mcache"));
+        fs::remove_file(&store).ok();
+        let mut cfg = config(2, 4, 1, None);
+        if cached {
+            cfg.cache_path = Some(store.clone());
+        }
+        let outcome =
+            dispatch::dispatch_fleet(Cursor::new(text.clone()), &out, None, &cfg, None, None)
+                .expect("dispatch runs");
+        assert_eq!(outcome.error.as_ref(), Some(&error), "cached={cached}");
+        assert_eq!(read_redacted(&out), reference, "cached={cached}");
+        fs::remove_file(&out).ok();
+        fs::remove_file(&store).ok();
+    }
+}
+
 /// Resuming against a corpus that changed since the checkpoint was
 /// written is refused — silently recomputing would splice reports of two
 /// different corpora into one output file.

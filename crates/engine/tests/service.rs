@@ -520,12 +520,11 @@ fn session_limit_closes_after_max_requests() {
     assert_eq!(summary.requests, 2, "exactly the session limit");
 }
 
-/// With `--decode-threads`, pipelined sessions coalesce bursts and decode
-/// them in parallel — but responses still come back strictly in request
-/// order, bit-identical to the sequential batch run, with a mid-burst
-/// parse error answered in-line at its exact position.
+/// Pipelined sessions get their responses strictly in request order,
+/// bit-identical to the sequential batch run, with a parse error planted
+/// mid-stream answered in-line at its exact position.
 #[test]
-fn decode_threads_sessions_answer_in_order_with_interleaved_errors() {
+fn pipelined_sessions_answer_in_order_with_interleaved_errors() {
     let _guard = serialized();
     let lines = corpus_lines();
     let corpus_text = format!("{}\n", lines.join("\n"));
@@ -539,15 +538,8 @@ fn decode_threads_sessions_answer_in_order_with_interleaved_errors() {
         .map(redacted)
         .collect();
 
-    let handle = serve(
-        engine(1, 1024),
-        "127.0.0.1:0",
-        ServeConfig {
-            decode_threads: 3,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server binds");
+    let handle =
+        serve(engine(1, 1024), "127.0.0.1:0", ServeConfig::default()).expect("server binds");
     let addr = handle.local_addr();
     const BAD_AT: usize = 5;
     let clients: Vec<_> = (0..2)
@@ -556,9 +548,8 @@ fn decode_threads_sessions_answer_in_order_with_interleaved_errors() {
             std::thread::spawn(move || {
                 let mut stream = TcpStream::connect(addr).expect("connects");
                 let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-                // Pipeline the whole conversation in one write so the
-                // session sees a multi-line burst, with a malformed line
-                // planted mid-burst.
+                // Pipeline the whole conversation in one write, with a
+                // malformed line planted mid-stream.
                 let mut payload = String::new();
                 for (i, line) in lines.iter().enumerate() {
                     if i == BAD_AT {
@@ -615,21 +606,13 @@ fn decode_threads_sessions_answer_in_order_with_interleaved_errors() {
 }
 
 /// A client that dies mid-request-line (torn write, no trailing newline)
-/// on the parallel-decode path ends its session cleanly: the torn prefix
+/// ends its session cleanly: the torn prefix
 /// is answered as a parse error (or the dead peer's write fails as a
 /// counted disconnect), and the next client is served normally.
 #[test]
 fn client_dying_mid_request_line_is_a_clean_session_end() {
     let _guard = serialized();
-    let handle = serve(
-        engine(1, 0),
-        "127.0.0.1:0",
-        ServeConfig {
-            decode_threads: 2,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server binds");
+    let handle = serve(engine(1, 0), "127.0.0.1:0", ServeConfig::default()).expect("server binds");
     let addr = handle.local_addr();
 
     let mut torn = TcpStream::connect(addr).expect("connects");
