@@ -7,8 +7,6 @@
 //! msrs batch  --input corpus.jsonl --metrics-out metrics.json   # + telemetry snapshot
 //! msrs stats  --input metrics.json            # pretty-print a snapshot
 //! msrs bench  --families uniform,zipf --count 20 --machines 4
-//! msrs bench  --baseline-out BENCH_7.json     # machine-readable perf baseline
-//! msrs bench  --compare BENCH_7.json --strict # diff a run against a baseline
 //! ```
 //!
 //! Instances travel as JSON lines (`{"id":…,"machines":…,"classes":[[…]]}`)
@@ -176,19 +174,6 @@ BENCH FLAGS:
     --count <N>          Instances per family                    [default: 10]
     --machines <M>       Machine count                           [default: 4]
     --seed <S>           Base seed                               [default: 1]
-    --baseline-out <P>   Instead of the comparison table, run the perf
-                         baseline suite (tiny-batch serving latency, cache
-                         on/off batch throughput at threads 1 and 4, the
-                         streamed shard pipeline, exact-solver node
-                         throughput) and write it as machine-readable JSON
-                         (see BENCH_7.json; suite --count default: 1000)
-    --reference <P>      With --baseline-out: embed the experiments of a
-                         previously written baseline file as `reference`
-    --compare <P>        Run the baseline suite and diff it against a
-                         committed baseline JSON, reporting per-experiment
-                         deltas and flagging regressions
-    --threshold <PCT>    Regression threshold for --compare      [default: 50]
-    --strict             With --compare: exit non-zero on any regression
 ";
 
 /// Engine flags shared by `solve`, `batch`, and `bench`.
@@ -257,17 +242,7 @@ fn main() -> ExitCode {
             "--reconnect-max",
         ],
         "stats" => &["--input"],
-        "bench" => &[
-            "--families",
-            "--count",
-            "--machines",
-            "--seed",
-            "--baseline-out",
-            "--reference",
-            "--compare",
-            "--threshold",
-            "--strict",
-        ],
+        "bench" => &["--families", "--count", "--machines", "--seed"],
         _ => &[],
     };
     let takes_engine_flags = matches!(
@@ -319,7 +294,6 @@ impl Flags {
             "--json",
             "--schedule",
             "--quiet",
-            "--strict",
         ];
         let mut pairs = Vec::new();
         let mut i = 0;
@@ -454,15 +428,20 @@ fn write_output(flags: &Flags, content: &str) -> Result<(), String> {
     }
 }
 
+/// `--machines` of `gen` and `bench`: every generator needs at least one.
+fn machines_flag(flags: &Flags) -> Result<usize, String> {
+    match flags.get_num("--machines", 4)? {
+        0 => Err("--machines must be ≥ 1".into()),
+        machines => Ok(machines),
+    }
+}
+
 /// `msrs gen`: emit a JSONL corpus.
 fn cmd_gen(flags: &Flags) -> Result<(), String> {
     let which = flags.get("--family").unwrap_or("all");
     let count: u64 = flags.get_num("--count", 10)?;
-    let machines: usize = flags.get_num("--machines", 4)?;
+    let machines = machines_flag(flags)?;
     let seed: u64 = flags.get_num("--seed", 1)?;
-    if machines == 0 {
-        return Err("--machines must be ≥ 1".into());
-    }
     let specs: Vec<_> = if which == "all" {
         FAMILIES.iter().collect()
     } else {
@@ -1100,21 +1079,15 @@ fn cmd_stats(flags: &Flags) -> Result<(), String> {
     }
 }
 
-/// `msrs bench`: portfolio vs every single solver over generated corpora,
-/// or (with `--baseline-out`) the machine-readable perf-baseline suite.
+/// `msrs bench`: portfolio vs every single solver over generated corpora.
 fn cmd_bench(flags: &Flags) -> Result<(), String> {
-    if flags.get("--baseline-out").is_some() || flags.get("--compare").is_some() {
-        return cmd_bench_suite(flags);
-    }
-    for f in ["--strict", "--threshold", "--reference"] {
-        if flags.has(f) {
-            return Err(format!("{f} requires --baseline-out or --compare"));
-        }
-    }
     let which = flags.get("--families").unwrap_or("all");
     let count: u64 = flags.get_num("--count", 10)?;
-    let machines: usize = flags.get_num("--machines", 4)?;
+    let machines = machines_flag(flags)?;
     let seed: u64 = flags.get_num("--seed", 1)?;
+    if count == 0 {
+        return Err("--count must be ≥ 1".into());
+    }
     let engine = engine_from_flags(flags)?;
     let specs: Vec<_> = if which == "all" {
         FAMILIES.iter().collect()
@@ -1196,653 +1169,4 @@ fn cmd_bench(flags: &Flags) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Compact per-experiment telemetry attachment: the nonzero counter deltas
-/// and stage-histogram sample-count deltas between two snapshots. Extra
-/// keys are ignored by [`experiment_key`] / [`experiment_metric`], so
-/// attaching this to baseline JSON stays compare-compatible.
-fn telemetry_delta(before: &telemetry::Snapshot, after: &telemetry::Snapshot) -> Json {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    for (name, v) in &after.counters {
-        let delta = v - before.counter(name);
-        if delta > 0 {
-            fields.push(((*name).into(), Json::Num(delta as i128)));
-        }
-    }
-    for stage in &after.stages {
-        let prior = before
-            .stages
-            .iter()
-            .find(|h| h.name == stage.name)
-            .map_or(0, |h| h.count);
-        let delta = stage.count - prior;
-        if delta > 0 {
-            fields.push((format!("{}_count", stage.name), Json::Num(delta as i128)));
-        }
-    }
-    Json::Obj(fields)
-}
-
-/// The perf-baseline suite behind `msrs bench --baseline-out` / `--compare`
-/// (committed as `BENCH_7.json`): machine-readable wall times and node
-/// counts that later PRs diff against. Every experiment carries a
-/// `telemetry` object — the registry counter deltas over its timed
-/// section — so baseline files double as observability fixtures.
-///
-/// * `tiny_batch_1` / `tiny_batch_8` — per-call serving latency of a
-///   1-instance `Engine::solve` (its member loop) and an
-///   8-instance `Engine::solve_batch`, cache off: the per-operation
-///   worker-dispatch overhead a persistent pool is supposed to shave.
-/// * `traffic_batch` — a `--count`-instance, 90%-duplicate `traffic`
-///   corpus solved with the cache off and on, at 1 and 4 worker threads:
-///   the cache/dedup throughput win.
-/// * `stream_traffic` — a `100 × --count`-instance pre-rendered JSONL
-///   corpus pushed through the byte-level serving data plane
-///   (`JsonlServer`, default shard size) at 4 threads with the default
-///   cache: sustained bytes-in→bytes-out throughput in O(shard) memory,
-///   with the parse/solve/serialize time split recorded.
-/// * `serve_tcp` — the same traffic family served over loopback TCP
-///   through `msrs serve`: 4 concurrent sessions in request-response
-///   lockstep against one shared engine, measuring per-request service
-///   latency including the wire.
-/// * `exact_*` — exact branch-and-bound workloads (the E9 gap proofs to
-///   completion, plus a budget-capped sweep of the hard parity-gap
-///   partition instance) at 1 search thread: node counts and node
-///   throughput of the allocation-free hot loop, with and without the
-///   symmetry-dominance rule.
-fn run_baseline_suite(machines: usize, count: u64) -> Result<Vec<Json>, String> {
-    use msrs_exact::{solve_configured, BoundConfig, SolveLimits, SolveOutcome};
-
-    let mut experiments: Vec<Json> = Vec::new();
-
-    // -- Tiny-batch serving latency (per-call dispatch overhead). ----------
-    // 9 jobs spread over `machines + 1` non-empty classes: Tiny-tier at the
-    // default machine count (exact member planned) but strictly more
-    // classes than machines, so the full portfolio — not the trivial
-    // single-member short-circuit — runs through `Engine::solve`'s member
-    // loop, whose per-call cost this experiment measures.
-    let tiny = |seed: u64| {
-        let k = machines + 1;
-        let mut classes: Vec<Vec<msrs_core::Time>> = vec![Vec::new(); k];
-        for j in 0..9u64 {
-            classes[(j as usize) % k].push(1 + (seed.wrapping_mul(7) + j * 3) % 9);
-        }
-        msrs_core::Instance::from_classes(machines, &classes).expect("valid microbench instance")
-    };
-    let calls = count.max(1) as usize;
-    for threads in [1usize, 4] {
-        let engine = Engine::new(EngineConfig {
-            threads,
-            cache_capacity: 0,
-            ..EngineConfig::default()
-        });
-        let one_req = SolveRequest::with_id("tiny-1", tiny(1));
-        std::hint::black_box(engine.solve(&one_req));
-        let t_before = telemetry::snapshot();
-        let start = std::time::Instant::now();
-        for _ in 0..calls {
-            std::hint::black_box(engine.solve(&one_req));
-        }
-        let wall = start.elapsed().as_micros() as i128;
-        eprintln!(
-            "tiny_batch_1 threads={threads}: {calls} calls in {wall} µs ({} µs/call)",
-            wall / calls as i128
-        );
-        experiments.push(Json::Obj(vec![
-            ("name".into(), Json::Str("tiny_batch_1".into())),
-            ("threads".into(), Json::Num(threads as i128)),
-            ("cache_capacity".into(), Json::Num(0)),
-            ("calls".into(), Json::Num(calls as i128)),
-            ("wall_micros".into(), Json::Num(wall)),
-            ("per_call_micros".into(), Json::Num(wall / calls as i128)),
-            (
-                "telemetry".into(),
-                telemetry_delta(&t_before, &telemetry::snapshot()),
-            ),
-        ]));
-
-        let reqs8: Vec<SolveRequest> = (0..8)
-            .map(|s| SolveRequest::with_id(format!("tiny8-{s}"), tiny(s)))
-            .collect();
-        let calls8 = (calls / 4).max(10);
-        std::hint::black_box(engine.solve_batch(&reqs8));
-        let t_before = telemetry::snapshot();
-        let start = std::time::Instant::now();
-        for _ in 0..calls8 {
-            std::hint::black_box(engine.solve_batch(&reqs8));
-        }
-        let wall = start.elapsed().as_micros() as i128;
-        eprintln!(
-            "tiny_batch_8 threads={threads}: {calls8} calls in {wall} µs ({} µs/call)",
-            wall / calls8 as i128
-        );
-        experiments.push(Json::Obj(vec![
-            ("name".into(), Json::Str("tiny_batch_8".into())),
-            ("threads".into(), Json::Num(threads as i128)),
-            ("cache_capacity".into(), Json::Num(0)),
-            ("calls".into(), Json::Num(calls8 as i128)),
-            ("wall_micros".into(), Json::Num(wall)),
-            ("per_call_micros".into(), Json::Num(wall / calls8 as i128)),
-            (
-                "telemetry".into(),
-                telemetry_delta(&t_before, &telemetry::snapshot()),
-            ),
-        ]));
-    }
-
-    // -- Traffic batch: cache off vs on, threads 1 and 4. ------------------
-    let reqs: Vec<SolveRequest> = (0..count)
-        .map(|seed| {
-            SolveRequest::with_id(
-                format!("traffic-{seed}"),
-                msrs_gen::traffic(seed, machines, 10),
-            )
-        })
-        .collect();
-    for threads in [1usize, 4] {
-        for cache_capacity in [0usize, DEFAULT_CACHE_CAPACITY] {
-            let engine = Engine::new(EngineConfig {
-                threads,
-                cache_capacity,
-                ..EngineConfig::default()
-            });
-            // Two passes: `traffic_batch` lands on a cold cache (its win is
-            // intra-batch dedup — Amdahl-capped at 10× by the 100 distinct
-            // forms that still need solving), `traffic_batch_warm` replays
-            // the corpus against the primed cache (the steady state of
-            // repeated traffic — every request is a hit).
-            for pass in ["traffic_batch", "traffic_batch_warm"] {
-                let before = telemetry::snapshot();
-                let start = std::time::Instant::now();
-                let reports = engine.solve_batch(&reqs);
-                let wall = start.elapsed().as_micros() as i128;
-                let after = telemetry::snapshot();
-                // One engine is live at a time here, so the global registry
-                // delta is exactly this pass's cache activity.
-                let hits = after.counter("msrs_cache_hits_total")
-                    - before.counter("msrs_cache_hits_total");
-                let misses = after.counter("msrs_cache_misses_total")
-                    - before.counter("msrs_cache_misses_total");
-                eprintln!(
-                    "{pass} threads={threads} cache={cache_capacity}: {} instances in {wall} µs \
-                     ({hits} hits, {misses} misses)",
-                    reports.len(),
-                );
-                experiments.push(Json::Obj(vec![
-                    ("name".into(), Json::Str(pass.into())),
-                    ("threads".into(), Json::Num(threads as i128)),
-                    ("cache_capacity".into(), Json::Num(cache_capacity as i128)),
-                    ("instances".into(), Json::Num(reports.len() as i128)),
-                    ("wall_micros".into(), Json::Num(wall)),
-                    ("cache_hits".into(), Json::Num(hits as i128)),
-                    ("cache_misses".into(), Json::Num(misses as i128)),
-                    ("telemetry".into(), telemetry_delta(&before, &after)),
-                ]));
-            }
-        }
-    }
-
-    // -- Streamed serving data plane over a large generated corpus. --------
-    // End to end in *bytes*: the corpus is pre-rendered as JSONL (not
-    // timed), then pushed through the zero-allocation serve path — decode
-    // into reusable buffers, in-place canonical fingerprint, cache probe,
-    // serialize straight from the cached canonical report. This is the
-    // request→report pipeline a service front end runs per line.
-    {
-        let stream_n = count.saturating_mul(100);
-        let mut corpus = String::new();
-        for seed in 0..stream_n {
-            let inst = msrs_gen::traffic(seed, machines, 10);
-            corpus.push_str(&jsonl::write_instance_line(
-                Some(&format!("t-{seed}")),
-                &inst,
-            ));
-            corpus.push('\n');
-        }
-        let engine = Engine::new(EngineConfig {
-            threads: 4,
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
-            ..EngineConfig::default()
-        });
-        let mut sink = std::io::sink();
-        let t_before = telemetry::snapshot();
-        let start = std::time::Instant::now();
-        let outcome = JsonlServer::new()
-            .serve(&engine, corpus.as_bytes(), &mut sink, DEFAULT_SHARD_SIZE)
-            .map_err(|e| format!("stream: {e}"))?;
-        let wall = start.elapsed().as_micros() as i128;
-        let s = outcome.stats;
-        let ips = s.instances as f64 / (wall.max(1) as f64 / 1e6);
-        eprintln!(
-            "stream_traffic: {} instances in {} shard(s), {wall} µs \
-             ({ips:.0} inst/s, {} cache-served, max resident {}; \
-             parse {} µs, canonicalize {} µs, solve {} µs, serialize {} µs)",
-            s.instances,
-            s.shards,
-            s.fast_path_hits,
-            s.max_resident,
-            s.parse_micros,
-            s.canon_micros,
-            s.solve_micros,
-            s.serialize_micros,
-        );
-        experiments.push(Json::Obj(vec![
-            ("name".into(), Json::Str("stream_traffic".into())),
-            ("threads".into(), Json::Num(4)),
-            (
-                "cache_capacity".into(),
-                Json::Num(DEFAULT_CACHE_CAPACITY as i128),
-            ),
-            ("instances".into(), Json::Num(s.instances as i128)),
-            ("shards".into(), Json::Num(s.shards as i128)),
-            ("shard_size".into(), Json::Num(s.shard_size as i128)),
-            ("max_resident".into(), Json::Num(s.max_resident as i128)),
-            ("fast_path_hits".into(), Json::Num(s.fast_path_hits as i128)),
-            ("wall_micros".into(), Json::Num(wall)),
-            ("parse_micros".into(), Json::Num(s.parse_micros as i128)),
-            ("canon_micros".into(), Json::Num(s.canon_micros as i128)),
-            ("solve_micros".into(), Json::Num(s.solve_micros as i128)),
-            (
-                "serialize_micros".into(),
-                Json::Num(s.serialize_micros as i128),
-            ),
-            ("instances_per_sec".into(), Json::Num(ips as i128)),
-            (
-                "telemetry".into(),
-                telemetry_delta(&t_before, &telemetry::snapshot()),
-            ),
-        ]));
-    }
-
-    // -- Concurrent TCP serving through `msrs serve`. ----------------------
-    // Loopback end-to-end: 4 client threads in request-response lockstep
-    // against one server (shared engine: 4 workers, default cache) — the
-    // per-request service latency including the wire, not just the data
-    // plane.
-    {
-        const CLIENTS: usize = 4;
-        // Per-request cost folds in fixed setup (engine spawn, accepts,
-        // connects) amortized over the run, so short `--count` runs would
-        // look slower than a full-volume baseline on the same hardware.
-        // Floor the volume at the full-suite default (10k requests, ~250 ms)
-        // so CI's shortened counts compare on equal footing.
-        let per_client = ((count.saturating_mul(10)) as usize / CLIENTS).max(2500);
-        let engine = Engine::new(EngineConfig {
-            threads: 4,
-            cache_capacity: DEFAULT_CACHE_CAPACITY,
-            ..EngineConfig::default()
-        });
-        let handle = service::serve(engine, "127.0.0.1:0", ServeConfig::default())
-            .map_err(|e| format!("serve_tcp: bind: {e}"))?;
-        let addr = handle.local_addr();
-        // Pre-render each request with its terminating newline so every
-        // request is a single `write_all` — a trailing one-byte write would
-        // sit behind Nagle waiting on the peer's delayed ACK (~40 ms per
-        // request in lockstep traffic).
-        let lines: std::sync::Arc<Vec<String>> = std::sync::Arc::new(
-            (0..per_client as u64)
-                .map(|seed| {
-                    let mut line = jsonl::write_instance_line(
-                        Some(&format!("s-{seed}")),
-                        &msrs_gen::traffic(seed, machines, 10),
-                    );
-                    line.push('\n');
-                    line
-                })
-                .collect(),
-        );
-        let t_before = telemetry::snapshot();
-        let start = std::time::Instant::now();
-        let clients: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                let lines = std::sync::Arc::clone(&lines);
-                std::thread::spawn(move || -> Result<usize, String> {
-                    let err = |e: std::io::Error| format!("serve_tcp client {c}: {e}");
-                    let mut stream = std::net::TcpStream::connect(addr).map_err(err)?;
-                    stream.set_nodelay(true).map_err(err)?;
-                    let mut reader = BufReader::new(stream.try_clone().map_err(err)?);
-                    let mut resp = String::new();
-                    for line in lines.iter() {
-                        stream.write_all(line.as_bytes()).map_err(err)?;
-                        resp.clear();
-                        reader.read_line(&mut resp).map_err(err)?;
-                        if !resp.ends_with('\n') {
-                            return Err(format!("serve_tcp client {c}: truncated response"));
-                        }
-                    }
-                    Ok(lines.len())
-                })
-            })
-            .collect();
-        let mut served = 0usize;
-        for client in clients {
-            served += client
-                .join()
-                .map_err(|_| "serve_tcp: client thread panicked".to_string())??;
-        }
-        let wall = start.elapsed().as_micros() as i128;
-        handle.begin_shutdown();
-        let summary = handle.wait();
-        if summary.requests != served as u64 || summary.errors != 0 || summary.sheds != 0 {
-            return Err(format!(
-                "serve_tcp: server answered {} of {served} requests \
-                 ({} errors, {} sheds)",
-                summary.requests, summary.errors, summary.sheds
-            ));
-        }
-        let ips = served as f64 / (wall.max(1) as f64 / 1e6);
-        eprintln!(
-            "serve_tcp: {served} requests over {CLIENTS} sessions in {wall} µs \
-             ({ips:.0} req/s, {} µs/request)",
-            wall / served.max(1) as i128
-        );
-        experiments.push(Json::Obj(vec![
-            ("name".into(), Json::Str("serve_tcp".into())),
-            ("threads".into(), Json::Num(4)),
-            (
-                "cache_capacity".into(),
-                Json::Num(DEFAULT_CACHE_CAPACITY as i128),
-            ),
-            ("sessions".into(), Json::Num(CLIENTS as i128)),
-            ("instances".into(), Json::Num(served as i128)),
-            ("wall_micros".into(), Json::Num(wall)),
-            ("requests_per_sec".into(), Json::Num(ips as i128)),
-            (
-                "telemetry".into(),
-                telemetry_delta(&t_before, &telemetry::snapshot()),
-            ),
-        ]));
-    }
-
-    // -- Exact-solver node throughput (single search thread). --------------
-    let one = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .map_err(|e| format!("pool: {e}"))?;
-    let gap7: Vec<Vec<u64>> = vec![
-        vec![4],
-        vec![4],
-        vec![4],
-        vec![4],
-        vec![4],
-        vec![3],
-        vec![3],
-    ];
-    let gap7_inst =
-        msrs_core::Instance::from_classes(2, &gap7).map_err(|e| format!("gap7: {e}"))?;
-    let parity21 = msrs_gen::parity_gap_partition(21);
-    let workloads: [(&str, &msrs_core::Instance, u64); 3] = [
-        ("exact_e9_gap7", &gap7_inst, 200_000_000),
-        ("exact_parity21_capped", &parity21, 2_000_000),
-        ("exact_parity21_capped_nosym", &parity21, 2_000_000),
-    ];
-    for (name, inst, max_nodes) in workloads {
-        let bounds = BoundConfig {
-            symmetry: !name.ends_with("_nosym"),
-            ..BoundConfig::default()
-        };
-        let t_before = telemetry::snapshot();
-        let start = std::time::Instant::now();
-        let outcome =
-            one.install(|| solve_configured(inst, SolveLimits { max_nodes }, bounds, None));
-        let wall = start.elapsed().as_micros() as i128;
-        let (status, nodes) = match outcome {
-            SolveOutcome::Optimal(r) => ("optimal", r.nodes),
-            SolveOutcome::Exhausted { nodes } => ("exhausted", nodes),
-            SolveOutcome::Cancelled { nodes } => ("cancelled", nodes),
-        };
-        let nps = nodes as f64 / (wall.max(1) as f64 / 1e6);
-        eprintln!("{name}: {status}, {nodes} nodes in {wall} µs ({nps:.0} nodes/s)");
-        experiments.push(Json::Obj(vec![
-            ("name".into(), Json::Str(name.into())),
-            ("threads".into(), Json::Num(1)),
-            ("status".into(), Json::Str(status.into())),
-            ("nodes".into(), Json::Num(nodes as i128)),
-            ("wall_micros".into(), Json::Num(wall)),
-            ("nodes_per_sec".into(), Json::Num(nps as i128)),
-            (
-                "telemetry".into(),
-                telemetry_delta(&t_before, &telemetry::snapshot()),
-            ),
-        ]));
-    }
-
-    Ok(experiments)
-}
-
-/// `msrs bench --baseline-out` / `--compare`: run the pinned perf-baseline
-/// suite once, then write it as JSON and/or diff it against a committed
-/// baseline file.
-fn cmd_bench_suite(flags: &Flags) -> Result<(), String> {
-    // The suite pins its own thread counts, cache capacities, and solver
-    // configuration (that is what makes baselines comparable across PRs);
-    // reject flags it would otherwise silently ignore.
-    let ignored: Vec<&str> = [
-        "--families",
-        "--seed",
-        "--threads",
-        "--no-baselines",
-        "--no-eptas",
-        "--exact-nodes",
-        "--deadline-ms",
-        "--cache-capacity",
-        "--no-cache",
-    ]
-    .into_iter()
-    .filter(|f| flags.has(f))
-    .collect();
-    if !ignored.is_empty() {
-        return Err(format!(
-            "the baseline suite pins its own configuration; remove: {}",
-            ignored.join(", ")
-        ));
-    }
-    if flags.has("--reference") && !flags.has("--baseline-out") {
-        return Err("--reference requires --baseline-out".into());
-    }
-    for f in ["--strict", "--threshold"] {
-        if flags.has(f) && !flags.has("--compare") {
-            return Err(format!("{f} requires --compare"));
-        }
-    }
-
-    let machines: usize = flags.get_num("--machines", 4)?;
-    let count: u64 = flags.get_num("--count", 1000)?;
-    let experiments = run_baseline_suite(machines, count)?;
-
-    if let Some(path) = flags.get("--baseline-out") {
-        let mut doc = vec![
-            ("bench".into(), Json::Str("BENCH_7".into())),
-            ("machines".into(), Json::Num(machines as i128)),
-            ("experiments".into(), Json::Arr(experiments.clone())),
-        ];
-        if let Some(ref_path) = flags.get("--reference") {
-            let text = std::fs::read_to_string(ref_path)
-                .map_err(|e| format!("reading {ref_path}: {e}"))?;
-            let reference = Json::parse(&text).map_err(|e| format!("parsing {ref_path}: {e}"))?;
-            let ref_experiments = reference
-                .get("experiments")
-                .cloned()
-                .ok_or_else(|| format!("{ref_path} has no `experiments` array"))?;
-            doc.push((
-                "reference".into(),
-                Json::Obj(vec![
-                    (
-                        "note".into(),
-                        Json::Str(format!(
-                            "experiments embedded from {ref_path} (the previous committed baseline)"
-                        )),
-                    ),
-                    ("experiments".into(), ref_experiments),
-                ]),
-            ));
-        }
-        let doc = Json::Obj(doc);
-        std::fs::write(path, format!("{doc}\n")).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("baseline written to {path}");
-    }
-
-    if let Some(base_path) = flags.get("--compare") {
-        let threshold: f64 = flags.get_num("--threshold", 50.0)?;
-        let text =
-            std::fs::read_to_string(base_path).map_err(|e| format!("reading {base_path}: {e}"))?;
-        let base = Json::parse(&text).map_err(|e| format!("parsing {base_path}: {e}"))?;
-        let regressions = compare_with_baseline(&base, base_path, &experiments, threshold);
-        if regressions > 0 && flags.has("--strict") {
-            return Err(format!(
-                "{regressions} experiment(s) regressed beyond {threshold}% (--strict)"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Experiments whose measured wall time falls below this are compared
-/// warn-only even under `--strict`: microsecond-scale measurements on
-/// shared machines swing past any sane threshold out of pure noise.
-const STRICT_WALL_FLOOR_MICROS: i128 = 5_000;
-
-/// The comparable headline metric of one suite experiment, as
-/// `(label, value, higher_is_better)`. Rates are preferred over raw walls so
-/// runs with different `--count` scales still compare per unit of work.
-fn experiment_metric(e: &Json) -> Option<(&'static str, f64, bool)> {
-    let num = |key: &str| -> Option<f64> {
-        match e.get(key) {
-            Some(Json::Num(n)) => Some(*n as f64),
-            _ => None,
-        }
-    };
-    let wall = num("wall_micros");
-    if let (Some(wall), Some(calls)) = (wall, num("calls")) {
-        if calls > 0.0 {
-            return Some(("µs/call", wall / calls, false));
-        }
-    }
-    if let (Some(wall), Some(instances)) = (wall, num("instances")) {
-        if instances > 0.0 {
-            return Some(("µs/instance", wall / instances, false));
-        }
-    }
-    if let Some(nps) = num("nodes_per_sec") {
-        return Some(("nodes/s", nps, true));
-    }
-    wall.map(|w| ("µs", w, false))
-}
-
-/// A stable identity for matching experiments across baseline files.
-fn experiment_key(e: &Json) -> String {
-    let name = e.get("name").and_then(Json::as_str).unwrap_or("?");
-    let field = |key: &str| match e.get(key) {
-        Some(Json::Num(n)) => n.to_string(),
-        _ => "-".into(),
-    };
-    format!("{name}|t{}|c{}", field("threads"), field("cache_capacity"))
-}
-
-/// Prints the per-experiment deltas of `current` against `base` and returns
-/// how many experiments regressed beyond `threshold` percent.
-fn compare_with_baseline(base: &Json, base_path: &str, current: &[Json], threshold: f64) -> usize {
-    // Throughput baselines are recorded on multi-core hosts; on a 1-core
-    // host every parallel experiment loses its speedup and the gate fails
-    // on topology, not on a code change. Report the deltas, but downgrade
-    // them to warnings. Vanished experiments still gate — lost coverage is
-    // host-independent.
-    let single_core = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        == 1;
-    if single_core {
-        eprintln!(
-            "compare: single-core host — slowdowns reported as warnings only \
-             (baselines assume parallelism)"
-        );
-    }
-    let empty = Vec::new();
-    let base_experiments = base
-        .get("experiments")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
-    let mut base_by_key = std::collections::HashMap::new();
-    for e in base_experiments {
-        base_by_key.insert(experiment_key(e), e);
-    }
-    let heading = format!("bench compare vs {base_path}");
-    println!(
-        "{heading:<34} {:>12} {:>12} {:>12}  (regression threshold {threshold}%)",
-        "baseline", "current", "delta",
-    );
-    let mut regressions = 0usize;
-    let mut missing = 0usize;
-    let mut seen = std::collections::HashSet::new();
-    for e in current {
-        let key = experiment_key(e);
-        seen.insert(key.clone());
-        let Some((label, cur, higher_better)) = experiment_metric(e) else {
-            continue;
-        };
-        let Some(base_e) = base_by_key.get(&key) else {
-            println!(
-                "{key:<34} {:>12} {cur:>12.1} {:>12}  {label} (not in baseline)",
-                "-", "-"
-            );
-            missing += 1;
-            continue;
-        };
-        let Some((_, base_v, _)) = experiment_metric(base_e) else {
-            continue;
-        };
-        // Positive = better, for both metric orientations.
-        let change_pct = if base_v.abs() < f64::EPSILON {
-            0.0
-        } else if higher_better {
-            (cur - base_v) / base_v * 100.0
-        } else {
-            (base_v - cur) / base_v * 100.0
-        };
-        // Sub-floor experiments (total wall below STRICT_WALL_FLOOR_MICROS
-        // in the *current* run) are too noisy to gate — a 35 µs measurement
-        // swings far past any sane threshold on a shared machine. They are
-        // reported, but never counted as regressions.
-        let too_small =
-            matches!(e.get("wall_micros"), Some(Json::Num(w)) if *w < STRICT_WALL_FLOOR_MICROS);
-        let regressed = change_pct < -threshold && !too_small && !single_core;
-        if regressed {
-            regressions += 1;
-        }
-        println!(
-            "{key:<34} {base_v:>12.1} {cur:>12.1} {change_pct:>+11.1}%  {label}{}",
-            if regressed {
-                "  ** REGRESSION **"
-            } else if change_pct < -threshold && single_core {
-                "  (single-core host, warn only)"
-            } else if change_pct < -threshold {
-                "  (below strict floor, not gated)"
-            } else {
-                ""
-            }
-        );
-    }
-    // The other direction: baseline experiments this run no longer
-    // produces. A vanished benchmark is lost coverage, not a clean pass —
-    // it counts as a regression so `--strict` catches it.
-    let mut vanished: Vec<&String> = base_by_key
-        .keys()
-        .filter(|key| !seen.contains(*key))
-        .collect();
-    vanished.sort();
-    for key in vanished {
-        println!(
-            "{key:<34} {:>12} {:>12} {:>12}  ** MISSING FROM CURRENT RUN **",
-            "?", "-", "-"
-        );
-        regressions += 1;
-    }
-    if regressions > 0 {
-        eprintln!("warning: {regressions} experiment(s) regressed beyond {threshold}% or vanished");
-    }
-    if missing > 0 {
-        eprintln!("note: {missing} experiment(s) had no match in the baseline file");
-    }
-    regressions
 }

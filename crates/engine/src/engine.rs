@@ -425,22 +425,33 @@ impl Engine {
     /// distinct-instance count.
     ///
     /// The borrowed slice is copied once up front (pool jobs are `'static`
-    /// and cannot hold the borrow); callers that own their requests — the
-    /// streaming shard pipeline does — should use
-    /// [`solve_batch_vec`](Self::solve_batch_vec), which shares them
-    /// zero-copy behind an `Arc`.
+    /// and cannot hold the borrow); the streaming shard pipeline owns its
+    /// requests and shares them zero-copy behind an `Arc` instead.
     pub fn solve_batch(&self, reqs: &[SolveRequest]) -> Vec<SolveReport> {
-        self.solve_batch_vec(reqs.to_vec())
+        self.solve_batch_probed(reqs.to_vec(), ReportCache::get)
     }
 
     /// [`solve_batch`](Self::solve_batch) taking ownership of the requests —
     /// the zero-copy entry point of the data plane's miss batches
     /// ([`crate::stream::ServiceCore`]): pool workers share the request
     /// vector behind an `Arc` instead of cloning it, so a shard costs
-    /// exactly its own allocation.
-    pub fn solve_batch_vec(&self, reqs: Vec<SolveRequest>) -> Vec<SolveReport> {
+    /// exactly its own allocation. The data plane already counted each
+    /// miss's cache probe when it admitted the line, so the batch looks
+    /// the misses up again (a concurrent session may have solved one
+    /// since) with the metric-neutral [`ReportCache::peek`].
+    pub(crate) fn solve_batch_vec(&self, reqs: Vec<SolveRequest>) -> Vec<SolveReport> {
+        self.solve_batch_probed(reqs, ReportCache::peek)
+    }
+
+    /// The batch path behind both entry points; `probe` is the cache
+    /// lookup applied to each distinct form.
+    fn solve_batch_probed(
+        &self,
+        reqs: Vec<SolveRequest>,
+        probe: fn(&ReportCache, &CacheKey) -> Option<Arc<SolveReport>>,
+    ) -> Vec<SolveReport> {
         if self.cache_active() {
-            return self.solve_batch_deduped(reqs);
+            return self.solve_batch_deduped(reqs, probe);
         }
         let reqs = Arc::new(reqs);
         let engine = self.clone();
@@ -455,7 +466,11 @@ impl Engine {
 
     /// Cache-enabled batch path: canonicalize, dedup, solve each distinct
     /// uncached form once on the pool, then fan reports out in order.
-    fn solve_batch_deduped(&self, reqs: Vec<SolveRequest>) -> Vec<SolveReport> {
+    fn solve_batch_deduped(
+        &self,
+        reqs: Vec<SolveRequest>,
+        probe: fn(&ReportCache, &CacheKey) -> Option<Arc<SolveReport>>,
+    ) -> Vec<SolveReport> {
         let pool = self.cfg.pool();
         let reqs = Arc::new(reqs);
         let forms: Arc<Vec<CanonicalForm>> = {
@@ -482,7 +497,7 @@ impl Engine {
                 self.cache.count_dedup_hit();
                 continue;
             }
-            if let Some(report) = self.cache.get(&key_of(idx)) {
+            if let Some(report) = probe(&self.cache, &key_of(idx)) {
                 cached.insert(fp, report);
                 continue;
             }

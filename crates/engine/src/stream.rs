@@ -343,8 +343,10 @@ impl ServiceCore {
         self.phases.canon += t_canon.elapsed();
     }
 
-    /// Probes cache → in-shard dedup table → miss, pushing the resulting
-    /// slot. `materialize` builds the request only on the miss path.
+    /// Probes in-shard dedup table → cache → miss, pushing the resulting
+    /// slot. `materialize` builds the request only on the miss path. The
+    /// dedup table comes first, so a line counts one cache event: a hit for
+    /// an in-shard duplicate, else the probe's own hit or miss.
     fn classify<F>(
         &mut self,
         engine: &Engine,
@@ -357,20 +359,20 @@ impl ServiceCore {
     {
         // `serve_cached` times the probe as a `cache_lookup` stage span
         // inside the cache itself.
-        if let Some(report) = engine.serve_cached(fp) {
-            self.stats.fast_path_hits += 1;
-            count_fast_path();
-            self.slots.push(Slot::Hit {
-                report,
-                id,
-                serve_micros: started.elapsed().as_micros() as u64,
-            });
-        } else if let Some(&first) = self.shard_forms.get(&fp) {
+        if let Some(&first) = self.shard_forms.get(&fp) {
             engine.count_serve_dedup_hit();
             self.stats.fast_path_hits += 1;
             count_fast_path();
             self.slots.push(Slot::Dup {
                 first,
+                id,
+                serve_micros: started.elapsed().as_micros() as u64,
+            });
+        } else if let Some(report) = engine.serve_cached(fp) {
+            self.stats.fast_path_hits += 1;
+            count_fast_path();
+            self.slots.push(Slot::Hit {
+                report,
                 id,
                 serve_micros: started.elapsed().as_micros() as u64,
             });

@@ -5,14 +5,16 @@
 //!   across `threads = 1, 2, 8`, property-tested over random corpora that
 //!   include relabelled duplicates;
 //! * intra-batch dedup must fan reports out in request order with each
-//!   request's own id and job numbering;
+//!   request's own id and job numbering, and the byte-level data plane
+//!   must count each request as one cache hit or miss, as the typed batch
+//!   does;
 //! * capacity 0 disables caching; tiny capacities evict LRU-first.
 
 use std::sync::{Mutex, MutexGuard};
 
 use msrs_core::canonical::relabel;
 use msrs_core::{validate, ClassId, Instance, JobId};
-use msrs_engine::{telemetry, Engine, EngineConfig, SolveReport, SolveRequest};
+use msrs_engine::{telemetry, Engine, EngineConfig, JsonlServer, SolveReport, SolveRequest};
 use proptest::prelude::*;
 
 /// Cache counters live in the process-global telemetry registry. This file
@@ -166,6 +168,14 @@ proptest! {
     }
 }
 
+/// 40 traffic requests; the seeds fall in buckets of 10, so the corpus
+/// holds 4 distinct canonical forms.
+fn dedup_corpus() -> Vec<SolveRequest> {
+    (0..40u64)
+        .map(|seed| SolveRequest::with_id(format!("t{seed}"), msrs_gen::traffic(seed, 3, 10)))
+        .collect()
+}
+
 /// Intra-batch dedup: duplicate-heavy corpora collapse to their distinct
 /// canonical forms, while reports keep request order, ids, and per-request
 /// job numbering.
@@ -173,14 +183,11 @@ proptest! {
 fn intra_batch_dedup_fans_out_in_order() {
     let _guard = serialized();
     let before = telemetry::snapshot();
-    let reqs: Vec<SolveRequest> = (0..40u64)
-        .map(|seed| SolveRequest::with_id(format!("t{seed}"), msrs_gen::traffic(seed, 3, 10)))
-        .collect();
+    let reqs = dedup_corpus();
     let eng = engine(2, 1024);
     let reports = eng.solve_batch(&reqs);
     let after = telemetry::snapshot();
     assert_eq!(reports.len(), reqs.len());
-    // 40 seeds in buckets of 10 → 4 distinct canonical forms.
     assert_eq!(counter_delta(&before, &after, "msrs_cache_misses_total"), 4);
     assert_eq!(counter_delta(&before, &after, "msrs_cache_hits_total"), 36);
     assert_eq!(entries_delta(&before, &after), 4);
@@ -206,6 +213,30 @@ fn intra_batch_dedup_fans_out_in_order() {
         .map(|(i, _)| i)
         .collect();
     assert_eq!(fresh, vec![0, 10, 20, 30]);
+}
+
+/// The byte-level data plane counts each request once, as the typed batch
+/// does: an in-shard duplicate is one hit, and a shard's miss batch does
+/// not count its misses a second time. Shard size 64 holds the whole
+/// corpus; shard size 8 splits every form across shards, so later shards
+/// hit the cache.
+#[test]
+fn data_plane_counts_each_request_once() {
+    let _guard = serialized();
+    let corpus = msrs_engine::jsonl::write_corpus(&dedup_corpus());
+    for shard_size in [64, 8] {
+        let eng = engine(2, 1024);
+        let before = telemetry::snapshot();
+        let outcome = JsonlServer::new()
+            .serve(&eng, corpus.as_bytes(), &mut std::io::sink(), shard_size)
+            .expect("serving into a sink cannot fail");
+        let after = telemetry::snapshot();
+        assert!(outcome.error.is_none());
+        assert_eq!(outcome.stats.instances, 40);
+        let misses = counter_delta(&before, &after, "msrs_cache_misses_total");
+        let hits = counter_delta(&before, &after, "msrs_cache_hits_total");
+        assert_eq!((misses, hits), (4, 36), "shard size {shard_size}");
+    }
 }
 
 /// Capacity 0 must behave exactly like the pre-cache engine: no hits, no

@@ -188,3 +188,72 @@ fn cli_gen_batch_solve_round_trip() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Drives `msrs bench`: the portfolio-vs-single-solver table for each
+/// requested family, and clean usage errors (exit 1, no panic) for a
+/// removed flag or a zero `--machines` / `--count`.
+#[test]
+fn cli_bench_table_and_usage_errors() {
+    use std::process::{Command, Output};
+    let bench = |args: &str| -> Output {
+        Command::new(env!("CARGO_BIN_EXE_msrs"))
+            .arg("bench")
+            .args(args.split_whitespace())
+            .output()
+            .expect("run msrs bench")
+    };
+
+    let table = bench("--families uniform,zipf --count 2 --machines 3");
+    assert!(
+        table.status.success(),
+        "bench failed: {}",
+        String::from_utf8_lossy(&table.stderr)
+    );
+    // Row layout: `family n | solver mean worst | …`; the family and `n`
+    // columns are blank on the single-solver rows below a portfolio row.
+    let stdout = String::from_utf8_lossy(&table.stdout);
+    let mut rows: Vec<(String, String)> = Vec::new();
+    let mut family = String::new();
+    for line in stdout.lines().skip(1) {
+        let cols: Vec<&str> = line.split('|').collect();
+        assert_eq!(cols.len(), 3, "malformed bench row: {line}");
+        if let Some(name) = cols[0].split_whitespace().next() {
+            family = name.to_string();
+        }
+        let solver = cols[1].split_whitespace().next().expect("solver column");
+        rows.push((family.clone(), solver.to_string()));
+    }
+    let mut want = Vec::new();
+    for family in ["uniform", "zipf"] {
+        for solver in [
+            "portfolio",
+            "five_thirds",
+            "three_halves",
+            "hebrard_greedy",
+            "list_scheduler",
+            "merged_lpt",
+        ] {
+            want.push((family.to_string(), solver.to_string()));
+        }
+    }
+    assert_eq!(rows, want);
+
+    let usage_error = |args: &str, message: &str| {
+        let out = bench(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args}: {stderr}");
+        assert!(stderr.contains(message), "{args}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args}: {stderr}");
+    };
+    for removed in [
+        "--baseline-out b.json",
+        "--reference b.json",
+        "--compare b.json",
+        "--threshold 25",
+        "--strict",
+    ] {
+        usage_error(removed, "unknown flag");
+    }
+    usage_error("--machines 0", "--machines must be ≥ 1");
+    usage_error("--count 0", "--count must be ≥ 1");
+}

@@ -226,7 +226,7 @@ pub fn traffic(seed: u64, m: usize, dup_factor: u64) -> Instance {
 /// every near-balanced prefix — with all-distinct sizes giving the
 /// branch-and-bound's class-symmetry dominance no purchase. The
 /// workspace's standard "hard for the exact solver" instance (cancellation
-/// and deadline tests, the `BENCH_3.json` node-throughput workload).
+/// and deadline tests).
 pub fn parity_gap_partition(items: usize) -> Instance {
     let classes: Vec<Vec<Time>> = (0..items).map(|i| vec![2 * (101 + i as Time)]).collect();
     Instance::from_classes(2, &classes).expect("valid construction")
