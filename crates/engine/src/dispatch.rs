@@ -113,13 +113,16 @@
 //! When the coordinator is started with a cache store
 //! ([`DispatchConfig::cache_path`]), it becomes the fleet's cache
 //! authority and advertises it with a trailing `cache` token on each
-//! `#shard` header. A worker whose serve cache is active then decodes
-//! the shard *before* solving, sends one `#cacheq <fp>` probe per
-//! distinct locally-unknown canonical fingerprint, and reads exactly one
-//! `#cachehit <fp> <payload>` / `#cachemiss <fp>` reply per probe —
-//! installing hits into its local cache so they serve from the fast path
-//! bit-identically to local hits. After solving, the worker sends a
-//! `#cachefill <fp> <payload>` for every probed miss it now holds
+//! `#shard` header. A worker first admits the shard through
+//! [`ServiceCore::admit_line`], exactly as batch and serve admit lines,
+//! then probes the misses: it sends one `#cacheq <fp>` per distinct
+//! canonical fingerprint its local cache could not answer (none when its
+//! serve cache is inactive), in first-occurrence order, and reads exactly
+//! one `#cachehit <fp> <payload>` / `#cachemiss <fp>` reply per probe. It
+//! installs each verified hit into its local cache before the miss batch
+//! runs; the batch's own cache re-probe then serves the hit instead of
+//! solving it, bit-identically to a local hit. After solving, the worker
+//! sends a `#cachefill <fp> <payload>` for every probed miss it now holds
 //! (before `#done`, while its lease is live); the coordinator verifies,
 //! re-serializes, and appends each fill, and drops fills from zombie or
 //! idle workers (counted as `msrs_dispatch_stale_fills_dropped_total`).
@@ -152,7 +155,7 @@ use crate::json::{Json, JsonError};
 use crate::jsonl::CorpusError;
 use crate::remote::{Acceptor, Admission, RemoteHub, REMOTE_PROTO_VERSION, SECRET_ENV};
 use crate::report::SolveReport;
-use crate::stream::{DecodedLine, PreDecoder, ServiceCore, StreamStats};
+use crate::stream::{ServiceCore, StreamStats};
 use crate::Engine;
 
 /// Default worker heartbeat period.
@@ -427,9 +430,6 @@ fn worker_loop<R: BufRead, W: Write + Send>(
 ) -> io::Result<WorkerExit> {
     let fault = FaultSpec::from_env();
     let mut core = ServiceCore::new();
-    // The decode-first pass decodes into buffers of its own, never into
-    // the core that then admits the lines.
-    let mut predecoder = PreDecoder::default();
     let mut buf = String::new();
     let mut lines: Vec<String> = Vec::new();
     loop {
@@ -472,24 +472,28 @@ fn worker_loop<R: BufRead, W: Write + Send>(
                 _ => inject_fault(f, out, hb_enabled)?,
             }
         }
-        // Decode the whole shard first when the coordinator offers the
-        // shared cache: probing it needs every fingerprint before solving.
-        // Otherwise the core decodes each line as it admits it.
-        let mut decoded = None;
-        let mut fills = Vec::new();
-        if cache_plane && engine.serve_cache_active() && !lines.is_empty() {
-            // Shard-local 1-based ordinals, as `solve_shard` numbers them.
-            let shard_lines: Vec<DecodedLine> = lines
-                .iter()
-                .enumerate()
-                .map(|(i, line)| predecoder.decode(i + 1, line))
-                .collect();
-            match cache_exchange(engine, &mut input, out, &shard_lines)? {
-                Some(f) => fills = f,
+        let started = Instant::now();
+        core.begin(lines.len().max(1));
+        let mut error = None;
+        for (i, line) in lines.iter().enumerate() {
+            // Line numbers are shard-local 1-based ordinals; the
+            // coordinator translates them back to physical corpus line
+            // numbers.
+            if let Err(e) = core.admit_line(engine, i + 1, line, Instant::now()) {
+                error = Some(e);
+                break;
+            }
+        }
+        // When the coordinator offers the shared cache, ask it for the
+        // admitted misses before solving them.
+        let fills = if cache_plane {
+            match cache_exchange(engine, &mut input, out, &core.pending_misses())? {
+                Some(fills) => fills,
                 None => return Ok(WorkerExit::Eof),
             }
-            decoded = Some(shard_lines);
-        }
+        } else {
+            Vec::new()
+        };
         solve_shard(
             engine,
             &mut core,
@@ -497,8 +501,8 @@ fn worker_loop<R: BufRead, W: Write + Send>(
                 shard,
                 attempt,
                 worker_index,
-                lines: &lines,
-                decoded,
+                started,
+                error,
                 fills,
                 dup_done,
                 stale_fill_ms,
@@ -528,30 +532,24 @@ fn parse_shard_header(line: &str) -> Option<(usize, u32, usize, bool)> {
     Some((shard, attempt, n, cache))
 }
 
-/// Probes the coordinator's shared cache for every distinct canonical
-/// fingerprint the decoded shard needs that the local cache lacks, and
-/// installs the returned hits. Returns the fingerprints the coordinator
+/// Probes the coordinator's shared cache for `probes`, the distinct
+/// canonical fingerprints of the admitted shard's misses, and installs the
+/// verified hits in the local cache, where the miss batch's own re-probe
+/// finds them instead of solving. Returns the fingerprints the coordinator
 /// reported missing (the post-solve `#cachefill` obligations), or `None`
 /// when the coordinator closed the transport mid-exchange.
 fn cache_exchange<R: BufRead, W: Write + Send>(
     engine: &Engine,
     input: &mut R,
     out: &Arc<Mutex<W>>,
-    decoded: &[DecodedLine],
+    probes: &[u128],
 ) -> io::Result<Option<Vec<u128>>> {
-    let mut probes: Vec<u128> = Vec::new();
-    let mut seen: HashSet<u128> = HashSet::new();
-    for (fp, _) in decoded.iter().flatten() {
-        if seen.insert(*fp) && engine.serve_cached_peek(*fp).is_none() {
-            probes.push(*fp);
-        }
-    }
     if probes.is_empty() {
         return Ok(Some(Vec::new()));
     }
     {
         let mut w = out.lock().expect("worker output lock");
-        for fp in &probes {
+        for fp in probes {
             writeln!(w, "#cacheq {fp:032x}")?;
         }
         w.flush()?;
@@ -656,15 +654,15 @@ fn inject_fault<W: Write + Send>(
     }
 }
 
-/// One shard assignment as the worker solves it: the raw lines, the
-/// lines the decode-first pass decoded, if it ran, and the cache-plane
+/// One admitted shard as the worker finishes it: when admission started,
+/// the decode error that ended it, if any, and the cache-plane
 /// obligations attached to it.
-struct ShardJob<'a> {
+struct ShardJob {
     shard: usize,
     attempt: u32,
     worker_index: Option<u64>,
-    lines: &'a [String],
-    decoded: Option<Vec<DecodedLine>>,
+    started: Instant,
+    error: Option<CorpusError>,
     fills: Vec<u128>,
     dup_done: bool,
     stale_fill_ms: Option<u64>,
@@ -673,45 +671,14 @@ struct ShardJob<'a> {
 fn solve_shard<W: Write + Send>(
     engine: &Engine,
     core: &mut ServiceCore,
-    job: ShardJob<'_>,
+    job: ShardJob,
     out: &Arc<Mutex<W>>,
     hb_enabled: &Arc<AtomicBool>,
 ) -> io::Result<()> {
-    let started = Instant::now();
-    core.begin(job.lines.len().max(1));
-    let mut error = None;
-    match job.decoded {
-        Some(decoded) => {
-            // The pass numbered the lines as below, so the first error
-            // matches the sequential path byte-for-byte.
-            for line in decoded {
-                match line {
-                    Ok((fingerprint, request)) => {
-                        core.admit_prepared(engine, fingerprint, request, Instant::now());
-                    }
-                    Err(e) => {
-                        error = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-        None => {
-            for (i, line) in job.lines.iter().enumerate() {
-                // Line numbers are shard-local 1-based ordinals; the
-                // coordinator translates them back to physical corpus
-                // line numbers.
-                if let Err(e) = core.admit_line(engine, i + 1, line, Instant::now()) {
-                    error = Some(e);
-                    break;
-                }
-            }
-        }
-    }
     core.flush_with(engine, |bytes, _| {
         out.lock().expect("worker output lock").write_all(bytes)
     })?;
-    let outcome = core.finish(started, error);
+    let outcome = core.finish(job.started, job.error);
     // Honour #cachefill obligations before #done: the lease is still
     // live here, so the coordinator attributes the fills to this
     // attempt. The stale-fill fault delays them past lease expiry with

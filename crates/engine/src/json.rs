@@ -4,6 +4,13 @@
 //! `null`, and *integers* (all schedule arithmetic is integral `u64`), so
 //! numbers are carried as `i128` and floating-point literals are rejected on
 //! parse — round trips are exact by construction.
+//!
+//! This module also holds the crate's one JSON lexer, `Scan`. [`Json::parse`]
+//! builds a tree on it, and [`crate::jsonl::LineDecoder`] decodes instance
+//! lines on it without building one, so both parsers accept the same
+//! grammar and report the same error offsets and messages. The lexer makes
+//! one linear pass over its input, and both of its recursive walkers stop
+//! at a fixed nesting depth with a [`JsonError`].
 
 use std::fmt;
 
@@ -64,16 +71,10 @@ impl Json {
 
     /// Parses one JSON document (rejecting trailing garbage).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
+        let mut s = Scan::new(text);
+        s.skip_ws();
+        let v = value(&mut s, 0)?;
+        s.end()?;
         Ok(v)
     }
 }
@@ -148,18 +149,29 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// The tree-building parser. NOTE: `crate::jsonl`'s `Scan` is a
-/// non-materializing twin of this grammar (same tokens, same restrictions,
-/// same error offsets/messages) for the streaming instance decoder — a
-/// change to the lexing rules here (numbers, escapes, surrogates) must be
-/// mirrored there; `jsonl`'s differential tests compare the two decoders
-/// line by line and catch a divergence.
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// Deepest nesting of arrays and objects a document may have. Instance
+/// lines nest 3 deep and store payloads 4. The walkers below recurse once
+/// per level, so the bound keeps any input, however deep, from
+/// overflowing the stack of the thread that parses it.
+const MAX_DEPTH: usize = 128;
+
+/// The crate's one JSON lexer: a validating cursor over one document.
+/// [`Json::parse`] builds a tree on it; [`crate::jsonl::LineDecoder`]
+/// walks instance lines on it straight into reusable buffers. Integers
+/// only (no fraction or exponent, no leading zeros, `i128` range), and
+/// arrays and objects nest at most [`MAX_DEPTH`] deep. The input is a
+/// `&str`, so the cursor always sits on a character boundary.
+pub(crate) struct Scan<'a> {
+    text: &'a str,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Scan<'a> {
+    /// A cursor at the start of `text`.
+    pub(crate) fn new(text: &'a str) -> Self {
+        Scan { text, pos: 0 }
+    }
+
     fn err(&self, reason: impl Into<String>) -> JsonError {
         JsonError {
             at: self.pos,
@@ -167,11 +179,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// The byte under the cursor.
+    pub(crate) fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn skip_ws(&mut self) {
+    /// Skips JSON whitespace.
+    pub(crate) fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
@@ -186,30 +200,100 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    /// Consumes the `:` after an object key and the whitespace around it.
+    pub(crate) fn colon(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(())
+    }
+
+    /// Checks that only whitespace follows the document.
+    pub(crate) fn end(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(())
+    }
+
+    fn literal(&mut self, lit: &str) -> Result<(), JsonError> {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.err(format!("expected `{lit}`")))
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(self.err(format!("unexpected `{}`", c as char))),
-            None => Err(self.err("unexpected end of input")),
+    /// Walks one array or object (cursor on its `[` or `{`) that sits
+    /// inside `depth` others: calls `element` once per element, with the
+    /// cursor on the element's first byte and the depth inside this
+    /// container, and consumes the separators and the closing bracket.
+    /// For an object, `element` reads the whole `key: value` member.
+    pub(crate) fn elements(
+        &mut self,
+        depth: usize,
+        mut element: impl FnMut(&mut Self, usize) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if depth >= MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        let (close, expected) = match self.peek() {
+            Some(b'[') => (b']', "expected `,` or `]`"),
+            _ => (b'}', "expected `,` or `}`"),
+        };
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            element(self, depth + 1)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(c) if c == close => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(self.err(expected)),
+            }
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Validates and skips one value of any shape that sits inside
+    /// `depth` arrays or objects.
+    pub(crate) fn skip_value(&mut self, depth: usize) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'n') => self.literal("null"),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'"') => self.string(None),
+            Some(b'[') => self.elements(depth, Self::skip_value),
+            Some(b'{') => self.elements(depth, |s, depth| {
+                s.string(None)?;
+                s.colon()?;
+                s.skip_value(depth)
+            }),
+            Some(b'-' | b'0'..=b'9') => self.number().map(|_| ()),
+            _ => Err(self.unexpected()),
+        }
+    }
+
+    /// The error for a byte (or the end of input) where a value should
+    /// start.
+    fn unexpected(&self) -> JsonError {
+        match self.peek() {
+            Some(c) => self.err(format!("unexpected `{}`", c as char)),
+            None => self.err("unexpected end of input"),
+        }
+    }
+
+    /// Parses an integer literal (cursor on its `-` or first digit).
+    pub(crate) fn number(&mut self) -> Result<i128, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -221,56 +305,81 @@ impl<'a> Parser<'a> {
         if self.pos == digits_start {
             return Err(self.err("expected digit"));
         }
+        let digits = &self.text.as_bytes()[digits_start..self.pos];
         // RFC 8259: no leading zeros ("-0" and "0" are fine, "007" is not).
-        if self.pos - digits_start > 1 && self.bytes[digits_start] == b'0' {
+        if digits.len() > 1 && digits[0] == b'0' {
             return Err(self.err("leading zeros are not allowed"));
         }
         if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
             return Err(self.err("floating-point numbers are not supported"));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits");
+        // Fast path for the overwhelmingly common case — short non-negative
+        // literals (job sizes, machine counts): accumulate in `u64`, which
+        // 18 digits can never overflow. Long or negative literals take the
+        // generic checked path.
+        if digits.len() <= 18 && start == digits_start {
+            let mut value: u64 = 0;
+            for &b in digits {
+                value = value * 10 + u64::from(b - b'0');
+            }
+            return Ok(value as i128);
+        }
         // `i128::from_str` errors (rather than wrapping) on out-of-range
         // literals, which we surface as a parse error.
+        let text = &self.text[start..self.pos];
         text.parse::<i128>()
-            .map(Json::Num)
             .map_err(|_| self.err(format!("integer out of range `{text}`")))
     }
 
     /// Reads 4 hex digits starting at byte offset `at`.
     fn hex4(&self, at: usize) -> Result<u32, JsonError> {
-        self.bytes
+        self.text
             .get(at..at + 4)
-            .and_then(|h| std::str::from_utf8(h).ok())
             .and_then(|h| u32::from_str_radix(h, 16).ok())
             .ok_or_else(|| self.err("bad \\u escape"))
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Validates one string (cursor on its opening `"`), appending the
+    /// unescaped text to `out` when one is given.
+    pub(crate) fn string(&mut self, mut out: Option<&mut String>) -> Result<(), JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one step:
+            // both are ASCII, so the run ends on a character boundary.
+            let rest = &self.text.as_bytes()[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            if let Some(buf) = out.as_deref_mut() {
+                buf.push_str(&self.text[self.pos..self.pos + run]);
+            }
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // A backslash: one escape sequence.
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
+                    let ch = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
                         Some(b'u') => {
                             let hex = self.hex4(self.pos + 1)?;
                             self.pos += 4;
                             let code = if (0xD800..0xDC00).contains(&hex) {
                                 // High surrogate: a low surrogate must follow
                                 // as another \uXXXX escape (RFC 8259 §7).
-                                if self.bytes.get(self.pos + 1..self.pos + 3) != Some(b"\\u") {
+                                if self.text.as_bytes().get(self.pos + 1..self.pos + 3)
+                                    != Some(b"\\u")
+                                {
                                     return Err(
                                         self.err("high surrogate not followed by \\u escape")
                                     );
@@ -286,76 +395,53 @@ impl<'a> Parser<'a> {
                             } else {
                                 hex
                             };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u code point"))?,
-                            );
+                            char::from_u32(code).ok_or_else(|| self.err("bad \\u code point"))?
                         }
                         _ => return Err(self.err("bad escape")),
+                    };
+                    if let Some(buf) = out.as_deref_mut() {
+                        buf.push(ch);
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
             }
         }
     }
+}
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
+/// The tree builder behind [`Json::parse`]: one value that sits inside
+/// `depth` arrays or objects.
+fn value(s: &mut Scan<'_>, depth: usize) -> Result<Json, JsonError> {
+    match s.peek() {
+        Some(b'"') => {
+            let mut text = String::new();
+            s.string(Some(&mut text))?;
+            Ok(Json::Str(text))
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
+        Some(b'[') => {
+            let mut items = Vec::new();
+            s.elements(depth, |s, depth| {
+                items.push(value(s, depth)?);
+                Ok(())
+            })?;
+            Ok(Json::Arr(items))
         }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
+        Some(b'{') => {
+            let mut pairs = Vec::new();
+            s.elements(depth, |s, depth| {
+                let mut key = String::new();
+                s.string(Some(&mut key))?;
+                s.colon()?;
+                pairs.push((key, value(s, depth)?));
+                Ok(())
+            })?;
+            Ok(Json::Obj(pairs))
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
+        Some(b'-' | b'0'..=b'9') => s.number().map(Json::Num),
+        Some(b'n') => s.literal("null").map(|()| Json::Null),
+        Some(b't') => s.literal("true").map(|()| Json::Bool(true)),
+        Some(b'f') => s.literal("false").map(|()| Json::Bool(false)),
+        _ => Err(s.unexpected()),
     }
 }
 
@@ -434,6 +520,32 @@ mod tests {
         // A bare sign or non-digit after `-` is malformed.
         assert!(Json::parse("-").is_err());
         assert!(Json::parse("-x").is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_bound).is_ok());
+        // One level past the bound, or 100,000 levels deep, is an error at
+        // the first bracket past the bound, never a stack overflow.
+        for levels in [MAX_DEPTH + 1, 100_000] {
+            let err = Json::parse(&"[".repeat(levels)).unwrap_err();
+            assert_eq!(err.at, MAX_DEPTH);
+            assert_eq!(err.reason, "nesting deeper than 128 levels");
+            let err = Json::parse(&"{\"k\":".repeat(levels)).unwrap_err();
+            assert_eq!(err.at, 5 * MAX_DEPTH);
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let id = "a".repeat(512 * 1024);
+        let doc = format!("{{\"id\":\"{id}\",\"n\":1}}");
+        let started = std::time::Instant::now();
+        let v = Json::parse(&doc).unwrap();
+        let took = started.elapsed();
+        assert!(took.as_secs_f64() < 1.0, "512 KiB string took {took:?}");
+        assert_eq!(v.get("id").and_then(Json::as_str), Some(id.as_str()));
     }
 
     #[test]

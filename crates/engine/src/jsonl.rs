@@ -10,18 +10,20 @@
 //! sizes of class `c`; job ids are assigned class by class in order, exactly
 //! as [`Instance::from_classes`]). Blank lines and `#`-prefixed lines are
 //! ignored. Report lines are produced by
-//! [`SolveReport::to_json`](crate::report::SolveReport::to_json).
+//! [`SolveReport::write_json_line`](crate::report::SolveReport::write_json_line).
 //!
 //! ## The streaming decoder
 //!
 //! [`LineDecoder`] parses an instance line **directly into reusable
 //! buffers** — a [`msrs_core::InstanceBuilder`] for the flat class data and
-//! a byte buffer for the id — without building a [`Json`] tree: after
-//! warm-up, decoding a line performs zero heap allocations. It validates
-//! the full line (syntax *and* instance invariants) with the same error
-//! classification as the tree-based parser did: JSON syntax problems win
-//! over semantic ones, and semantic checks fire in field order (`machines`,
-//! then `classes`, then instance construction). [`read_instance_line`] is a
+//! a string buffer for the id — without building a [`Json`] tree: after
+//! warm-up, decoding a line performs zero heap allocations. It runs on the
+//! same lexer as [`Json::parse`] (in [`crate::json`]), so both accept the
+//! same grammar and report the same JSON errors. It validates the full line
+//! (syntax *and* instance invariants) with the error classification of
+//! parsing a tree and then extracting fields: JSON syntax problems win over
+//! semantic ones, and semantic checks fire in field order (`machines`, then
+//! `classes`, then instance construction). [`read_instance_line`] is a
 //! convenience wrapper that decodes one line into an owned
 //! [`SolveRequest`].
 
@@ -29,7 +31,7 @@ use std::fmt;
 
 use msrs_core::{Instance, InstanceBuilder, Time};
 
-use crate::json::{Json, JsonError};
+use crate::json::{Json, JsonError, Scan};
 use crate::report::SolveRequest;
 
 /// Errors reading an instance corpus.
@@ -91,13 +93,11 @@ pub fn write_instance_line(id: Option<&str>, inst: &Instance) -> String {
     Json::Obj(obj).to_string()
 }
 
-/// The first semantic problem found while scanning a line (reported only
-/// after the whole line proved syntactically valid, mirroring the tree
-/// parser's "parse everything, then extract" order).
+/// The first problem found inside a line's `classes` array (reported only
+/// after the whole line proved syntactically valid, the order of parsing a
+/// tree first and then extracting fields).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Semantic {
-    BadMachines,
-    BadClasses,
     EntryNotArray,
     BadSize,
 }
@@ -105,12 +105,24 @@ enum Semantic {
 impl Semantic {
     fn reason(self) -> &'static str {
         match self {
-            Semantic::BadMachines => "missing or invalid `machines`",
-            Semantic::BadClasses => "missing or invalid `classes`",
             Semantic::EntryNotArray => "`classes` entries must be arrays",
             Semantic::BadSize => "job sizes must be non-negative integers",
         }
     }
+}
+
+/// What one line's schema fields held, gathered while its members are
+/// scanned. The first occurrence of a key counts; later ones are skipped.
+#[derive(Default)]
+struct Fields {
+    seen_id: bool,
+    seen_machines: bool,
+    seen_classes: bool,
+    /// `Some` when the first `machines` is an integer that fits `usize`.
+    machines: Option<usize>,
+    /// Whether the first `classes` is an array.
+    classes_ok: bool,
+    semantic: Option<Semantic>,
 }
 
 /// A reusable instance-line decoder: parses
@@ -121,11 +133,11 @@ impl Semantic {
 #[derive(Debug, Default)]
 pub struct LineDecoder {
     builder: InstanceBuilder,
-    id_buf: Vec<u8>,
+    id_buf: String,
     /// Reusable unescaped-key buffer: schema keys are matched on their
-    /// *decoded* spelling (`"machines"` is `"machines"`), exactly as
-    /// the tree parser's `get()` did.
-    key_buf: Vec<u8>,
+    /// *decoded* spelling (`"machine\u0073"` is `"machines"`), exactly as
+    /// [`Json::get`] matches them.
+    key_buf: String,
     has_id: bool,
 }
 
@@ -137,202 +149,85 @@ impl LineDecoder {
 
     /// Decodes one instance line. On `Ok`, the [`builder`](Self::builder)
     /// holds the instance's flat class data (already checked against the
-    /// [`Instance`] construction invariants) and [`id`](Self::id) the
-    /// optional request id.
+    /// [`Instance`] construction invariants) and [`id_str`](Self::id_str)
+    /// the optional request id.
     pub fn decode(&mut self, line_no: usize, line: &str) -> Result<(), CorpusError> {
         self.id_buf.clear();
         self.has_id = false;
         self.builder.reset(0);
-        let mut p = Scan {
-            bytes: line.as_bytes(),
-            pos: 0,
+        let mut fields = Fields::default();
+        let mut scan = Scan::new(line);
+        scan.skip_ws();
+        // Any document other than an object is handled like a tree parse:
+        // it must be valid JSON, and then it has no `machines`.
+        let syntax = if scan.peek() == Some(b'{') {
+            scan.elements(0, |s, depth| self.member(s, depth, &mut fields))
+        } else {
+            scan.skip_value(0)
         };
-        let mut machines: Option<usize> = None;
-        let mut seen_id = false;
-        let mut seen_machines = false;
-        let mut seen_classes = false;
-        let mut classes_ok = false;
-        let mut semantic: Option<Semantic> = None;
+        syntax
+            .and_then(|()| scan.end())
+            .map_err(|error| CorpusError::Json {
+                line: line_no,
+                error,
+            })?;
 
-        let to_json_err = |error: JsonError| CorpusError::Json {
-            line: line_no,
-            error,
-        };
+        // Syntax was fine; now surface semantic problems in field
+        // extraction order.
         let malformed = |reason: String| CorpusError::Malformed {
             line: line_no,
             reason,
         };
-
-        p.skip_ws();
-        if p.peek() != Some(b'{') {
-            // Any other *valid* JSON document is handled like the tree
-            // parser handled it: parse fine, then fail field extraction.
-            p.skip_value().map_err(to_json_err)?;
-            p.skip_ws();
-            if p.pos != p.bytes.len() {
-                return Err(to_json_err(p.err("trailing characters after JSON value")));
-            }
-            return Err(malformed(Semantic::BadMachines.reason().into()));
+        let Some(machines) = fields.machines else {
+            return Err(malformed("missing or invalid `machines`".into()));
+        };
+        if !fields.classes_ok {
+            return Err(malformed("missing or invalid `classes`".into()));
         }
-        p.pos += 1;
-        p.skip_ws();
-        if p.peek() == Some(b'}') {
-            p.pos += 1;
-        } else {
-            loop {
-                p.skip_ws();
-                // Keys are matched on their *unescaped* spelling (decoded
-                // into a reusable buffer), matching the tree parser — an
-                // escaped `"machines"` is still the `machines` key.
-                p.string_into(&mut self.key_buf).map_err(to_json_err)?;
-                p.skip_ws();
-                p.expect(b':').map_err(to_json_err)?;
-                p.skip_ws();
-                // Copy the discriminant out so the key buffer's borrow does
-                // not overlap the `&mut self` uses inside the arms.
-                #[derive(PartialEq)]
-                enum Key {
-                    Id,
-                    Machines,
-                    Classes,
-                    Other,
-                }
-                let key = match self.key_buf.as_slice() {
-                    b"id" => Key::Id,
-                    b"machines" => Key::Machines,
-                    b"classes" => Key::Classes,
-                    _ => Key::Other,
-                };
-                match key {
-                    Key::Id if !seen_id => {
-                        seen_id = true;
-                        if p.peek() == Some(b'"') {
-                            p.string_into(&mut self.id_buf).map_err(to_json_err)?;
-                            self.has_id = true;
-                        } else {
-                            p.skip_value().map_err(to_json_err)?;
-                        }
-                    }
-                    Key::Machines if !seen_machines => {
-                        seen_machines = true;
-                        if matches!(p.peek(), Some(b'-' | b'0'..=b'9')) {
-                            let n = p.number().map_err(to_json_err)?;
-                            machines = usize::try_from(n).ok();
-                        } else {
-                            p.skip_value().map_err(to_json_err)?;
-                        }
-                        if machines.is_none() {
-                            note(&mut semantic, Semantic::BadMachines);
-                        }
-                    }
-                    Key::Classes if !seen_classes => {
-                        seen_classes = true;
-                        if p.peek() == Some(b'[') {
-                            classes_ok = true;
-                            self.scan_classes(&mut p, &mut semantic)
-                                .map_err(to_json_err)?;
-                        } else {
-                            p.skip_value().map_err(to_json_err)?;
-                            note(&mut semantic, Semantic::BadClasses);
-                        }
-                    }
-                    _ => {
-                        p.skip_value().map_err(to_json_err)?;
-                    }
-                }
-                p.skip_ws();
-                match p.peek() {
-                    Some(b',') => p.pos += 1,
-                    Some(b'}') => {
-                        p.pos += 1;
-                        break;
-                    }
-                    _ => return Err(to_json_err(p.err("expected `,` or `}`"))),
-                }
-            }
-        }
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(to_json_err(p.err("trailing characters after JSON value")));
-        }
-
-        // Syntax was fine; now surface semantic problems in the tree
-        // parser's extraction order.
-        if semantic == Some(Semantic::BadMachines) || machines.is_none() {
-            return Err(malformed(Semantic::BadMachines.reason().into()));
-        }
-        if !classes_ok {
-            return Err(malformed(Semantic::BadClasses.reason().into()));
-        }
-        if let Some(s) = semantic {
+        if let Some(s) = fields.semantic {
             return Err(malformed(s.reason().into()));
         }
-        self.builder.set_machines(machines.expect("checked above"));
+        self.builder.set_machines(machines);
         self.builder
             .validate()
             .map_err(|e| malformed(e.to_string()))
     }
 
-    /// Parses the `classes` array (cursor on `[`) into the builder,
-    /// recording — but not bailing on — semantic problems so the rest of
-    /// the line is still syntax-checked.
-    fn scan_classes(
-        &mut self,
-        p: &mut Scan<'_>,
-        semantic: &mut Option<Semantic>,
-    ) -> Result<(), JsonError> {
-        p.pos += 1; // consume '['
-        p.skip_ws();
-        if p.peek() == Some(b']') {
-            p.pos += 1;
-            return Ok(());
-        }
-        loop {
-            p.skip_ws();
-            if p.peek() == Some(b'[') {
-                p.pos += 1;
-                self.builder.begin_class();
-                p.skip_ws();
-                if p.peek() == Some(b']') {
-                    p.pos += 1;
-                } else {
-                    loop {
-                        p.skip_ws();
-                        if matches!(p.peek(), Some(b'-' | b'0'..=b'9')) {
-                            let n = p.number()?;
-                            match u64::try_from(n) {
-                                Ok(size) => self.builder.push_size(size as Time),
-                                Err(_) => note(semantic, Semantic::BadSize),
-                            }
-                        } else {
-                            p.skip_value()?;
-                            note(semantic, Semantic::BadSize);
-                        }
-                        p.skip_ws();
-                        match p.peek() {
-                            Some(b',') => p.pos += 1,
-                            Some(b']') => {
-                                p.pos += 1;
-                                break;
-                            }
-                            _ => return Err(p.err("expected `,` or `]`")),
-                        }
-                    }
-                }
-            } else {
-                p.skip_value()?;
-                note(semantic, Semantic::EntryNotArray);
-            }
-            p.skip_ws();
-            match p.peek() {
-                Some(b',') => p.pos += 1,
-                Some(b']') => {
-                    p.pos += 1;
+    /// Reads one `key: value` member of the line's top-level object,
+    /// decoding the schema fields and skipping everything else. Semantic
+    /// problems are recorded, not returned, so the rest of the line is
+    /// still syntax-checked.
+    fn member(&mut self, s: &mut Scan<'_>, depth: usize, f: &mut Fields) -> Result<(), JsonError> {
+        self.key_buf.clear();
+        s.string(Some(&mut self.key_buf))?;
+        s.colon()?;
+        match self.key_buf.as_str() {
+            "id" if !f.seen_id => {
+                f.seen_id = true;
+                if s.peek() == Some(b'"') {
+                    s.string(Some(&mut self.id_buf))?;
+                    self.has_id = true;
                     return Ok(());
                 }
-                _ => return Err(p.err("expected `,` or `]`")),
             }
+            "machines" if !f.seen_machines => {
+                f.seen_machines = true;
+                if matches!(s.peek(), Some(b'-' | b'0'..=b'9')) {
+                    f.machines = usize::try_from(s.number()?).ok();
+                    return Ok(());
+                }
+            }
+            "classes" if !f.seen_classes => {
+                f.seen_classes = true;
+                if s.peek() == Some(b'[') {
+                    f.classes_ok = true;
+                    let (builder, semantic) = (&mut self.builder, &mut f.semantic);
+                    return s.elements(depth, |s, depth| class(builder, s, depth, semantic));
+                }
+            }
+            _ => {}
         }
+        s.skip_value(depth)
     }
 
     /// The decoded flat instance data of the last successful
@@ -341,16 +236,9 @@ impl LineDecoder {
         &self.builder
     }
 
-    /// The decoded (unescaped) id bytes — always valid UTF-8 — if the line
-    /// carried a string `id`.
-    pub fn id(&self) -> Option<&[u8]> {
-        self.has_id.then_some(self.id_buf.as_slice())
-    }
-
-    /// [`LineDecoder::id`] as `&str`.
+    /// The decoded (unescaped) id, if the line carried a string `id`.
     pub fn id_str(&self) -> Option<&str> {
-        self.id()
-            .map(|b| std::str::from_utf8(b).expect("decoder emits UTF-8"))
+        self.has_id.then_some(self.id_buf.as_str())
     }
 
     /// Materializes an owned [`SolveRequest`] from the decoded line (the
@@ -363,246 +251,37 @@ impl LineDecoder {
     }
 }
 
+/// Reads one entry of `classes` into `builder`: an array of job sizes
+/// opens a class, anything else is recorded as a semantic problem.
+fn class(
+    builder: &mut InstanceBuilder,
+    s: &mut Scan<'_>,
+    depth: usize,
+    semantic: &mut Option<Semantic>,
+) -> Result<(), JsonError> {
+    if s.peek() != Some(b'[') {
+        note(semantic, Semantic::EntryNotArray);
+        return s.skip_value(depth);
+    }
+    builder.begin_class();
+    s.elements(depth, |s, depth| {
+        if !matches!(s.peek(), Some(b'-' | b'0'..=b'9')) {
+            note(semantic, Semantic::BadSize);
+            return s.skip_value(depth);
+        }
+        match u64::try_from(s.number()?) {
+            Ok(size) => builder.push_size(size as Time),
+            Err(_) => note(semantic, Semantic::BadSize),
+        }
+        Ok(())
+    })
+}
+
 /// Records the first semantic problem of a line (later ones are masked,
-/// matching the tree parser's first-error extraction order).
+/// matching first-error field extraction).
 fn note(slot: &mut Option<Semantic>, what: Semantic) {
     if slot.is_none() {
         *slot = Some(what);
-    }
-}
-
-/// A validating scanner over one line: the same grammar (and the same error
-/// offsets/messages) as [`Json::parse`], but nothing is materialized —
-/// values are either skipped or written into caller buffers. NOTE: this is
-/// deliberately a twin of `crate::json`'s `Parser` lexing rules (numbers,
-/// escapes, surrogates); keep the two in sync — the differential tests
-/// below compare both decoders against each other line by line.
-struct Scan<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scan<'a> {
-    fn err(&self, reason: impl Into<String>) -> JsonError {
-        JsonError {
-            at: self.pos,
-            reason: reason.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{lit}`")))
-        }
-    }
-
-    /// Validates and skips one JSON value of any shape.
-    fn skip_value(&mut self) -> Result<(), JsonError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null"),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'"') => self.string_skip(),
-            Some(b'[') => {
-                self.pos += 1;
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.skip_ws();
-                    self.skip_value()?;
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(self.err("expected `,` or `]`")),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    self.skip_ws();
-                    self.string_skip()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    self.skip_ws();
-                    self.skip_value()?;
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(self.err("expected `,` or `}`")),
-                    }
-                }
-            }
-            Some(b'-' | b'0'..=b'9') => self.number().map(|_| ()),
-            Some(c) => Err(self.err(format!("unexpected `{}`", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    /// Parses an integer literal with the same restrictions as the tree
-    /// parser (no floats, no leading zeros, i128 range).
-    fn number(&mut self) -> Result<i128, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let digits_start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == digits_start {
-            return Err(self.err("expected digit"));
-        }
-        // RFC 8259: no leading zeros ("-0" and "0" are fine, "007" is not).
-        if self.pos - digits_start > 1 && self.bytes[digits_start] == b'0' {
-            return Err(self.err("leading zeros are not allowed"));
-        }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            return Err(self.err("floating-point numbers are not supported"));
-        }
-        let digits = &self.bytes[digits_start..self.pos];
-        // Fast path for the overwhelmingly common case — short non-negative
-        // literals (job sizes, machine counts): accumulate in `u64`, which
-        // 18 digits can never overflow. Long or negative literals take the
-        // generic checked path.
-        if digits.len() <= 18 && self.bytes[start] != b'-' {
-            let mut value: u64 = 0;
-            for &b in digits {
-                value = value * 10 + u64::from(b - b'0');
-            }
-            return Ok(value as i128);
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits");
-        text.parse::<i128>()
-            .map_err(|_| self.err(format!("integer out of range `{text}`")))
-    }
-
-    /// Reads 4 hex digits starting at byte offset `at`.
-    fn hex4(&self, at: usize) -> Result<u32, JsonError> {
-        self.bytes
-            .get(at..at + 4)
-            .and_then(|h| std::str::from_utf8(h).ok())
-            .and_then(|h| u32::from_str_radix(h, 16).ok())
-            .ok_or_else(|| self.err("bad \\u escape"))
-    }
-
-    /// Validates a string, discarding its content.
-    fn string_skip(&mut self) -> Result<(), JsonError> {
-        self.string_impl(&mut None)
-    }
-
-    /// Validates a string, writing the unescaped UTF-8 bytes into `out`
-    /// (cleared first).
-    fn string_into(&mut self, out: &mut Vec<u8>) -> Result<(), JsonError> {
-        out.clear();
-        let mut sink = Some(out);
-        self.string_impl(&mut sink)
-    }
-
-    fn string_impl(&mut self, out: &mut Option<&mut Vec<u8>>) -> Result<(), JsonError> {
-        let push_char = |out: &mut Option<&mut Vec<u8>>, ch: char| {
-            if let Some(buf) = out {
-                let mut utf8 = [0u8; 4];
-                buf.extend_from_slice(ch.encode_utf8(&mut utf8).as_bytes());
-            }
-        };
-        self.expect(b'"')?;
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => push_char(out, '"'),
-                        Some(b'\\') => push_char(out, '\\'),
-                        Some(b'/') => push_char(out, '/'),
-                        Some(b'n') => push_char(out, '\n'),
-                        Some(b'r') => push_char(out, '\r'),
-                        Some(b't') => push_char(out, '\t'),
-                        Some(b'u') => {
-                            let hex = self.hex4(self.pos + 1)?;
-                            self.pos += 4;
-                            let code = if (0xD800..0xDC00).contains(&hex) {
-                                // High surrogate: a low surrogate must follow
-                                // as another \uXXXX escape (RFC 8259 §7).
-                                if self.bytes.get(self.pos + 1..self.pos + 3) != Some(b"\\u") {
-                                    return Err(
-                                        self.err("high surrogate not followed by \\u escape")
-                                    );
-                                }
-                                let low = self.hex4(self.pos + 3)?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(
-                                        self.err("high surrogate not followed by low surrogate")
-                                    );
-                                }
-                                self.pos += 6;
-                                0x10000 + ((hex - 0xD800) << 10) + (low - 0xDC00)
-                            } else {
-                                hex
-                            };
-                            push_char(
-                                out,
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u code point"))?,
-                            );
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    push_char(out, ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
     }
 }
 
@@ -763,6 +442,36 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_a_json_error() {
+        let deep = "[".repeat(100_000);
+        // Top-level value, a skipped member, and the `classes` walk.
+        for line in [
+            deep.clone(),
+            format!("{{\"x\":{deep}"),
+            format!("{{\"machines\":2,\"classes\":{deep}"),
+        ] {
+            match LineDecoder::new().decode(3, &line) {
+                Err(CorpusError::Json { line: 3, error }) => {
+                    assert_eq!(error.reason, "nesting deeper than 128 levels");
+                }
+                other => panic!("expected a JSON error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn long_ids_decode_in_linear_time() {
+        let id = "a".repeat(512 * 1024);
+        let line = format!("{{\"id\":\"{id}\",\"machines\":2,\"classes\":[[1]]}}");
+        let mut d = LineDecoder::new();
+        let started = std::time::Instant::now();
+        d.decode(1, &line).unwrap();
+        let took = started.elapsed();
+        assert!(took.as_secs_f64() < 1.0, "512 KiB id took {took:?}");
+        assert_eq!(d.id_str(), Some(id.as_str()));
+    }
+
+    #[test]
     fn decoder_is_reusable_and_allocation_lean() {
         let mut d = LineDecoder::new();
         d.decode(1, r#"{"id":"a","machines":2,"classes":[[4,3],[5]]}"#)
@@ -773,7 +482,7 @@ mod tests {
         assert_eq!(d.builder().offsets(), &[0, 2, 3]);
         // Reuse with a shorter, id-less line: no stale state.
         d.decode(2, r#"{"machines":1,"classes":[[9]]}"#).unwrap();
-        assert_eq!(d.id(), None);
+        assert_eq!(d.id_str(), None);
         assert_eq!(d.builder().sizes(), &[9]);
         assert_eq!(d.builder().offsets(), &[0, 1]);
         let req = d.build_request();

@@ -16,9 +16,10 @@
 //!   decoding each line on the reader thread and feeding `ServiceCore`
 //!   shard by shard.
 //!
-//! One private step decodes and fingerprints every line, whether the core
-//! admits it at once or the dispatch worker decodes its shard first to
-//! probe the fleet cache.
+//! Every line enters the data plane through [`ServiceCore::admit_line`]:
+//! the batch driver, the serve sessions and the dispatch workers all admit
+//! it there. A dispatch worker admits its whole shard, then probes the
+//! coordinator's fleet cache for the misses that are left.
 //!
 //! Error semantics are *prefix-faithful*: when a malformed line is hit
 //! mid-stream, everything successfully parsed before it — including a
@@ -219,7 +220,7 @@ pub struct ServiceCore {
     decoder: LineDecoder,
     scratch: CanonicalScratch,
     slots: Vec<Slot>,
-    ids: Vec<u8>,
+    ids: String,
     misses: Vec<SolveRequest>,
     /// Canonical fingerprint → miss index of its first occurrence in the
     /// current shard (duplicate-heavy traffic collapses here before any
@@ -307,56 +308,28 @@ impl ServiceCore {
         // phase, not folded into parse — the phase sums then track wall
         // time hop by hop.
         self.phases.parse += decoded_at - started;
-        if let Some(fp) = fingerprint {
-            let id = self.decoder.id().map(|bytes| {
-                let start = self.ids.len();
-                self.ids.extend_from_slice(bytes);
-                (start, self.ids.len())
-            });
-            self.classify(engine, fp, id, started, |core| core.decoder.build_request());
-        } else {
-            self.slots.push(Slot::Miss(self.misses.len()));
-            self.misses.push(self.decoder.build_request());
+        match fingerprint {
+            Some(fp) => self.classify(engine, fp, started),
+            None => {
+                self.slots.push(Slot::Miss(self.misses.len()));
+                self.misses.push(self.decoder.build_request());
+            }
         }
         self.phases.canon += decoded_at.elapsed();
         Ok(())
     }
 
-    /// Admits a line that a [`PreDecoder`] already decoded and
-    /// fingerprinted. The cache/dedup probe still happens here, in
-    /// admission order, so classification is identical to
-    /// [`admit_line`](Self::admit_line)'s.
-    pub(crate) fn admit_prepared(
-        &mut self,
-        engine: &Engine,
-        fingerprint: u128,
-        request: SolveRequest,
-        started: Instant,
-    ) {
-        let t_canon = Instant::now();
-        let id = request.id.as_deref().map(|id| {
+    /// Probes in-shard dedup table → cache → miss for the line just
+    /// decoded, pushing the resulting slot; only a miss materializes its
+    /// request. The dedup table comes first, so a line counts one cache
+    /// event: a hit for an in-shard duplicate, else the probe's own hit or
+    /// miss.
+    fn classify(&mut self, engine: &Engine, fp: u128, started: Instant) {
+        let id = self.decoder.id_str().map(|id| {
             let start = self.ids.len();
-            self.ids.extend_from_slice(id.as_bytes());
+            self.ids.push_str(id);
             (start, self.ids.len())
         });
-        self.classify(engine, fingerprint, id, started, move |_| request);
-        self.phases.canon += t_canon.elapsed();
-    }
-
-    /// Probes in-shard dedup table → cache → miss, pushing the resulting
-    /// slot. `materialize` builds the request only on the miss path. The
-    /// dedup table comes first, so a line counts one cache event: a hit for
-    /// an in-shard duplicate, else the probe's own hit or miss.
-    fn classify<F>(
-        &mut self,
-        engine: &Engine,
-        fp: u128,
-        id: Option<(usize, usize)>,
-        started: Instant,
-        materialize: F,
-    ) where
-        F: FnOnce(&mut Self) -> SolveRequest,
-    {
         // `serve_cached` times the probe as a `cache_lookup` stage span
         // inside the cache itself.
         if let Some(&first) = self.shard_forms.get(&fp) {
@@ -379,9 +352,21 @@ impl ServiceCore {
         } else {
             self.shard_forms.insert(fp, self.misses.len());
             self.slots.push(Slot::Miss(self.misses.len()));
-            let request = materialize(self);
-            self.misses.push(request);
+            self.misses.push(self.decoder.build_request());
         }
+    }
+
+    /// The canonical fingerprints of the pending shard's misses, one per
+    /// distinct form, in first-occurrence order. Empty while the serve
+    /// cache is inactive: lines are not fingerprinted then.
+    pub(crate) fn pending_misses(&self) -> Vec<u128> {
+        let mut firsts: Vec<(usize, u128)> = self
+            .shard_forms
+            .iter()
+            .map(|(&fp, &first)| (first, fp))
+            .collect();
+        firsts.sort_unstable();
+        firsts.into_iter().map(|(_, fp)| fp).collect()
     }
 
     /// Solves the pending shard's misses and emits every admitted line's
@@ -414,9 +399,7 @@ impl ServiceCore {
                     id,
                     serve_micros,
                 } => {
-                    let id = id.map(|(start, end)| {
-                        std::str::from_utf8(&self.ids[start..end]).expect("decoder emits UTF-8")
-                    });
+                    let id = id.map(|(start, end)| &self.ids[start..end]);
                     report.write_json_line_as(id, true, *serve_micros, &mut self.report_buf);
                     report
                 }
@@ -425,9 +408,7 @@ impl ServiceCore {
                     id,
                     serve_micros,
                 } => {
-                    let id = id.map(|(start, end)| {
-                        std::str::from_utf8(&self.ids[start..end]).expect("decoder emits UTF-8")
-                    });
+                    let id = id.map(|(start, end)| &self.ids[start..end]);
                     reports[*first].write_json_line_as(
                         id,
                         true,
@@ -497,37 +478,6 @@ fn decode_fingerprint(
         fp
     });
     Ok((fp, decoded_at))
-}
-
-/// One line decoded ahead of admission: its canonical fingerprint and
-/// materialized request, or the line's decode error.
-pub(crate) type DecodedLine = Result<(u128, SolveRequest), CorpusError>;
-
-/// Decoder and scratch for a pass that decodes a whole shard before the
-/// core admits any of it: the dispatch worker's fleet-cache probe needs
-/// every fingerprint first. Kept apart from the admitting
-/// [`ServiceCore`]'s own buffers. Use only with an active serve cache.
-#[derive(Default)]
-pub(crate) struct PreDecoder {
-    decoder: LineDecoder,
-    scratch: CanonicalScratch,
-}
-
-impl PreDecoder {
-    /// Decodes and fingerprints line `line_no` (1-based) for
-    /// [`ServiceCore::admit_prepared`].
-    pub(crate) fn decode(&mut self, line_no: usize, line: &str) -> DecodedLine {
-        let (fp, _) = decode_fingerprint(
-            &mut self.decoder,
-            &mut self.scratch,
-            line_no,
-            line,
-            Instant::now(),
-            true,
-        )?;
-        let fp = fp.expect("fingerprinting was asked for");
-        Ok((fp, self.decoder.build_request()))
-    }
 }
 
 /// The JSONL **batch driver** over [`ServiceCore`]: reads a corpus from a

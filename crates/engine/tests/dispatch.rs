@@ -350,6 +350,13 @@ fn fleet_cache_plane_serves_probes_and_output_is_identical() {
     );
 
     // Second run, same store: every distinct form is already durable.
+    let records = || {
+        fs::read_to_string(&store)
+            .expect("store readable")
+            .matches("{\"fp\":")
+            .count()
+    };
+    let durable = records();
     let out2 = tmp("cache-plane-2.jsonl");
     let second = dispatch::dispatch_fleet(Cursor::new(text), &out2, None, &cfg, None, None)
         .expect("second cache-plane run");
@@ -364,15 +371,20 @@ fn fleet_cache_plane_serves_probes_and_output_is_identical() {
         reference,
         "cache-served reports are bit-identical to the batch reference"
     );
+    // Workers install the coordinator's hits before solving: every line
+    // is served from a cache, and nothing new is solved or stored.
+    for line in read_lines(&out2) {
+        assert!(line.contains("\"cache_hit\":true"), "{line}");
+    }
+    assert_eq!(records(), durable, "a warm run appends no records");
     fs::remove_file(&out).ok();
     fs::remove_file(&out2).ok();
     fs::remove_file(&store).ok();
 }
 
 /// A malformed line ends a dispatch run where it ends a batch run: the
-/// same error, on the same physical line, after the same reports. With a
-/// `cache_path`, workers decode each shard before admitting it, so both
-/// decode paths must number lines alike.
+/// same error, on the same physical line, after the same reports, with
+/// and without the fleet cache plane.
 #[test]
 fn a_malformed_line_ends_dispatch_where_it_ends_batch() {
     // After the comment and the blank line, physical line 13 is local

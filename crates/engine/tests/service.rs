@@ -13,8 +13,9 @@
 //!   still delivers its report before the session closes;
 //! * **observability** — `#stats` answers with one parseable JSON
 //!   snapshot line, the HTTP metrics listener serves Prometheus and JSON
-//!   renderings, parse errors are answered in-line without ending the
-//!   session, and unknown `#` control lines are ignored;
+//!   renderings, parse errors — a line nested 100,000 levels deep
+//!   included — are answered in-line without ending the session, and
+//!   unknown `#` control lines are ignored;
 //! * **session hygiene** — an idle session is closed with a structured
 //!   `idle_timeout` line after `--idle-timeout-ms`, a session that served
 //!   `--max-requests-per-session` requests is closed with a
@@ -407,6 +408,42 @@ fn stats_errors_and_control_lines() {
     assert_eq!(summary.requests, 2, "two well-formed requests answered");
     assert_eq!(summary.errors, 1, "one parse error answered in-line");
     assert_eq!(summary.sheds, 0);
+}
+
+/// A line nested 100,000 levels deep is a parse error like any other: the
+/// session answers it, then serves the next request on the same
+/// connection.
+#[test]
+fn deeply_nested_line_is_a_parse_error_and_the_session_continues() {
+    let _guard = serialized();
+    let handle =
+        serve(engine(1, 1024), "127.0.0.1:0", ServeConfig::default()).expect("server binds");
+    let mut client = TcpStream::connect(handle.local_addr()).expect("connects");
+    let mut reader = BufReader::new(client.try_clone().expect("clone"));
+    let mut send = |line: &str| {
+        client
+            .write_all(format!("{line}\n").as_bytes())
+            .and_then(|()| client.flush())
+            .expect("write line");
+    };
+    let mut recv = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read line");
+        Json::parse(line.trim()).expect("response parses")
+    };
+
+    send(&format!("{{\"x\":{}", "[".repeat(100_000)));
+    let err = recv();
+    assert_eq!(err.get("error").and_then(Json::as_str), Some("parse"));
+    send(&tiny_line("after"));
+    let report = recv();
+    assert_eq!(report.get("id").and_then(Json::as_str), Some("after"));
+
+    send("#shutdown");
+    drop((client, reader));
+    let summary = handle.wait();
+    assert_eq!(summary.requests, 1);
+    assert_eq!(summary.errors, 1);
 }
 
 /// A session that goes quiet past the idle timeout is told why and
