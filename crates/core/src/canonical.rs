@@ -26,7 +26,9 @@
 //! vectors exist anywhere on the path. [`flat_fingerprint`] computes the
 //! fingerprint alone from raw flat data (no [`Instance`] required at all),
 //! with zero allocations once the scratch is warm; it is the cache-probe
-//! primitive of the engine's streaming data plane.
+//! primitive of the engine's streaming data plane. On a cache miss,
+//! [`flat_canonical_instance`] rebuilds the canonical instance from the
+//! data that call left sorted in the scratch, so a request is sorted once.
 
 use crate::instance::{ClassId, Instance, JobId, Time};
 use crate::schedule::Schedule;
@@ -95,6 +97,25 @@ fn span_cmp<T: Ord + Copy>(
     sb.cmp(sa).then(a.0.cmp(&b.0))
 }
 
+/// Rebuilds the canonical instance from sorted spans: one class per span,
+/// in span order, with the span's sizes in buffer order.
+fn instance_of_spans<T: Copy>(
+    machines: usize,
+    spans: &[(usize, usize)],
+    buf: &[T],
+    key: impl Fn(T) -> Time,
+) -> Instance {
+    let mut job_sizes = Vec::with_capacity(buf.len());
+    let mut class_offsets = Vec::with_capacity(spans.len() + 1);
+    class_offsets.push(0);
+    for &(start, end) in spans {
+        job_sizes.extend(buf[start..end].iter().map(|&x| key(x)));
+        class_offsets.push(job_sizes.len());
+    }
+    Instance::from_flat(machines, job_sizes, class_offsets)
+        .expect("canonicalization preserves validity")
+}
+
 /// Hashes the canonical description: machines, class count, then per class
 /// its length followed by its (descending) sizes.
 fn hash_spans<T: Copy>(
@@ -142,6 +163,15 @@ pub fn flat_fingerprint(
         .spans
         .sort_unstable_by(|&a, &b| span_cmp(buf, |x| x, a, b));
     hash_spans(machines, &scratch.spans, buf, |x| x)
+}
+
+/// The canonical instance of the flat data that the last
+/// [`flat_fingerprint`] call on `scratch` hashed, on `machines` machines:
+/// equal to `CanonicalForm::of(inst).instance()` for the instance `inst`
+/// that data describes. Reads the sizes that call left sorted in
+/// `scratch`, so nothing is sorted twice.
+pub fn flat_canonical_instance(machines: usize, scratch: &CanonicalScratch) -> Instance {
+    instance_of_spans(machines, &scratch.spans, &scratch.sizes, |x| x)
 }
 
 /// The canonical form of an [`Instance`]: an order- and label-insensitive
@@ -203,20 +233,11 @@ impl CanonicalForm {
         let fingerprint = hash_spans(inst.machines(), &scratch.spans, pairs, |(p, _)| p);
 
         let mut to_canonical = vec![0 as JobId; inst.num_jobs()];
-        let mut job_sizes: Vec<Time> = Vec::with_capacity(inst.num_jobs());
-        let mut class_offsets: Vec<usize> = Vec::with_capacity(scratch.spans.len() + 1);
-        class_offsets.push(0);
-        let mut next = 0usize;
-        for &(start, end) in &scratch.spans {
-            for &(p, j) in &scratch.pairs[start..end] {
-                job_sizes.push(p);
-                to_canonical[j] = next;
-                next += 1;
-            }
-            class_offsets.push(job_sizes.len());
+        let canonical_order = scratch.spans.iter().flat_map(|&(s, e)| &pairs[s..e]);
+        for (next, &(_, j)) in canonical_order.enumerate() {
+            to_canonical[j] = next;
         }
-        let instance = Instance::from_flat(inst.machines(), job_sizes, class_offsets)
-            .expect("canonicalization preserves validity");
+        let instance = instance_of_spans(inst.machines(), &scratch.spans, pairs, |(p, _)| p);
         CanonicalForm {
             instance,
             to_canonical,
@@ -347,6 +368,42 @@ mod tests {
                 flat_fingerprint(m, inst.flat_sizes(), inst.class_offsets(), &mut scratch);
             assert_eq!(via_form, via_flat, "m={m} classes={classes:?}");
         }
+    }
+
+    #[test]
+    fn flat_canonical_instance_matches_canonical_form() {
+        let mut scratch = CanonicalScratch::new();
+        let shapes: Vec<(usize, Vec<Vec<Time>>)> = vec![
+            (3, vec![vec![5, 3], vec![7], vec![2, 2, 2]]),
+            (2, vec![vec![], vec![4, 4], vec![1]]),
+            (1, vec![]),
+            (2, vec![vec![0, 3], vec![3, 0]]),
+            (4, vec![vec![9], vec![9], vec![1, 2, 3]]),
+            (2, vec![vec![1, 2], vec![], vec![2, 1], vec![3]]),
+        ];
+        for (m, classes) in shapes {
+            let inst = Instance::from_classes(m, &classes).unwrap();
+            let form = inst.canonical_form();
+            let fp = flat_fingerprint(m, inst.flat_sizes(), inst.class_offsets(), &mut scratch);
+            assert_eq!(fp, form.fingerprint(), "m={m} classes={classes:?}");
+            let flat = flat_canonical_instance(m, &scratch);
+            assert_eq!(&flat, form.instance(), "m={m} classes={classes:?}");
+            assert_eq!(flat.canonical_form().fingerprint(), fp);
+        }
+        // A relabelled input lands on the same instance.
+        let base = sample();
+        let shuffled = relabel(&base, &[2, 0, 1], &[5, 4, 3, 2, 1, 0]);
+        let fp = flat_fingerprint(
+            3,
+            shuffled.flat_sizes(),
+            shuffled.class_offsets(),
+            &mut scratch,
+        );
+        assert_eq!(fp, base.canonical_form().fingerprint());
+        assert_eq!(
+            &flat_canonical_instance(3, &scratch),
+            base.canonical_form().instance()
+        );
     }
 
     #[test]

@@ -374,8 +374,7 @@ impl Instance {
 /// parses each corpus line into one of these (class by class, size by size)
 /// so that steady-state decoding performs **zero heap allocations** — the
 /// buffers are retained across [`InstanceBuilder::reset`] calls and only the
-/// optional [`InstanceBuilder::build`] (the cache-miss path) materializes an
-/// owned [`Instance`].
+/// optional [`InstanceBuilder::build`] materializes an owned [`Instance`].
 #[derive(Debug, Default)]
 pub struct InstanceBuilder {
     machines: usize,
@@ -468,9 +467,9 @@ impl InstanceBuilder {
         check_total_sizes(&self.sizes)
     }
 
-    /// Materializes an owned [`Instance`] from the accumulated data (the
-    /// cache-miss path; allocates fresh buffers, leaving the builder intact
-    /// for the next line).
+    /// Materializes an owned [`Instance`] from the accumulated data
+    /// (allocates fresh buffers, leaving the builder intact for the next
+    /// line).
     pub fn build(&self) -> Result<Instance, InstanceError> {
         Instance::from_flat(self.machines, self.sizes.clone(), self.offsets().to_vec())
     }

@@ -47,7 +47,7 @@ pub mod validate;
 pub use bounds::{lower_bound, LowerBounds};
 pub use builder::{Block, ScheduleBuilder};
 pub use cancel::CancelToken;
-pub use canonical::{flat_fingerprint, CanonicalForm, CanonicalScratch};
+pub use canonical::{flat_canonical_instance, flat_fingerprint, CanonicalForm, CanonicalScratch};
 pub use instance::{
     ClassId, Instance, InstanceBuilder, InstanceError, Job, JobId, MachineId, Time,
 };

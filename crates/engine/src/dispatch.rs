@@ -117,18 +117,26 @@
 //! [`ServiceCore::admit_line`], exactly as batch and serve admit lines,
 //! then probes the misses: it sends one `#cacheq <fp>` per distinct
 //! canonical fingerprint its local cache could not answer (none when its
-//! serve cache is inactive), in first-occurrence order, and reads exactly
-//! one `#cachehit <fp> <payload>` / `#cachemiss <fp>` reply per probe. It
-//! installs each verified hit into its local cache before the miss batch
-//! runs; the batch's own cache re-probe then serves the hit instead of
-//! solving it, bit-identically to a local hit. After solving, the worker
-//! sends a `#cachefill <fp> <payload>` for every probed miss it now holds
-//! (before `#done`, while its lease is live); the coordinator verifies,
+//! cache is inactive), in first-occurrence order, and reads exactly one
+//! `#cachehit <fp> <payload>` / `#cachemiss <fp>` reply per probe; the
+//! i-th reply must name the i-th probe's fingerprint, or the exchange
+//! fails as malformed. A hit is checked against the canonical instance
+//! the worker probed for: the schedule must validate, and its makespan,
+//! the lower bound, and the job, machine and class counts must match,
+//! with the makespan within the certified horizon. The worker installs
+//! each hit that passes into its local cache before the miss batch runs;
+//! the batch's own cache re-probe then serves the hit instead of solving
+//! it, bit-identically to a local hit. Any other payload is solved
+//! locally, exactly like a miss. After solving, the worker sends a
+//! `#cachefill <fp> <payload>` for every probed miss it now holds (before
+//! `#done`, while its lease is live); the coordinator parses,
 //! re-serializes, and appends each fill, and drops fills from zombie or
 //! idle workers (counted as `msrs_dispatch_stale_fills_dropped_total`).
-//! It makes the appended fills durable with one `fsync` per drained
-//! event batch, so every fill is on disk before the checkpoint journals
-//! a later shard.
+//! The coordinator holds no instances, so it cannot check a fill; a bad
+//! store entry costs a probing worker a local solve, never a wrong
+//! report. It makes the appended fills durable with one `fsync` per
+//! drained event batch, so every fill is on disk before the checkpoint
+//! journals a later shard.
 //! Payloads are [`crate::report::SolveReport::to_store_json`] lines. The
 //! exchange is versioned through the remote handshake
 //! ([`crate::remote::REMOTE_PROTO_VERSION`]), so pre-cache workers are
@@ -146,6 +154,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use msrs_core::{lower_bound, validate, Instance};
 use msrs_telemetry::registry;
 
 use crate::cachestore::CacheStore;
@@ -456,7 +465,9 @@ fn worker_loop<R: BufRead, W: Write + Send>(
             lines.push(buf.trim_end().to_string());
         }
         buf.clear();
-        input.read_line(&mut buf)?;
+        if input.read_line(&mut buf)? == 0 {
+            return Ok(WorkerExit::Eof);
+        }
         if buf.trim_end() != "#run" {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -486,8 +497,8 @@ fn worker_loop<R: BufRead, W: Write + Send>(
         }
         // When the coordinator offers the shared cache, ask it for the
         // admitted misses before solving them.
-        let fills = if cache_plane {
-            match cache_exchange(engine, &mut input, out, &core.pending_misses())? {
+        let fills = if cache_plane && engine.cache_active() {
+            match cache_exchange(engine, &mut input, out, core.pending_misses())? {
                 Some(fills) => fills,
                 None => return Ok(WorkerExit::Eof),
             }
@@ -532,24 +543,25 @@ fn parse_shard_header(line: &str) -> Option<(usize, u32, usize, bool)> {
     Some((shard, attempt, n, cache))
 }
 
-/// Probes the coordinator's shared cache for `probes`, the distinct
-/// canonical fingerprints of the admitted shard's misses, and installs the
-/// verified hits in the local cache, where the miss batch's own re-probe
-/// finds them instead of solving. Returns the fingerprints the coordinator
-/// reported missing (the post-solve `#cachefill` obligations), or `None`
-/// when the coordinator closed the transport mid-exchange.
+/// Probes the coordinator's shared cache for `probes`, the admitted
+/// shard's miss batch (its distinct canonical forms), and installs each hit
+/// that [answers](answers) its probe's instance in the local cache, where
+/// the miss batch's own re-probe finds it instead of solving. Returns the
+/// fingerprints left to solve locally (the post-solve `#cachefill`
+/// obligations), or `None` when the coordinator closed the transport
+/// mid-exchange.
 fn cache_exchange<R: BufRead, W: Write + Send>(
     engine: &Engine,
     input: &mut R,
     out: &Arc<Mutex<W>>,
-    probes: &[u128],
+    probes: &[(u128, Instance)],
 ) -> io::Result<Option<Vec<u128>>> {
     if probes.is_empty() {
         return Ok(Some(Vec::new()));
     }
     {
         let mut w = out.lock().expect("worker output lock");
-        for fp in probes {
+        for (fp, _) in probes {
             writeln!(w, "#cacheq {fp:032x}")?;
         }
         w.flush()?;
@@ -558,46 +570,50 @@ fn cache_exchange<R: BufRead, W: Write + Send>(
     // else travels down this transport (the worker holds the lease).
     let mut fills = Vec::new();
     let mut buf = String::new();
-    for _ in 0..probes.len() {
+    for (fp, instance) in probes {
         buf.clear();
         if input.read_line(&mut buf)? == 0 {
             return Ok(None);
         }
         let line = buf.trim_end();
-        if let Some(rest) = line.strip_prefix("#cachehit ") {
-            let payload = rest
-                .split_once(' ')
-                .and_then(|(fp_hex, payload)| {
-                    let fp = u128::from_str_radix(fp_hex, 16).ok()?;
-                    Some((fp, payload))
-                })
-                .ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "malformed #cachehit reply")
-                })?;
-            let (fp, payload) = payload;
-            match Json::parse(payload)
-                .ok()
-                .as_ref()
-                .and_then(crate::report::SolveReport::from_store_json)
-            {
-                // An unverifiable payload degrades to a local solve;
-                // never a wrong answer.
-                Some(report) => engine.serve_cache_install(fp, Arc::new(report)),
-                None => fills.push(fp),
+        let mut parts = line.splitn(3, ' ');
+        let (kind, hex, payload) = (parts.next(), parts.next(), parts.next());
+        let answered = hex.and_then(|hex| u128::from_str_radix(hex, 16).ok()) == Some(*fp);
+        let payload = match (kind, payload) {
+            (Some("#cachehit"), Some(payload)) if answered => Some(payload),
+            (Some("#cachemiss"), None) if answered => None,
+            _ => {
+                let line = truncate(line, 80);
+                let why = format!("cache reply `{line}` does not answer probe {fp:032x}");
+                return Err(io::Error::new(io::ErrorKind::InvalidData, why));
             }
-        } else if let Some(fp_hex) = line.strip_prefix("#cachemiss ") {
-            let fp = u128::from_str_radix(fp_hex.trim(), 16).map_err(|_| {
-                io::Error::new(io::ErrorKind::InvalidData, "malformed #cachemiss reply")
-            })?;
-            fills.push(fp);
-        } else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected line during cache exchange: `{line}`"),
-            ));
+        };
+        let hit = payload
+            .and_then(|p| Json::parse(p).ok())
+            .and_then(|v| SolveReport::from_store_json(&v))
+            .filter(|report| answers(report, instance));
+        match hit {
+            Some(report) => engine.serve_cache_install(*fp, Arc::new(report)),
+            // Anything unverifiable degrades to a local solve, never a
+            // wrong answer.
+            None => fills.push(*fp),
         }
     }
     Ok(Some(fills))
+}
+
+/// Whether a fleet cache hit answers the canonical instance it was probed
+/// for: its schedule is valid for the instance, its makespan is that
+/// schedule's and within its certificate, and its lower bound and its job,
+/// machine and class counts are the instance's.
+fn answers(report: &SolveReport, instance: &Instance) -> bool {
+    validate(instance, &report.schedule).is_ok()
+        && report.schedule.makespan(instance) == report.makespan
+        && report.makespan <= report.certified_horizon
+        && report.lower_bound == lower_bound(instance)
+        && report.jobs == instance.num_jobs()
+        && report.machines == instance.machines()
+        && report.classes == instance.num_classes()
 }
 
 /// Applies an injected fault. `crash`/`garble`/`partial` terminate the

@@ -12,7 +12,6 @@
 //! search loops — so the deadline bounds each member's runtime, not merely
 //! when the engine stops waiting.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
@@ -21,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
-use msrs_core::{validate, CancelToken, CanonicalForm, CanonicalScratch, Instance, Schedule, Time};
+use msrs_core::{validate, CancelToken, CanonicalForm, Instance, Schedule, Time};
 use msrs_exact::{SolveLimits, SolveOutcome};
 use msrs_ptas::EptasConfig;
 use msrs_telemetry::{registry, OutcomeStatus, Stage};
@@ -226,24 +225,31 @@ impl Default for Engine {
     }
 }
 
-/// Per-thread reusable solve scratch: the canonicalization buffers every
-/// request needs, hit or miss. The worker pool's threads are persistent, so
-/// one scratch per worker lives for the process — shard loops in
-/// [`Engine::solve_batch_vec`] and the streaming pipeline recycle it across
-/// shards instead of re-allocating per instance.
-#[derive(Default)]
-pub(crate) struct SolveScratch {
-    pub(crate) canonical: CanonicalScratch,
+/// Where a request's report comes from, as decided when it is admitted.
+pub(crate) enum Source {
+    /// A cache hit: the shared canonical report.
+    Cached(Arc<SolveReport>),
+    /// Entry `index` of the miss batch handed to
+    /// [`Engine::solve_canonical_batch`]; `dup` marks a later request for
+    /// the same canonical form, answered as a cache hit.
+    Miss { index: usize, dup: bool },
 }
 
-thread_local! {
-    static SOLVE_SCRATCH: RefCell<SolveScratch> = RefCell::new(SolveScratch::default());
-}
-
-/// Canonicalizes `inst` through the calling thread's persistent scratch.
-fn canonical_form_pooled(inst: &Instance) -> CanonicalForm {
-    let _span = Stage::Canonicalize.span();
-    SOLVE_SCRATCH.with(|s| CanonicalForm::of_with(inst, &mut s.borrow_mut().canonical))
+impl Source {
+    /// The canonical report and whether it answers as a cache hit, given
+    /// the miss batch's answers `solved`.
+    pub(crate) fn resolve<'a>(
+        &'a self,
+        solved: &'a [(Arc<SolveReport>, bool)],
+    ) -> (&'a Arc<SolveReport>, bool) {
+        match self {
+            Source::Cached(report) => (report, true),
+            Source::Miss { index, dup } => {
+                let (report, fresh) = &solved[*index];
+                (report, *dup || !fresh)
+            }
+        }
+    }
 }
 
 /// Everything a finished member hands back.
@@ -293,34 +299,25 @@ impl Engine {
 
     /// Whether requests are served through the result cache: the cache has
     /// capacity and no deadline is configured (deadline results are
-    /// wall-clock-dependent, so memoizing them would be unsound).
-    fn cache_active(&self) -> bool {
+    /// wall-clock-dependent, so memoizing them would be unsound). When
+    /// false, every request is solved: no dedup, no probe, no insert.
+    pub(crate) fn cache_active(&self) -> bool {
         self.cache.enabled() && self.cfg.deadline.is_none()
     }
 
-    fn cache_key(&self, form: &CanonicalForm) -> CacheKey {
+    /// The cache key of a canonical fingerprint under this configuration.
+    fn key(&self, fingerprint: u128) -> CacheKey {
         CacheKey {
-            instance: form.fingerprint(),
+            instance: fingerprint,
             config: self.config_fp,
         }
     }
 
-    /// Whether the byte-level serve path ([`crate::stream::JsonlServer`])
-    /// may serve lines by canonical fingerprint (cache has capacity, no
-    /// deadline configured). When false, serving degenerates to the typed
-    /// pipeline: every line is materialized and batch-solved.
-    pub(crate) fn serve_cache_active(&self) -> bool {
-        self.cache_active()
-    }
-
     /// Cache probe of the byte-level serve path: the canonical report for a
     /// decoded line, by fingerprint alone. Must only be called when
-    /// [`serve_cache_active`](Self::serve_cache_active) is true.
+    /// [`cache_active`](Self::cache_active) is true.
     pub(crate) fn serve_cached(&self, fingerprint: u128) -> Option<Arc<SolveReport>> {
-        self.cache.get(&CacheKey {
-            instance: fingerprint,
-            config: self.config_fp,
-        })
+        self.cache.get(&self.key(fingerprint))
     }
 
     /// Accounts an in-shard duplicate the serve path answered at the byte
@@ -333,23 +330,14 @@ impl Engine {
     /// no recency refresh. The fleet cache exchange uses this to decide
     /// what to ask the coordinator for without perturbing cache stats.
     pub(crate) fn serve_cached_peek(&self, fingerprint: u128) -> Option<Arc<SolveReport>> {
-        self.cache.peek(&CacheKey {
-            instance: fingerprint,
-            config: self.config_fp,
-        })
+        self.cache.peek(&self.key(fingerprint))
     }
 
     /// Installs a canonical report fetched from the coordinator's shared
     /// cache under `fingerprint`, so subsequent lines serve it from the
     /// local fast path.
     pub(crate) fn serve_cache_install(&self, fingerprint: u128, report: Arc<SolveReport>) {
-        self.cache.insert(
-            CacheKey {
-                instance: fingerprint,
-                config: self.config_fp,
-            },
-            report,
-        );
+        self.cache.insert(self.key(fingerprint), report);
     }
 
     /// Attaches the durable cache store at `path` (`--cache-path`): loads
@@ -366,41 +354,17 @@ impl Engine {
         let mut seen = std::collections::HashSet::with_capacity(entries.len());
         for entry in entries {
             seen.insert(entry.fingerprint);
-            self.cache.insert(
-                CacheKey {
-                    instance: entry.fingerprint,
-                    config: self.config_fp,
-                },
-                entry.report,
-            );
+            self.cache.insert(self.key(entry.fingerprint), entry.report);
         }
         self.cache.attach_store(store, self.config_fp, seen);
         Ok(stats)
     }
 
-    /// Solves one request with the planned portfolio, its members one
-    /// after another on the calling thread — the same loop a batch runs
-    /// for each of its instances, so both give the same report content.
-    ///
-    /// Every solve runs on the *canonical form* of the instance (sorted
-    /// class multisets — order- and ID-insensitive) and the schedule is
-    /// mapped back to the request's job ids, so relabelled duplicates
-    /// receive identical reports and result caching is sound by
-    /// construction.
+    /// Solves one request: a batch of one (see
+    /// [`solve_batch`](Self::solve_batch)), so both give the same report.
     pub fn solve(&self, req: &SolveRequest) -> SolveReport {
-        let started = Instant::now();
-        let form = canonical_form_pooled(&req.instance);
-        if self.cache_active() {
-            let key = self.cache_key(&form);
-            if let Some(canonical) = self.cache.get(&key) {
-                return finalize((*canonical).clone(), &form, req, true, started);
-            }
-            let canonical = Arc::new(self.solve_canonical(form.instance()));
-            self.cache.insert(key, Arc::clone(&canonical));
-            return finalize((*canonical).clone(), &form, req, false, started);
-        }
-        let canonical = self.solve_canonical(form.instance());
-        finalize(canonical, &form, req, false, started)
+        let mut reports = self.solve_batch(std::slice::from_ref(req));
+        reports.pop().expect("one report per request")
     }
 
     /// Convenience: solve a bare instance.
@@ -408,129 +372,116 @@ impl Engine {
         self.solve(&SolveRequest::new(inst.clone()))
     }
 
-    /// Solves a batch on the pool, one instance per task. Reports come back
-    /// in request order, and — with no deadline configured — every field
-    /// except the `wall_micros` timings and `cache_hit` is identical
-    /// regardless of thread count *and* of cache configuration: the pool's
-    /// chunk boundaries depend only on the batch length, work distribution
-    /// only decides *which worker* computes a report (each report is
-    /// computed sequentially by a single worker), collection is
-    /// order-preserving, and cached reports are replays of the same
-    /// deterministic canonical solve.
+    /// Solves a batch on the pool, one canonical instance per task.
+    /// Reports come back in request order, and — with no deadline
+    /// configured — every field except the `wall_micros` timings and
+    /// `cache_hit` is identical regardless of thread count *and* of cache
+    /// configuration: the pool's chunk boundaries depend only on the batch
+    /// length, work distribution only decides *which worker* computes a
+    /// report (each report is computed sequentially by a single worker),
+    /// collection is order-preserving, and cached reports are replays of
+    /// the same deterministic canonical solve.
     ///
-    /// With the cache enabled the batch is additionally *deduplicated by
-    /// canonical form*: each distinct form is solved once on the pool (in
-    /// first-occurrence order) and the report fanned out to every duplicate
-    /// request, so a duplicate-heavy corpus collapses to its
-    /// distinct-instance count.
+    /// Every solve runs on the *canonical form* of the instance (sorted
+    /// class multisets — order- and ID-insensitive) and the schedule is
+    /// mapped back to the request's job ids, so relabelled duplicates
+    /// receive identical reports and result caching is sound by
+    /// construction. With the cache active the batch is additionally
+    /// *deduplicated by canonical form*: each distinct uncached form is
+    /// solved once (in first-occurrence order) and the report fanned out
+    /// to every duplicate request, so a duplicate-heavy corpus collapses
+    /// to its distinct-instance count.
     ///
-    /// The borrowed slice is copied once up front (pool jobs are `'static`
-    /// and cannot hold the borrow); the streaming shard pipeline owns its
-    /// requests and shares them zero-copy behind an `Arc` instead.
+    /// This is the typed reference the byte-level data plane
+    /// ([`crate::stream::ServiceCore`]) is tested against: both hand their
+    /// distinct canonical instances to the same engine call.
     pub fn solve_batch(&self, reqs: &[SolveRequest]) -> Vec<SolveReport> {
-        self.solve_batch_probed(reqs.to_vec(), ReportCache::get)
-    }
-
-    /// [`solve_batch`](Self::solve_batch) taking ownership of the requests —
-    /// the zero-copy entry point of the data plane's miss batches
-    /// ([`crate::stream::ServiceCore`]): pool workers share the request
-    /// vector behind an `Arc` instead of cloning it, so a shard costs
-    /// exactly its own allocation. The data plane already counted each
-    /// miss's cache probe when it admitted the line, so the batch looks
-    /// the misses up again (a concurrent session may have solved one
-    /// since) with the metric-neutral [`ReportCache::peek`].
-    pub(crate) fn solve_batch_vec(&self, reqs: Vec<SolveRequest>) -> Vec<SolveReport> {
-        self.solve_batch_probed(reqs, ReportCache::peek)
-    }
-
-    /// The batch path behind both entry points; `probe` is the cache
-    /// lookup applied to each distinct form.
-    fn solve_batch_probed(
-        &self,
-        reqs: Vec<SolveRequest>,
-        probe: fn(&ReportCache, &CacheKey) -> Option<Arc<SolveReport>>,
-    ) -> Vec<SolveReport> {
-        if self.cache_active() {
-            return self.solve_batch_deduped(reqs, probe);
-        }
-        let reqs = Arc::new(reqs);
-        let engine = self.clone();
-        let shared = Arc::clone(&reqs);
-        self.cfg.pool().install(|| {
-            (0..reqs.len())
-                .into_par_iter()
-                .map(move |i| engine.solve(&shared[i]))
-                .collect()
-        })
-    }
-
-    /// Cache-enabled batch path: canonicalize, dedup, solve each distinct
-    /// uncached form once on the pool, then fan reports out in order.
-    fn solve_batch_deduped(
-        &self,
-        reqs: Vec<SolveRequest>,
-        probe: fn(&ReportCache, &CacheKey) -> Option<Arc<SolveReport>>,
-    ) -> Vec<SolveReport> {
-        let pool = self.cfg.pool();
-        let reqs = Arc::new(reqs);
-        let forms: Arc<Vec<CanonicalForm>> = {
-            let shared = Arc::clone(&reqs);
-            Arc::new(pool.install(|| {
-                (0..reqs.len())
-                    .into_par_iter()
-                    .map(move |i| canonical_form_pooled(&shared[i].instance))
-                    .collect()
-            }))
-        };
-        // Dedup by fingerprint, keeping first-occurrence order; decide
-        // per-request provenance (fresh solve vs cache vs intra-batch
-        // duplicate) sequentially so the hit/miss counters are
-        // deterministic for a fixed engine + corpus.
-        let key_of = |idx: usize| self.cache_key(&forms[idx]);
-        let mut first_of: HashMap<u128, usize> = HashMap::new();
-        let mut to_solve: Vec<usize> = Vec::new();
-        let mut cached: HashMap<u128, Arc<SolveReport>> = HashMap::new();
-        let mut fresh: Vec<bool> = vec![false; reqs.len()];
-        for idx in 0..reqs.len() {
-            let fp = forms[idx].fingerprint();
-            if first_of.contains_key(&fp) || cached.contains_key(&fp) {
-                self.cache.count_dedup_hit();
-                continue;
-            }
-            if let Some(report) = probe(&self.cache, &key_of(idx)) {
-                cached.insert(fp, report);
-                continue;
-            }
-            first_of.insert(fp, idx);
-            to_solve.push(idx);
-            fresh[idx] = true;
-        }
-        let solved: Vec<SolveReport> = {
-            let engine = self.clone();
-            let shared_forms = Arc::clone(&forms);
-            let indices = to_solve.clone();
-            pool.install(|| {
-                indices
-                    .into_par_iter()
-                    .map(move |idx| engine.solve_canonical(shared_forms[idx].instance()))
-                    .collect()
+        let active = self.cache_active();
+        let forms: Vec<CanonicalForm> = reqs
+            .iter()
+            .map(|req| {
+                let _span = Stage::Canonicalize.span();
+                CanonicalForm::of(&req.instance)
             })
-        };
-        for (&idx, report) in to_solve.iter().zip(solved) {
-            let fp = forms[idx].fingerprint();
-            let shared = Arc::new(report);
-            self.cache.insert(key_of(idx), Arc::clone(&shared));
-            cached.insert(fp, shared);
+            .collect();
+        // Decided sequentially, so the hit/miss counters are deterministic
+        // for a fixed engine + corpus.
+        let mut sources: Vec<Source> = Vec::with_capacity(reqs.len());
+        let mut misses: Vec<(u128, Instance)> = Vec::new();
+        let mut first_of: HashMap<u128, usize> = HashMap::new();
+        for form in &forms {
+            let fp = form.fingerprint();
+            if active {
+                if let Some(&index) = first_of.get(&fp) {
+                    self.cache.count_dedup_hit();
+                    sources.push(Source::Miss { index, dup: true });
+                    continue;
+                }
+                if let Some(report) = self.cache.get(&self.key(fp)) {
+                    sources.push(Source::Cached(report));
+                    continue;
+                }
+                first_of.insert(fp, misses.len());
+            }
+            let index = misses.len();
+            sources.push(Source::Miss { index, dup: false });
+            misses.push((fp, form.instance().clone()));
         }
+        let solved = self.solve_canonical_batch(misses);
         reqs.iter()
-            .zip(forms.iter())
-            .zip(&fresh)
-            .map(|((req, form), &is_fresh)| {
+            .zip(&forms)
+            .zip(&sources)
+            .map(|((req, form), source)| {
                 // Hits report their fan-out (serving) cost, not the batch
                 // duration; fresh reports keep their solve time.
                 let served = Instant::now();
-                let canonical = (*cached[&form.fingerprint()]).clone();
-                finalize(canonical, form, req, !is_fresh, served)
+                let (report, cache_hit) = source.resolve(&solved);
+                finalize((**report).clone(), form, req, cache_hit, served)
+            })
+            .collect()
+    }
+
+    /// The one miss path: answers a batch of canonical instances keyed by
+    /// their fingerprints, returning each one's canonical report and
+    /// whether it was solved here. With the cache active the entries must
+    /// be distinct; each is re-probed with the metric-neutral
+    /// [`ReportCache::peek`] (the caller already counted its probe, and a
+    /// concurrent caller may have solved it since), the rest are solved on
+    /// the pool, and the fresh reports are inserted in batch order. With
+    /// the cache inactive every entry is solved and nothing is inserted.
+    pub(crate) fn solve_canonical_batch(
+        &self,
+        forms: Vec<(u128, Instance)>,
+    ) -> Vec<(Arc<SolveReport>, bool)> {
+        let active = self.cache_active();
+        let known: Vec<Option<Arc<SolveReport>>> = forms
+            .iter()
+            .map(|(fp, _)| active.then(|| self.cache.peek(&self.key(*fp))).flatten())
+            .collect();
+        let todo: Vec<usize> = (0..forms.len()).filter(|&i| known[i].is_none()).collect();
+        let forms = Arc::new(forms);
+        let solved: Vec<SolveReport> = {
+            let engine = self.clone();
+            let shared = Arc::clone(&forms);
+            self.cfg.pool().install(|| {
+                todo.into_par_iter()
+                    .map(move |i| engine.solve_canonical(&shared[i].1))
+                    .collect()
+            })
+        };
+        let mut solved = solved.into_iter();
+        known
+            .into_iter()
+            .zip(forms.iter())
+            .map(|(known, (fp, _))| match known {
+                Some(report) => (report, false),
+                None => {
+                    let report = Arc::new(solved.next().expect("one report per solve"));
+                    if active {
+                        self.cache.insert(self.key(*fp), Arc::clone(&report));
+                    }
+                    (report, true)
+                }
             })
             .collect()
     }

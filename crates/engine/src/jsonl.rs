@@ -128,8 +128,7 @@ struct Fields {
 /// A reusable instance-line decoder: parses
 /// `{"id":…,"machines":…,"classes":[[…]]}` straight into a retained
 /// [`InstanceBuilder`] and id buffer. Steady-state decoding allocates
-/// nothing; only [`LineDecoder::build_request`] (the cache-miss path)
-/// materializes owned data.
+/// nothing; only [`LineDecoder::build_request`] materializes owned data.
 #[derive(Debug, Default)]
 pub struct LineDecoder {
     builder: InstanceBuilder,
@@ -241,8 +240,8 @@ impl LineDecoder {
         self.has_id.then_some(self.id_buf.as_str())
     }
 
-    /// Materializes an owned [`SolveRequest`] from the decoded line (the
-    /// cache-miss path; this is where the allocations happen).
+    /// Materializes an owned [`SolveRequest`] from the decoded line (this
+    /// is where the allocations happen).
     pub fn build_request(&self) -> SolveRequest {
         SolveRequest {
             id: self.id_str().map(str::to_owned),

@@ -5,13 +5,16 @@
 //!
 //! * [`ServiceCore`] — the reusable **service core**: admit a decoded line
 //!   (fingerprint in place via [`msrs_core::flat_fingerprint`], probe the
-//!   engine's result cache, dedup within the shard), batch-solve the
-//!   misses, and serialize every report — cache **hits straight from the
-//!   `Arc`'d canonical report** into a reusable byte buffer: no `Instance`,
-//!   no `SolveRequest`, no report clone, zero heap allocations per instance
-//!   once the buffers are warm. The batch driver below, the TCP front end
-//!   in [`crate::service`] and the dispatch workers all run on it, so
-//!   there is exactly one data plane.
+//!   engine's result cache, dedup within the shard), solve the misses, and
+//!   serialize every report **straight from the `Arc`'d canonical report**
+//!   into a reusable byte buffer. A miss holds only its canonical instance,
+//!   rebuilt by [`msrs_core::flat_canonical_instance`] from the data the
+//!   fingerprint sorted, so each line is canonicalized once; the shard's
+//!   distinct canonical instances are solved through one engine call. A
+//!   hit builds nothing: no `Instance`, no `SolveRequest`, no report clone,
+//!   zero heap allocations per instance once the buffers are warm. The
+//!   batch driver below, the TCP front end in [`crate::service`] and the
+//!   dispatch workers all run on it, so there is exactly one data plane.
 //! * [`JsonlServer`] — the thin *batch driver*: JSONL in, JSONL out,
 //!   decoding each line on the reader thread and feeding `ServiceCore`
 //!   shard by shard.
@@ -36,15 +39,14 @@
 //! `tests/service.rs`.
 
 use std::io::{self, BufRead, Write};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use msrs_core::CanonicalScratch;
+use msrs_core::{CanonicalScratch, Instance};
 use msrs_telemetry::{registry, Stage};
 
-use crate::engine::Engine;
+use crate::engine::{Engine, Source};
 use crate::jsonl::{CorpusError, LineDecoder};
-use crate::report::{SolveReport, SolveRequest};
+use crate::report::SolveReport;
 
 /// Default shard size for streamed batches: large enough to keep every pool
 /// worker saturated and let intra-shard dedup bite, small enough that a
@@ -61,14 +63,15 @@ pub struct StreamStats {
     pub shards: usize,
     /// Configured shard size.
     pub shard_size: usize,
-    /// Largest number of requests materialized at once (≤ `shard_size`) —
-    /// the memory high-water mark of the pipeline, in requests. Only cache
-    /// *misses* are materialized, so a fully cache-served stream reads 0.
+    /// Largest number of canonical instances held at once (≤
+    /// `shard_size`) — the memory high-water mark of the pipeline, in
+    /// instances. Only cache *misses* hold one (one per distinct form while
+    /// the cache is active), so a fully cache-served stream reads 0.
     pub max_resident: usize,
     /// Reports with a proven-optimal schedule.
     pub proven_optimal: usize,
     /// Requests served directly from the result cache or an in-shard
-    /// duplicate, without materializing a request.
+    /// duplicate, without building an instance.
     pub fast_path_hits: usize,
     /// Sum of per-report `makespan / lower_bound` ratios (mean =
     /// `ratio_sum / instances`).
@@ -147,9 +150,8 @@ fn nanos(d: Duration) -> u64 {
 }
 
 /// Counts one request answered on the byte-level fast path (cache hit or
-/// in-shard duplicate). Misses are counted once by `Engine::finalize` when
-/// their batched solve lands, so the two sites together count every request
-/// exactly once.
+/// in-shard duplicate). The miss batch is counted when its solve lands, so
+/// the two sites together count every request exactly once.
 fn count_fast_path() {
     let reg = registry();
     reg.requests_total.inc();
@@ -175,40 +177,29 @@ impl Phases {
     }
 }
 
-/// One line of an in-flight serve shard: either a cache hit (the shared
-/// canonical report, the id span in the core's id arena, and the probe
-/// instant for the serving-time stamp) or an index into the materialized
-/// miss batch.
-enum Slot {
-    Hit {
-        report: Arc<SolveReport>,
-        id: Option<(usize, usize)>,
-        /// Serving time (decode + fingerprint + probe), stamped at decode —
-        /// the byte-path analogue of [`Engine::solve_batch`]'s hit
-        /// `wall_micros` (probe + fan-out, never the rest of the batch).
-        serve_micros: u64,
-    },
-    /// An in-shard duplicate of miss `first` (same canonical fingerprint):
-    /// served at the byte level from the first occurrence's report — the
-    /// duplicate line is never materialized as an `Instance` or request.
-    Dup {
-        first: usize,
-        id: Option<(usize, usize)>,
-        /// See [`Slot::Hit::serve_micros`].
-        serve_micros: u64,
-    },
-    Miss(usize),
+/// One admitted line of the pending shard: where its report comes from,
+/// its id span in the core's id arena, and its serving time.
+struct Slot {
+    source: Source,
+    id: Option<(usize, usize)>,
+    /// Serving time (decode + fingerprint + probe), stamped at admission:
+    /// the `wall_micros` of a line answered as a cache hit, as
+    /// [`Engine::solve_batch`] stamps its hits (probe + fan-out, never the
+    /// rest of the batch).
+    serve_micros: u64,
 }
 
 /// The transport-agnostic service core of the byte-level data plane:
-/// decoder, canonical scratch, shard slot table, id arena, and the report
-/// byte buffer, plus the stats/phase accumulators of the run in progress.
+/// decoder, canonical scratch, shard slot table, id arena, the miss batch
+/// of `(fingerprint, canonical instance)` pairs, and the report byte
+/// buffer, plus the stats/phase accumulators of the run in progress.
 ///
 /// A transport drives it with three calls:
 ///
 /// 1. [`begin`](Self::begin) once per run (resets stats and shard state);
 /// 2. [`admit_line`](Self::admit_line) per meaningful input line — decode,
-///    fingerprint, cache/dedup probe, classify into the pending shard;
+///    fingerprint, cache/dedup probe, and on a miss the canonical
+///    instance, classified into the pending shard;
 /// 3. [`flush_with`](Self::flush_with) whenever the pending shard should be
 ///    solved and emitted (reports come back in admission order).
 ///
@@ -221,10 +212,12 @@ pub struct ServiceCore {
     scratch: CanonicalScratch,
     slots: Vec<Slot>,
     ids: String,
-    misses: Vec<SolveRequest>,
+    /// The miss batch: one `(fingerprint, canonical instance)` per distinct
+    /// form, or per line while the engine's cache is inactive.
+    misses: Vec<(u128, Instance)>,
     /// Canonical fingerprint → miss index of its first occurrence in the
     /// current shard (duplicate-heavy traffic collapses here before any
-    /// request is materialized).
+    /// instance is built).
     shard_forms: std::collections::HashMap<u128, usize>,
     report_buf: Vec<u8>,
     stats: StreamStats,
@@ -271,16 +264,16 @@ impl ServiceCore {
 
     /// Admits one meaningful (non-blank, non-comment, trimmed) line:
     /// decodes it into the retained buffers, fingerprints the flat data in
-    /// place, probes the result cache and the in-shard dedup table, and
+    /// place, probes the in-shard dedup table and the result cache, and
     /// classifies the line into the pending shard. `started` is the
     /// transport's per-line start instant — it anchors both the
     /// decode-stage span and a hit's `wall_micros` serving-time stamp.
     ///
-    /// With an inactive serve cache (disabled, or a configured deadline)
-    /// every line is materialized, exactly as the typed pipeline behaves.
-    /// On a decode error the pending shard is untouched and the core
-    /// remains usable — batch transports treat the error as fatal
-    /// (prefix-faithful), session transports report it and continue.
+    /// With an inactive cache (disabled, or a configured deadline) every
+    /// line is a miss: it skips dedup and probe, exactly as the typed
+    /// pipeline behaves. On a decode error the pending shard is untouched
+    /// and the core remains usable — batch transports treat the error as
+    /// fatal (prefix-faithful), session transports report it and continue.
     pub fn admit_line(
         &mut self,
         engine: &Engine,
@@ -288,14 +281,8 @@ impl ServiceCore {
         line: &str,
         started: Instant,
     ) -> Result<(), CorpusError> {
-        let decoded = decode_fingerprint(
-            &mut self.decoder,
-            &mut self.scratch,
-            line_no,
-            line,
-            started,
-            engine.serve_cache_active(),
-        );
+        let decoded =
+            decode_fingerprint(&mut self.decoder, &mut self.scratch, line_no, line, started);
         let (fingerprint, decoded_at) = match decoded {
             Ok(done) => done,
             Err(e) => {
@@ -308,72 +295,63 @@ impl ServiceCore {
         // phase, not folded into parse — the phase sums then track wall
         // time hop by hop.
         self.phases.parse += decoded_at - started;
-        match fingerprint {
-            Some(fp) => self.classify(engine, fp, started),
-            None => {
-                self.slots.push(Slot::Miss(self.misses.len()));
-                self.misses.push(self.decoder.build_request());
-            }
-        }
-        self.phases.canon += decoded_at.elapsed();
-        Ok(())
-    }
-
-    /// Probes in-shard dedup table → cache → miss for the line just
-    /// decoded, pushing the resulting slot; only a miss materializes its
-    /// request. The dedup table comes first, so a line counts one cache
-    /// event: a hit for an in-shard duplicate, else the probe's own hit or
-    /// miss.
-    fn classify(&mut self, engine: &Engine, fp: u128, started: Instant) {
         let id = self.decoder.id_str().map(|id| {
             let start = self.ids.len();
             self.ids.push_str(id);
             (start, self.ids.len())
         });
-        // `serve_cached` times the probe as a `cache_lookup` stage span
-        // inside the cache itself.
-        if let Some(&first) = self.shard_forms.get(&fp) {
-            engine.count_serve_dedup_hit();
-            self.stats.fast_path_hits += 1;
-            count_fast_path();
-            self.slots.push(Slot::Dup {
-                first,
-                id,
-                serve_micros: started.elapsed().as_micros() as u64,
-            });
-        } else if let Some(report) = engine.serve_cached(fp) {
-            self.stats.fast_path_hits += 1;
-            count_fast_path();
-            self.slots.push(Slot::Hit {
-                report,
-                id,
-                serve_micros: started.elapsed().as_micros() as u64,
-            });
-        } else {
+        let source = self.classify(engine, fingerprint);
+        self.slots.push(Slot {
+            source,
+            id,
+            serve_micros: started.elapsed().as_micros() as u64,
+        });
+        self.phases.canon += decoded_at.elapsed();
+        Ok(())
+    }
+
+    /// Probes in-shard dedup table → cache → miss for the line just
+    /// decoded; only a miss builds its canonical instance. The dedup table
+    /// comes first, so a line counts one cache event: a hit for an
+    /// in-shard duplicate, else the probe's own hit or miss.
+    fn classify(&mut self, engine: &Engine, fp: u128) -> Source {
+        if engine.cache_active() {
+            if let Some(&index) = self.shard_forms.get(&fp) {
+                engine.count_serve_dedup_hit();
+                self.stats.fast_path_hits += 1;
+                count_fast_path();
+                return Source::Miss { index, dup: true };
+            }
+            // `serve_cached` times the probe as a `cache_lookup` stage span
+            // inside the cache itself.
+            if let Some(report) = engine.serve_cached(fp) {
+                self.stats.fast_path_hits += 1;
+                count_fast_path();
+                return Source::Cached(report);
+            }
             self.shard_forms.insert(fp, self.misses.len());
-            self.slots.push(Slot::Miss(self.misses.len()));
-            self.misses.push(self.decoder.build_request());
+        }
+        let machines = self.decoder.builder().machines();
+        let instance = msrs_core::flat_canonical_instance(machines, &self.scratch);
+        self.misses.push((fp, instance));
+        Source::Miss {
+            index: self.misses.len() - 1,
+            dup: false,
         }
     }
 
-    /// The canonical fingerprints of the pending shard's misses, one per
-    /// distinct form, in first-occurrence order. Empty while the serve
-    /// cache is inactive: lines are not fingerprinted then.
-    pub(crate) fn pending_misses(&self) -> Vec<u128> {
-        let mut firsts: Vec<(usize, u128)> = self
-            .shard_forms
-            .iter()
-            .map(|(&fp, &first)| (first, fp))
-            .collect();
-        firsts.sort_unstable();
-        firsts.into_iter().map(|(_, fp)| fp).collect()
+    /// The pending shard's miss batch: `(fingerprint, canonical instance)`
+    /// pairs in first-occurrence order, one per distinct form while the
+    /// engine's cache is active.
+    pub(crate) fn pending_misses(&self) -> &[(u128, Instance)] {
+        &self.misses
     }
 
     /// Solves the pending shard's misses and emits every admitted line's
     /// report in admission order, then clears the shard. `emit` receives
     /// the serialized report line (including the trailing newline) and the
-    /// report it was rendered from; its error aborts the flush (typically
-    /// downstream I/O). A no-op when nothing is pending.
+    /// canonical report it was rendered from; its error aborts the flush
+    /// (typically downstream I/O). A no-op when nothing is pending.
     pub fn flush_with<F>(&mut self, engine: &Engine, mut emit: F) -> io::Result<()>
     where
         F: FnMut(&[u8], &SolveReport) -> io::Result<()>,
@@ -382,46 +360,26 @@ impl ServiceCore {
             return Ok(());
         }
         self.stats.max_resident = self.stats.max_resident.max(self.misses.len());
-        let reports = if self.misses.is_empty() {
+        let solved = if self.misses.is_empty() {
             Vec::new()
         } else {
             let t1 = Instant::now();
-            let reports = engine.solve_batch_vec(std::mem::take(&mut self.misses));
+            let solved = engine.solve_canonical_batch(std::mem::take(&mut self.misses));
+            registry().requests_total.add(solved.len() as u64);
             self.phases.solve += t1.elapsed();
-            reports
+            solved
         };
         self.stats.shards += 1;
         for slot in &self.slots {
             let t2 = Instant::now();
-            let report: &SolveReport = match slot {
-                Slot::Hit {
-                    report,
-                    id,
-                    serve_micros,
-                } => {
-                    let id = id.map(|(start, end)| &self.ids[start..end]);
-                    report.write_json_line_as(id, true, *serve_micros, &mut self.report_buf);
-                    report
-                }
-                Slot::Dup {
-                    first,
-                    id,
-                    serve_micros,
-                } => {
-                    let id = id.map(|(start, end)| &self.ids[start..end]);
-                    reports[*first].write_json_line_as(
-                        id,
-                        true,
-                        *serve_micros,
-                        &mut self.report_buf,
-                    );
-                    &reports[*first]
-                }
-                Slot::Miss(index) => {
-                    reports[*index].write_json_line(&mut self.report_buf);
-                    &reports[*index]
-                }
+            let (report, cache_hit) = slot.source.resolve(&solved);
+            let wall_micros = if cache_hit {
+                slot.serve_micros
+            } else {
+                report.wall_micros
             };
+            let id = slot.id.map(|(start, end)| &self.ids[start..end]);
+            report.write_json_line_as(id, cache_hit, wall_micros, &mut self.report_buf);
             self.stats.record_report(report);
             self.report_buf.push(b'\n');
             emit(&self.report_buf, report)?;
@@ -450,33 +408,29 @@ impl ServiceCore {
 }
 
 /// The one decode step of the data plane: decodes `line` into `decoder`
-/// and, when `fingerprint` is set (an active serve cache), fingerprints
-/// the flat data in place via [`msrs_core::flat_fingerprint`]. Records the
-/// `decode` stage span from `started` and the `canonicalize` span of the
-/// fingerprint. Returns the fingerprint and the instant decoding finished,
-/// which ends the caller's parse phase.
+/// and fingerprints the flat data in place via
+/// [`msrs_core::flat_fingerprint`], leaving it sorted in `scratch`.
+/// Records the `decode` stage span from `started` and the `canonicalize`
+/// span of the fingerprint. Returns the fingerprint and the instant
+/// decoding finished, which ends the caller's parse phase.
 fn decode_fingerprint(
     decoder: &mut LineDecoder,
     scratch: &mut CanonicalScratch,
     line_no: usize,
     line: &str,
     started: Instant,
-    fingerprint: bool,
-) -> Result<(Option<u128>, Instant), CorpusError> {
+) -> Result<(u128, Instant), CorpusError> {
     decoder.decode(line_no, line)?;
     let decoded_at = Instant::now();
     Stage::Decode.record_nanos(nanos(decoded_at - started));
-    let fp = fingerprint.then(|| {
-        let builder = decoder.builder();
-        let fp = msrs_core::flat_fingerprint(
-            builder.machines(),
-            builder.sizes(),
-            builder.offsets(),
-            scratch,
-        );
-        Stage::Canonicalize.record_nanos(nanos(decoded_at.elapsed()));
-        fp
-    });
+    let builder = decoder.builder();
+    let fp = msrs_core::flat_fingerprint(
+        builder.machines(),
+        builder.sizes(),
+        builder.offsets(),
+        scratch,
+    );
+    Stage::Canonicalize.record_nanos(nanos(decoded_at.elapsed()));
     Ok((fp, decoded_at))
 }
 
@@ -608,7 +562,7 @@ mod tests {
                 crate::jsonl::write_instance_line(Some(&format!("u-{seed}")), &inst) + "\n"
             })
             .collect();
-        // No cache: every line is a miss, materialized for its shard.
+        // No cache: every line is a miss, held as a canonical instance.
         let engine = Engine::new(EngineConfig {
             cache_capacity: 0,
             ..EngineConfig::default()

@@ -15,14 +15,19 @@
 //!   quarantined after `max_attempts` with one structured
 //!   `shard_quarantined` record in its place, and the rest of the run
 //!   completes normally;
+//! * **worker protocol** — over a scripted coordinator, a fleet cache hit
+//!   is installed only when it answers the probed instance, and a
+//!   coordinator that closes where `#run` belongs ends the conversation
+//!   cleanly;
 //! * **checkpointed resume** — a run interrupted after a random shard
 //!   resumes from its checkpoint to a byte-identical output file and
 //!   bits-exact merged statistics, also after its checkpoint lost part of
 //!   the final record, and a resume against a changed corpus is rejected.
 
 use std::fs;
-use std::io::Cursor;
+use std::io::{self, Cursor, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -451,6 +456,134 @@ fn resume_rejects_a_changed_corpus() {
     assert!(err.to_string().contains("corpus changed"), "{err}");
     fs::remove_file(&out).ok();
     fs::remove_file(&ckpt).ok();
+}
+
+/// A `Write` onto a shared buffer, so a test can read what `run_worker`
+/// wrote after it returns.
+#[derive(Clone, Default)]
+struct Captured(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Captured {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Runs the worker protocol over a scripted coordinator `input` (the
+/// whole conversation, written up front) and returns what the worker
+/// said, heartbeats left out.
+fn scripted_worker(engine: &Engine, input: String) -> io::Result<Vec<String>> {
+    let out = Captured::default();
+    let heartbeat = Duration::from_millis(20);
+    dispatch::run_worker(engine, Cursor::new(input), out.clone(), heartbeat, 1)?;
+    let text = String::from_utf8(out.0.lock().unwrap().clone()).expect("utf8 output");
+    Ok(text
+        .lines()
+        .filter(|l| *l != "#hb")
+        .map(str::to_owned)
+        .collect())
+}
+
+const PROBED_LINE: &str = r#"{"id":"a","machines":2,"classes":[[5,3],[4],[2,2]]}"#;
+
+/// A fleet cache hit is installed only when its report answers the
+/// canonical instance the worker probed for. A well-formed report with a
+/// wrong schedule is solved locally, answered exactly as a batch run
+/// answers the line, and owed back as a fill; a sound report is served as
+/// a hit; and a reply naming another fingerprint fails the exchange.
+#[test]
+fn fleet_cache_hits_are_checked_against_the_probed_instance() {
+    let cfg = EngineConfig {
+        cache_capacity: 1024,
+        ..EngineConfig::default()
+    };
+    let form = jsonl::read_instance_line(1, PROBED_LINE)
+        .unwrap()
+        .instance
+        .canonical_form();
+    let fp = form.fingerprint();
+    let mut reference = Vec::new();
+    JsonlServer::new()
+        .serve(
+            &Engine::new(cfg.clone()),
+            PROBED_LINE.as_bytes(),
+            &mut reference,
+            8,
+        )
+        .expect("reference run");
+    let reference = String::from_utf8(reference).unwrap();
+    let reference = reference.trim_end();
+    let sound = Engine::new(cfg.clone()).solve_instance(form.instance());
+    let mut wrong = sound.clone();
+    wrong.lower_bound = 1;
+    wrong.makespan = 1;
+    wrong.certified_horizon = 1;
+    wrong.schedule = msrs_core::Schedule::new(vec![
+        msrs_core::Assignment {
+            machine: 0,
+            start: 0
+        };
+        form.instance().num_jobs()
+    ]);
+    let conversation =
+        |reply: String| format!("#shard 0 1 1 cache\n{PROBED_LINE}\n#run\n{reply}\n");
+    let store_json = |report: &msrs_engine::SolveReport| {
+        let mut bytes = Vec::new();
+        report.write_store_json(&mut bytes);
+        String::from_utf8(bytes).unwrap()
+    };
+
+    let said = scripted_worker(
+        &Engine::new(cfg.clone()),
+        conversation(format!("#cachehit {fp:032x} {}", store_json(&wrong))),
+    )
+    .expect("a wrong hit is solved locally");
+    assert_eq!(said[0], format!("#cacheq {fp:032x}"));
+    let reports: Vec<&String> = said.iter().filter(|l| l.starts_with('{')).collect();
+    assert_eq!(reports.len(), 1, "{said:?}");
+    assert!(reports[0].contains("\"cache_hit\":false"), "{}", reports[0]);
+    assert_eq!(redacted(reports[0]), redacted(reference));
+    let fill = format!("#cachefill {fp:032x} ");
+    assert!(said.iter().any(|l| l.starts_with(&fill)), "{said:?}");
+
+    let said = scripted_worker(
+        &Engine::new(cfg.clone()),
+        conversation(format!("#cachehit {fp:032x} {}", store_json(&sound))),
+    )
+    .expect("a sound hit is served");
+    let reports: Vec<&String> = said.iter().filter(|l| l.starts_with('{')).collect();
+    assert_eq!(reports.len(), 1, "{said:?}");
+    assert!(reports[0].contains("\"cache_hit\":true"), "{}", reports[0]);
+    assert_eq!(redacted(reports[0]), redacted(reference));
+    assert!(
+        !said.iter().any(|l| l.starts_with("#cachefill")),
+        "{said:?}"
+    );
+
+    let err = scripted_worker(
+        &Engine::new(cfg),
+        conversation(format!("#cachemiss {:032x}", fp ^ 1)),
+    )
+    .expect_err("a reply for another fingerprint is malformed");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+}
+
+/// A coordinator that closes the transport where `#run` belongs has gone
+/// away, exactly as one that closes among the shard's lines: the worker
+/// ends the conversation cleanly (a remote worker redials). Any other
+/// line there is a protocol error.
+#[test]
+fn a_coordinator_closing_before_run_ends_the_conversation() {
+    let engine = engine(1);
+    let cut = format!("#shard 0 1 1\n{PROBED_LINE}\n");
+    assert!(scripted_worker(&engine, cut.clone()).is_ok());
+    let err = scripted_worker(&engine, cut + "#nope\n").expect_err("not #run");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 }
 
 proptest! {

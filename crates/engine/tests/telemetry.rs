@@ -42,7 +42,7 @@ fn traffic_batch_populates_stages_and_outcome_table() {
     }
     assert!(!raced.is_empty());
 
-    let engine = Engine::new(cfg);
+    let engine = Engine::new(cfg.clone());
     let before = telemetry::snapshot();
     let runs_before: Vec<u64> = raced
         .iter()
@@ -71,6 +71,10 @@ fn traffic_batch_populates_stages_and_outcome_table() {
     // Decode and serialize fire once per line.
     assert!(after.stage(Stage::Decode).count - before.stage(Stage::Decode).count >= 64);
     assert!(after.stage(Stage::Serialize).count - before.stage(Stage::Serialize).count >= 64);
+    // Each line is canonicalized exactly once: a miss's canonical instance
+    // is built from the data its fingerprint sorted.
+    let canonicalized = |s: &telemetry::Snapshot| s.stage(Stage::Canonicalize).count;
+    assert_eq!(canonicalized(&after) - canonicalized(&before), 64);
 
     // Every (tier, member) pair the planner raced has outcome rows.
     for (&(p, m), &prior) in raced.iter().zip(&runs_before) {
@@ -100,4 +104,18 @@ fn traffic_batch_populates_stages_and_outcome_table() {
     assert!(json.contains("\"outcomes\":[{"));
     let prom = after.to_prometheus();
     assert!(prom.contains("msrs_outcome_runs_total{profile="));
+
+    // Without a cache every line is solved, and still canonicalized once.
+    let uncached = Engine::new(EngineConfig {
+        cache_capacity: 0,
+        ..cfg
+    });
+    let outcome = JsonlServer::new()
+        .serve(&uncached, corpus.as_bytes(), &mut Vec::new(), 16)
+        .expect("serve");
+    assert!(outcome.error.is_none());
+    assert_eq!(
+        canonicalized(&telemetry::snapshot()) - canonicalized(&after),
+        64
+    );
 }
