@@ -91,9 +91,9 @@ BATCH FLAGS:
                          stage-latency histograms, per-(profile, member)
                          outcome table) to this file
     --metrics-format <F> Snapshot format: json|prometheus        [default: json]
-    --cache-path <P>     Durable result-cache store: warm-load compatible
-                         records on start, persist fresh solves write-through
-                         (crash-safe append-only segment log)
+    --cache-path <P>     Durable result-cache store (crash-safe append-only
+                         log): warm-load it on start, persist every fresh
+                         solve; needs the cache (no --no-cache, --deadline-ms)
 
 SERVE FLAGS:
     --addr <A>           JSONL listen address          [default: 127.0.0.1:7463]
@@ -355,9 +355,9 @@ fn engine_from_flags(flags: &Flags) -> Result<Engine, String> {
 }
 
 /// Wires `--cache-path` (when given) into the engine: warm-loads every
-/// compatible record into the in-memory cache and starts write-through
-/// persistence. A store written under a different engine configuration
-/// is a hard error, not a silent cold start.
+/// compatible record into the in-memory cache and persists fresh solves.
+/// A store written under a different engine configuration is a hard
+/// error, not a silent cold start.
 fn attach_cache_path(flags: &Flags, engine: &Engine) -> Result<(), String> {
     let Some(path) = flags.get("--cache-path") else {
         return Ok(());
@@ -400,6 +400,12 @@ fn engine_config_from_flags(flags: &Flags) -> Result<EngineConfig, String> {
             .parse()
             .map_err(|_| format!("bad --deadline-ms `{ms}`"))?;
         cfg.deadline = Some(Duration::from_millis(ms));
+    }
+    // An inactive cache would never use the store: refuse before it opens.
+    if flags.has("--cache-path") && (cfg.cache_capacity == 0 || cfg.deadline.is_some()) {
+        let why = "--cache-path needs the result cache: drop --no-cache, --cache-capacity 0 \
+                   and --deadline-ms";
+        return Err(why.into());
     }
     Ok(cfg)
 }
@@ -999,14 +1005,13 @@ fn cmd_stats(flags: &Flags) -> Result<(), String> {
         out!(
             "  cache plane: {} fleet hit(s), {} stale fill(s) dropped; store \
              {} loaded / {} load error(s) / {} segment(s) quarantined / \
-             {} flush(es) / {} queue drop(s)",
+             {} flush(es)",
             counter("msrs_dispatch_fleet_cache_hits_total"),
             counter("msrs_dispatch_stale_fills_dropped_total"),
             counter("msrs_cache_store_loads_total"),
             counter("msrs_cache_store_load_errors_total"),
             counter("msrs_cache_store_segments_quarantined_total"),
             counter("msrs_cache_store_flushes_total"),
-            counter("msrs_cache_store_queue_drops_total"),
         );
     }
     let field = |o: &Json, key: &str| o.get(key).map_or(0, num);

@@ -23,29 +23,24 @@
 //! (`msrs_cache_*` counters, `msrs_cache_entries` residency gauge) so one
 //! telemetry snapshot covers every cache in the process. Lookups
 //! additionally record a `cache_lookup` stage span. None of this allocates.
+//!
+//! The cache is memory only: the engine's miss path hands fresh solves to
+//! the store's writer ([`crate::cachestore`]), so neither a hit nor an
+//! insert here touches the store.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use msrs_telemetry::{registry, Stage};
 use parking_lot::Mutex;
 
-use crate::cachestore::CacheStore;
 use crate::report::SolveReport;
 
 /// Caches at most this many entries stay single-sharded (exact LRU).
 pub const SHARD_THRESHOLD: usize = 64;
 /// Shard count for caches above [`SHARD_THRESHOLD`].
 const SHARDS: usize = 8;
-/// Bounded depth of the persistence queue between [`ReportCache::insert`]
-/// and the background flusher; a full queue drops the enqueue (counted)
-/// rather than ever blocking the insert path on disk.
-const PERSIST_QUEUE: usize = 1024;
-/// Records the flusher drains per wakeup before fsyncing once.
-const PERSIST_BATCH: usize = 256;
 
 /// Cache key: the canonical-instance fingerprint plus the fingerprint of
 /// the report-content-relevant engine configuration.
@@ -79,10 +74,6 @@ struct Entry {
     report: Arc<SolveReport>,
 }
 
-/// One insert queued for durable persistence: the canonical instance
-/// fingerprint plus the report to append.
-type PersistItem = (u128, Arc<SolveReport>);
-
 #[derive(Default)]
 struct Shard {
     map: HashMap<CacheKey, Entry>,
@@ -98,10 +89,6 @@ pub struct ReportCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    /// Write-through persistence: inserts are enqueued (never blocking)
-    /// for a background flusher that appends them to a [`CacheStore`].
-    persist: Mutex<Option<SyncSender<PersistItem>>>,
-    flusher: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for ReportCache {
@@ -141,8 +128,6 @@ impl ReportCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            persist: Mutex::new(None),
-            flusher: Mutex::new(None),
         }
     }
 
@@ -200,54 +185,6 @@ impl ReportCache {
             .map(|e| e.report.clone())
     }
 
-    /// Attaches a durable [`CacheStore`]: from now on every insert is
-    /// enqueued for a background flusher thread that appends it to the
-    /// store (deduplicated against `seen`, typically the warm-loaded
-    /// fingerprints) and fsyncs per drained batch. The insert path never
-    /// blocks on disk — a full queue drops the enqueue and counts it as
-    /// `msrs_cache_store_queue_drops_total`.
-    pub(crate) fn attach_store(
-        &self,
-        mut store: CacheStore,
-        config_fp: u64,
-        mut seen: HashSet<u128>,
-    ) {
-        let (tx, rx) = mpsc::sync_channel::<(u128, Arc<SolveReport>)>(PERSIST_QUEUE);
-        let handle = std::thread::spawn(move || {
-            let mut payload = Vec::new();
-            // recv drains messages queued before the sender dropped, so
-            // everything enqueued is flushed before the thread exits.
-            while let Ok(first) = rx.recv() {
-                let mut batch = vec![first];
-                while batch.len() < PERSIST_BATCH {
-                    match rx.try_recv() {
-                        Ok(item) => batch.push(item),
-                        Err(_) => break,
-                    }
-                }
-                let mut wrote = false;
-                for (fp, report) in batch {
-                    if !seen.insert(fp) {
-                        continue; // already durable (warm load or earlier insert)
-                    }
-                    report.write_store_json(&mut payload);
-                    let text = std::str::from_utf8(&payload).expect("JSON output is UTF-8");
-                    match store.append(fp, config_fp, text) {
-                        Ok(()) => wrote = true,
-                        Err(e) => eprintln!("msrs: cache store append failed: {e}"),
-                    }
-                }
-                if wrote {
-                    if let Err(e) = store.sync() {
-                        eprintln!("msrs: cache store sync failed: {e}");
-                    }
-                }
-            }
-        });
-        *self.persist.lock() = Some(tx);
-        *self.flusher.lock() = Some(handle);
-    }
-
     /// Records a hit that was answered without consulting the map (the
     /// intra-batch dedup fan-out path, which shares one solve across
     /// duplicate requests exactly like a cache hit would).
@@ -261,17 +198,6 @@ impl ReportCache {
     pub fn insert(&self, key: CacheKey, report: Arc<SolveReport>) {
         if !self.enabled() {
             return;
-        }
-        {
-            // Offer the entry to the persistence queue first (an Arc
-            // clone and a bounded try_send — no allocation, no disk I/O;
-            // the flusher deduplicates, so re-inserts are harmless).
-            let persist = self.persist.lock();
-            if let Some(tx) = persist.as_ref() {
-                if let Err(TrySendError::Full(_)) = tx.try_send((key.instance, report.clone())) {
-                    registry().cache_store_queue_drops_total.inc();
-                }
-            }
         }
         let mut shard = self.shard(&key).lock();
         shard.clock += 1;
@@ -316,13 +242,6 @@ impl ReportCache {
 
 impl Drop for ReportCache {
     fn drop(&mut self) {
-        // Closing the sender lets the flusher drain its queue and exit;
-        // joining it makes "process exited cleanly" imply "every
-        // enqueued entry is durable".
-        drop(self.persist.lock().take());
-        if let Some(handle) = self.flusher.lock().take() {
-            let _ = handle.join();
-        }
         // Return this cache's residency to the global gauge so it tracks
         // live entries across engines coming and going.
         let resident: usize = self.shards.iter().map(|s| s.lock().map.len()).sum();

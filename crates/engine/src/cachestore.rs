@@ -21,9 +21,10 @@
 //!
 //! Durability and recovery:
 //!
-//! * Appends are batched by the caller ([`ReportCache`]'s background
-//!   flusher) and made durable by [`CacheStore::sync`]; a record the store
-//!   synced survives a `kill -9`.
+//! * One method, `record`, writes reports: for an [`Engine`]'s writer
+//!   thread (its miss batches) and the dispatch coordinator (its fleet's
+//!   fills). [`CacheStore::sync`] makes a batch durable with one `fsync`;
+//!   a record the store synced survives a `kill -9`.
 //! * A crash mid-append tears at most the final line. The loader drops it
 //!   silently (the entry is re-solved and re-appended later) and the
 //!   reopen truncates it away.
@@ -41,11 +42,14 @@
 //! [`CacheStore::open`] *before* loading, so tests and CI can exercise
 //! these recovery paths byte-deterministically.
 //!
-//! [`ReportCache`]: crate::cache::ReportCache
+//! [`Engine`]: crate::Engine
 
+use std::collections::HashSet;
 use std::io;
 use std::path::Path;
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use msrs_telemetry::registry;
 
@@ -91,6 +95,13 @@ pub struct CacheLoadStats {
 #[derive(Debug)]
 pub struct CacheStore {
     journal: Journal,
+    config_fp: u64,
+    /// Fingerprints of the loaded records and of each one appended since.
+    held: HashSet<u128>,
+    /// Whether a record was appended since the last `fsync`.
+    unsynced: bool,
+    /// The buffer `record` serializes into, reused across calls.
+    payload: String,
     /// Records appended into the current segment.
     in_segment: usize,
     /// Id of the next segment marker to write.
@@ -238,6 +249,10 @@ impl CacheStore {
             .add(stats.segments_quarantined);
         let mut store = CacheStore {
             journal,
+            config_fp,
+            held: entries.iter().map(|e| e.fingerprint).collect(),
+            unsynced: false,
+            payload: String::new(),
             in_segment: 0,
             next_segment,
         };
@@ -259,11 +274,13 @@ impl CacheStore {
         Ok(())
     }
 
-    /// Appends one record (buffered — call [`sync`](Self::sync) to make
-    /// a batch durable). `payload` must be the report's
+    /// Appends one record (call [`sync`](Self::sync) to make a batch
+    /// durable). `payload` must be the report's
     /// [`SolveReport::to_store_json`] serialization.
     pub fn append(&mut self, fp: u128, config_fp: u64, payload: &str) -> io::Result<()> {
         self.journal.append(&record(fp, config_fp, payload))?;
+        self.held.insert(fp);
+        self.unsynced = true;
         self.in_segment += 1;
         if self.in_segment >= SEGMENT_RECORDS {
             self.write_marker()?;
@@ -271,12 +288,78 @@ impl CacheStore {
         Ok(())
     }
 
-    /// Makes every appended record durable (one `fsync`, counted as one
-    /// `msrs_cache_store_flushes_total` batch).
+    /// Appends `report` under `fp` unless the store already holds `fp`,
+    /// and returns the payload it appended: the report's store
+    /// serialization. The one write path of the engine's writer and the
+    /// dispatch coordinator.
+    pub(crate) fn record(&mut self, fp: u128, report: &SolveReport) -> io::Result<Option<&str>> {
+        if self.held.contains(&fp) {
+            return Ok(None);
+        }
+        let mut bytes = std::mem::take(&mut self.payload).into_bytes();
+        report.write_store_json(&mut bytes);
+        let payload = String::from_utf8(bytes).expect("JSON output is UTF-8");
+        self.append(fp, self.config_fp, &payload)?;
+        self.payload = payload;
+        Ok(Some(&self.payload))
+    }
+
+    /// Makes every appended record durable: one `fsync`, counted as one
+    /// `msrs_cache_store_flushes_total` batch, or none when nothing was
+    /// appended since the last one.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.journal.sync()?;
-        registry().cache_store_flushes_total.inc();
+        if self.unsynced {
+            self.journal.sync()?;
+            self.unsynced = false;
+            registry().cache_store_flushes_total.inc();
+        }
         Ok(())
+    }
+}
+
+/// One miss batch's fresh solves: canonical fingerprints and reports.
+type Batch = Vec<(u128, Arc<SolveReport>)>;
+
+/// A [`CacheStore`] on its own thread, fed whole miss batches over a
+/// one-slot channel, so nothing is dropped and at most one batch waits.
+/// The thread records each batch and syncs it once. Dropping the writer
+/// joins it after the last batch. The default writer has no store.
+#[derive(Debug, Default)]
+pub(crate) struct StoreWriter(Option<(SyncSender<Batch>, JoinHandle<()>)>);
+
+impl StoreWriter {
+    pub(crate) fn spawn(mut store: CacheStore) -> StoreWriter {
+        let (batches, rx) = sync_channel::<Batch>(1);
+        let thread = std::thread::spawn(move || {
+            for batch in rx {
+                for (fp, report) in &batch {
+                    if let Err(e) = store.record(*fp, report) {
+                        eprintln!("msrs: cache store append failed: {e}");
+                    }
+                }
+                if let Err(e) = store.sync() {
+                    eprintln!("msrs: cache store sync failed: {e}");
+                }
+            }
+        });
+        StoreWriter(Some((batches, thread)))
+    }
+
+    /// Hands `batch` to the writer thread, waiting while a batch is queued
+    /// (a no-op without a store).
+    pub(crate) fn write(&self, batch: Batch) {
+        if let Some((batches, _)) = &self.0 {
+            let _ = batches.send(batch); // fails only if the thread panicked
+        }
+    }
+}
+
+impl Drop for StoreWriter {
+    fn drop(&mut self) {
+        if let Some((batches, thread)) = self.0.take() {
+            drop(batches); // ends the thread's loop after the last batch
+            let _ = thread.join();
+        }
     }
 }
 

@@ -129,14 +129,17 @@
 //! it, bit-identically to a local hit. Any other payload is solved
 //! locally, exactly like a miss. After solving, the worker sends a
 //! `#cachefill <fp> <payload>` for every probed miss it now holds (before
-//! `#done`, while its lease is live); the coordinator parses,
-//! re-serializes, and appends each fill, and drops fills from zombie or
-//! idle workers (counted as `msrs_dispatch_stale_fills_dropped_total`).
-//! The coordinator holds no instances, so it cannot check a fill; a bad
-//! store entry costs a probing worker a local solve, never a wrong
-//! report. It makes the appended fills durable with one `fsync` per
-//! drained event batch, so every fill is on disk before the checkpoint
-//! journals a later shard.
+//! `#done`, while its lease is live); the coordinator parses each fill
+//! and records it through the store's one write path, the one the
+//! engine's store writer uses too: the store serializes the report anew
+//! and appends it unless it already holds the fingerprint. Fills from
+//! zombie or idle workers are dropped (counted as
+//! `msrs_dispatch_stale_fills_dropped_total`). The coordinator holds no
+//! instances, so it cannot check a fill; a bad store entry costs a
+//! probing worker a local solve, never a wrong report. It makes the
+//! recorded fills durable with one `fsync` per drained event batch that
+//! appended any, so every fill is on disk before the checkpoint journals
+//! a later shard.
 //! Payloads are [`crate::report::SolveReport::to_store_json`] lines. The
 //! exchange is versioned through the remote handshake
 //! ([`crate::remote::REMOTE_PROTO_VERSION`]), so pre-cache workers are
@@ -1115,21 +1118,6 @@ struct Completed {
 struct CacheAuthority {
     store: CacheStore,
     map: HashMap<u128, Arc<str>>,
-    /// Fills appended since the last `fsync`.
-    dirty: bool,
-}
-
-impl CacheAuthority {
-    /// Makes the fills appended since the last call durable with one
-    /// `fsync`. The coordinator calls it after each drained event batch,
-    /// before the next loop journals any shard, and once more on exit.
-    fn sync(&mut self) {
-        if std::mem::take(&mut self.dirty) {
-            if let Err(e) = self.store.sync() {
-                eprintln!("msrs: cache store sync failed: {e}");
-            }
-        }
-    }
 }
 
 struct Coordinator<'a> {
@@ -1750,8 +1738,9 @@ impl<'a> Coordinator<'a> {
     /// Accepts (or drops) a `#cachefill` offer. Fills are only trusted
     /// from a live lease: a zombie or idle sender means the lease lapsed
     /// before the fill arrived, so it is dropped as stale. Accepted
-    /// payloads are re-parsed and re-serialized — the store only ever
-    /// holds bytes the coordinator produced itself.
+    /// payloads are parsed and recorded through the store, which
+    /// serializes them anew — it only ever holds bytes the coordinator
+    /// produced itself.
     fn handle_cachefill(&mut self, pos: usize, ordinal: u64, fp: u128, payload: &str) {
         if self.workers[pos].state == WorkerState::Zombie || !self.inflight.contains_key(&ordinal) {
             registry().dispatch_stale_fills_dropped_total.inc();
@@ -1761,9 +1750,6 @@ impl<'a> Coordinator<'a> {
         let Some(cache) = self.cache.as_mut() else {
             return; // no authority: a confused worker's fill is harmless
         };
-        if cache.map.contains_key(&fp) {
-            return; // racing fill from a twin attempt: first one wins
-        }
         let Some(report) = Json::parse(payload)
             .ok()
             .as_ref()
@@ -1771,17 +1757,13 @@ impl<'a> Coordinator<'a> {
         else {
             return; // unverifiable payload: never persist it
         };
-        let mut bytes = Vec::new();
-        report.write_store_json(&mut bytes);
-        let canonical: Arc<str> = String::from_utf8(bytes)
-            .expect("JSON output is UTF-8")
-            .into();
-        if let Err(e) = cache.store.append(fp, self.cfg.config_fp, &canonical) {
-            eprintln!("msrs: cache store append failed: {e}");
-            return;
+        match cache.store.record(fp, &report) {
+            Ok(Some(stored)) => {
+                cache.map.insert(fp, stored.into());
+            }
+            Ok(None) => {} // racing fill from a twin attempt: first one wins
+            Err(e) => eprintln!("msrs: cache store append failed: {e}"),
         }
-        cache.dirty = true;
-        cache.map.insert(fp, canonical);
     }
 
     /// Any leased attempt for a still-tracked shard? (Stale leases held
@@ -1936,11 +1918,7 @@ pub fn dispatch_fleet<R: BufRead>(
             .into_iter()
             .map(|e| (e.fingerprint, e.payload))
             .collect();
-        coord.cache = Some(CacheAuthority {
-            store,
-            map,
-            dirty: false,
-        });
+        coord.cache = Some(CacheAuthority { store, map });
     }
     let mut next_emit = 0usize;
     let mut emitted_bytes = 0u64;
@@ -2133,9 +2111,12 @@ pub fn dispatch_fleet<R: BufRead>(
                     coord.handle_msg(msg);
                 }
                 // One fsync for the whole batch's cache fills, before the
-                // next pass journals the shards they belong to.
+                // next pass journals the shards they belong to. Fills
+                // arrive only here, so none is left unsynced at exit.
                 if let Some(cache) = coord.cache.as_mut() {
-                    cache.sync();
+                    if let Err(e) = cache.store.sync() {
+                        eprintln!("msrs: cache store sync failed: {e}");
+                    }
                 }
             }
             Err(RecvTimeoutError::Timeout) => coord.enforce_deadlines(),
@@ -2143,9 +2124,6 @@ pub fn dispatch_fleet<R: BufRead>(
         }
     }
 
-    if let Some(cache) = coord.cache.as_mut() {
-        cache.sync();
-    }
     out.flush()?;
     coord.outcome.quarantined.sort_by_key(|q| q.shard);
     merged.wall_micros = started.elapsed().as_micros() as u64;

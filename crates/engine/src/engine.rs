@@ -18,6 +18,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use parking_lot::Mutex;
 use rayon::prelude::*;
 
 use msrs_core::{validate, CancelToken, CanonicalForm, Instance, Schedule, Time};
@@ -26,6 +27,7 @@ use msrs_ptas::EptasConfig;
 use msrs_telemetry::{registry, OutcomeStatus, Stage};
 
 use crate::cache::{CacheKey, ReportCache};
+use crate::cachestore::{CacheLoadStats, CacheStore, StoreWriter};
 use crate::journal::{fnv1a_64_extend, FNV_OFFSET};
 use crate::portfolio::{plan, SolverKind};
 use crate::profile::{classify, InstanceProfile, SizeTier};
@@ -207,13 +209,15 @@ impl EngineConfig {
 }
 
 /// The portfolio orchestrator. Construction is cheap; apart from the
-/// result cache (shared by clones, internally synchronized) the engine is
-/// stateless between calls and `Sync`, so one instance can serve many
-/// threads.
+/// result cache and the attached store (shared by clones, internally
+/// synchronized) the engine is stateless between calls and `Sync`, so one
+/// instance can serve many threads.
 #[derive(Debug, Clone)]
 pub struct Engine {
     cfg: EngineConfig,
     cache: Arc<ReportCache>,
+    /// The writer of the attached store; the last clone to drop joins it.
+    store: Arc<Mutex<StoreWriter>>,
     /// [`EngineConfig::content_fingerprint`], precomputed once — the serve
     /// path builds one cache key per corpus line.
     config_fp: u64,
@@ -288,6 +292,7 @@ impl Engine {
         Engine {
             cfg,
             cache,
+            store: Arc::default(),
             config_fp,
         }
     }
@@ -342,21 +347,20 @@ impl Engine {
 
     /// Attaches the durable cache store at `path` (`--cache-path`): loads
     /// every compatible record into the in-memory cache (warm restart),
-    /// then starts the background flusher so future inserts are persisted
-    /// write-through. Returns the load statistics. Refuses a store written
-    /// under a different engine-config fingerprint, and is a no-op with
-    /// caching disabled (capacity 0).
-    pub fn attach_cache_store(&self, path: &Path) -> io::Result<crate::cachestore::CacheLoadStats> {
-        let (store, entries, stats) = crate::cachestore::CacheStore::open(path, self.config_fp)?;
-        if !self.cache.enabled() {
-            return Ok(stats);
+    /// then starts the store's writer, which persists each miss batch's
+    /// fresh solves. Returns the load statistics. Refuses a store written
+    /// under a different engine-config fingerprint, and (before opening
+    /// it) an inactive cache, which would never use the store.
+    pub fn attach_cache_store(&self, path: &Path) -> io::Result<CacheLoadStats> {
+        if !self.cache_active() {
+            let why = "a cache store needs an active result cache (capacity above 0, no deadline)";
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
         }
-        let mut seen = std::collections::HashSet::with_capacity(entries.len());
+        let (store, entries, stats) = CacheStore::open(path, self.config_fp)?;
         for entry in entries {
-            seen.insert(entry.fingerprint);
             self.cache.insert(self.key(entry.fingerprint), entry.report);
         }
-        self.cache.attach_store(store, self.config_fp, seen);
+        *self.store.lock() = StoreWriter::spawn(store);
         Ok(stats)
     }
 
@@ -447,8 +451,9 @@ impl Engine {
     /// be distinct; each is re-probed with the metric-neutral
     /// [`ReportCache::peek`] (the caller already counted its probe, and a
     /// concurrent caller may have solved it since), the rest are solved on
-    /// the pool, and the fresh reports are inserted in batch order. With
-    /// the cache inactive every entry is solved and nothing is inserted.
+    /// the pool, and the fresh reports are inserted in batch order, then
+    /// handed to the attached store's writer as one batch. With the cache
+    /// inactive every entry is solved and nothing is inserted or stored.
     pub(crate) fn solve_canonical_batch(
         &self,
         forms: Vec<(u128, Instance)>,
@@ -461,16 +466,19 @@ impl Engine {
         let todo: Vec<usize> = (0..forms.len()).filter(|&i| known[i].is_none()).collect();
         let forms = Arc::new(forms);
         let solved: Vec<SolveReport> = {
-            let engine = self.clone();
+            // Not an engine clone: a pool worker must never hold the last
+            // one, whose drop joins the store's writer.
+            let cfg = self.cfg.clone();
             let shared = Arc::clone(&forms);
             self.cfg.pool().install(|| {
                 todo.into_par_iter()
-                    .map(move |i| engine.solve_canonical(&shared[i].1))
+                    .map(move |i| solve_canonical(&cfg, &shared[i].1))
                     .collect()
             })
         };
         let mut solved = solved.into_iter();
-        known
+        let mut fresh = Vec::new();
+        let answers = known
             .into_iter()
             .zip(forms.iter())
             .map(|(known, (fp, _))| match known {
@@ -479,70 +487,75 @@ impl Engine {
                     let report = Arc::new(solved.next().expect("one report per solve"));
                     if active {
                         self.cache.insert(self.key(*fp), Arc::clone(&report));
+                        fresh.push((*fp, Arc::clone(&report)));
                     }
                     (report, true)
                 }
             })
-            .collect()
-    }
-
-    /// Solves a canonical instance, producing the canonical report (no id,
-    /// canonical job numbering). This is the one member loop: every
-    /// planned member runs in canonical order on the calling thread.
-    fn solve_canonical(&self, inst: &Instance) -> SolveReport {
-        let (profile, portfolio) = {
-            let _span = Stage::Plan.span();
-            let profile = classify(inst);
-            let portfolio = plan(&profile, &self.cfg);
-            (profile, portfolio)
-        };
-        let _span = Stage::MemberRace.span();
-        let started = Instant::now();
-        let cancel = self.cfg.cancel_token(started);
-        // Members run with nested parallelism pinned off (exactly as they
-        // do on pool workers in a batch), so a report — including
-        // branch-and-bound node counts — is bit-identical at any ambient
-        // thread count.
-        let one = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .expect("pool handles are always constructible");
-        let mut outcomes: Vec<(SolverKind, MemberOutcome)> = Vec::new();
-        for (idx, &kind) in portfolio.members.iter().enumerate() {
-            // Honour the deadline between members; the first member is always
-            // run so the report carries a schedule. Members that *do* start
-            // additionally poll the token inside their own search loops.
-            if idx > 0 && cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                let unstarted = MemberOutcome::without_schedule(RunStatus::TimedOut, None);
-                outcomes.push((kind, unstarted));
-                continue;
-            }
-            // The exact member is warm-started from the best heuristic
-            // schedule found so far (the members before it in canonical
-            // order), seeding its incumbent without recomputing heuristics.
-            let warm = if kind == SolverKind::Exact {
-                best_completed_schedule(&outcomes)
-            } else {
-                None
-            };
-            // A panic is a bug in that one solver: it is reported as an
-            // `Invalid` run, and the other members still answer.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                one.install(|| run_solver(kind, inst, &self.cfg, cancel.as_ref(), warm.as_ref()))
-            }))
-            .unwrap_or_else(|payload| {
-                let reason = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "solver panicked".into());
-                let panicked = RunStatus::Invalid(format!("panic: {reason}"));
-                MemberOutcome::without_schedule(panicked, None)
-            });
-            outcomes.push((kind, outcome));
+            .collect();
+        if !fresh.is_empty() {
+            self.store.lock().write(fresh);
         }
-        assemble(&profile, outcomes, started)
+        answers
     }
+}
+
+/// Solves a canonical instance under `cfg`, producing the canonical
+/// report (no id, canonical job numbering). This is the one member loop:
+/// every planned member runs in canonical order on the calling thread.
+fn solve_canonical(cfg: &EngineConfig, inst: &Instance) -> SolveReport {
+    let (profile, portfolio) = {
+        let _span = Stage::Plan.span();
+        let profile = classify(inst);
+        let portfolio = plan(&profile, cfg);
+        (profile, portfolio)
+    };
+    let _span = Stage::MemberRace.span();
+    let started = Instant::now();
+    let cancel = cfg.cancel_token(started);
+    // Members run with nested parallelism pinned off (exactly as they
+    // do on pool workers in a batch), so a report — including
+    // branch-and-bound node counts — is bit-identical at any ambient
+    // thread count.
+    let one = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("pool handles are always constructible");
+    let mut outcomes: Vec<(SolverKind, MemberOutcome)> = Vec::new();
+    for (idx, &kind) in portfolio.members.iter().enumerate() {
+        // Honour the deadline between members; the first member is always
+        // run so the report carries a schedule. Members that *do* start
+        // additionally poll the token inside their own search loops.
+        if idx > 0 && cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+            let unstarted = MemberOutcome::without_schedule(RunStatus::TimedOut, None);
+            outcomes.push((kind, unstarted));
+            continue;
+        }
+        // The exact member is warm-started from the best heuristic
+        // schedule found so far (the members before it in canonical
+        // order), seeding its incumbent without recomputing heuristics.
+        let warm = if kind == SolverKind::Exact {
+            best_completed_schedule(&outcomes)
+        } else {
+            None
+        };
+        // A panic is a bug in that one solver: it is reported as an
+        // `Invalid` run, and the other members still answer.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            one.install(|| run_solver(kind, inst, cfg, cancel.as_ref(), warm.as_ref()))
+        }))
+        .unwrap_or_else(|payload| {
+            let reason = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "solver panicked".into());
+            let panicked = RunStatus::Invalid(format!("panic: {reason}"));
+            MemberOutcome::without_schedule(panicked, None)
+        });
+        outcomes.push((kind, outcome));
+    }
+    assemble(&profile, outcomes, started)
 }
 
 /// The best (least-makespan) schedule among completed members so far — the

@@ -84,8 +84,9 @@ fn warmed_cache_hit_serve_loop_performs_zero_allocations() {
     let engine = Engine::new(config.clone());
 
     // Durable persistence must never touch the fast path: attach a cache
-    // store so warm-pass inserts stream through the background flusher,
-    // then prove the measured hit-only pass still allocates nothing.
+    // store so the warm pass's fresh solves go to the store's background
+    // writer, then prove the measured hit-only pass still allocates
+    // nothing.
     let store_path = std::env::temp_dir().join(format!(
         "msrs-alloc-free-store-{}.mcache",
         std::process::id()
@@ -112,12 +113,13 @@ fn warmed_cache_hit_serve_loop_performs_zero_allocations() {
         assert_eq!(outcome.stats.instances, 256, "pass {pass}");
     }
 
-    // Let the background flusher drain the warm-pass inserts (one record
-    // per distinct canonical form) before opening the measured window. The
-    // flusher's work — serializing and appending — allocates, but on its
-    // own thread; waiting here keeps even that off the window. Appends hit
-    // the file unbuffered, so four visible records mean the only remaining
-    // flusher work is an fsync (allocation-free) before it parks.
+    // Let the store's writer append the warm pass's fresh solves (one
+    // record per distinct canonical form) before opening the measured
+    // window: the writer is asynchronous, and its work — serializing and
+    // appending — allocates, but on its own thread; waiting here keeps
+    // even that off the window. Appends hit the file unbuffered, so four
+    // visible records mean the only remaining writer work is an fsync
+    // (allocation-free) before it waits for the next batch.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
         let records = std::fs::read_to_string(&store_path)
@@ -128,7 +130,7 @@ fn warmed_cache_hit_serve_loop_performs_zero_allocations() {
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "flusher never persisted the warm-pass inserts ({records}/{})",
+            "the writer never persisted the warm pass's solves ({records}/{})",
             distinct.len()
         );
         std::thread::sleep(std::time::Duration::from_millis(10));
@@ -175,7 +177,7 @@ fn warmed_cache_hit_serve_loop_performs_zero_allocations() {
     assert_eq!(reg.serve_fast_path_total.get() - fast_path_before, 256);
 
     // The store behind that zero-allocation window is real: dropping the
-    // engine joins the flusher, and a fresh load returns exactly one
+    // engine joins the writer, and a fresh load returns exactly one
     // verified record per distinct canonical form.
     drop(server);
     drop(engine);

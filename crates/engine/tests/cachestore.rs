@@ -16,23 +16,27 @@
 //! * **version 1** — files in the previous format of either log are
 //!   refused with `InvalidData`;
 //! * **warm restart** — an engine that served a corpus through an
-//!   attached store is dropped (joining the background flusher), a fresh
+//!   attached store is dropped (joining the store's writer), a fresh
 //!   engine warm-loads the store, and a second pass over the same corpus
 //!   is served entirely from cache, bit-identical modulo `wall_micros`
-//!   and `cache_hit`.
+//!   and `cache_hit`;
+//! * **completeness** — every fresh solve reaches the store: thousands of
+//!   canonically distinct lines in one miss batch, in many batches, and
+//!   through `Engine::solve_batch` reload as one record per form.
 
+use std::collections::HashSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use msrs_core::{Assignment, Schedule};
+use msrs_core::{Assignment, Instance, Schedule};
 use msrs_engine::json::Json;
 use msrs_engine::portfolio::SolverKind;
 use msrs_engine::report::{RunStatus, SolverRun};
 use msrs_engine::stream::JsonlServer;
 use msrs_engine::{
-    jsonl, CacheStore, CheckpointHeader, CheckpointLog, Engine, EngineConfig, ShardRecord,
-    ShardStats, SolveReport,
+    jsonl, CacheStore, CheckpointHeader, CheckpointLog, Engine, EngineConfig, EptasPolicy,
+    ShardRecord, ShardStats, SolveReport, SolveRequest,
 };
 
 /// A scratch path unique to this process and test.
@@ -443,7 +447,7 @@ fn warm_restart_serves_the_second_pass_from_the_store_bit_identically() {
         ..EngineConfig::default()
     };
 
-    // First life: solve everything, write-through to the store.
+    // First life: solve everything; the store's writer persists each miss batch.
     let engine = Engine::new(config.clone());
     let load = engine
         .attach_cache_store(&path)
@@ -455,9 +459,9 @@ fn warm_restart_serves_the_second_pass_from_the_store_bit_identically() {
         .expect("first pass");
     assert!(outcome.error.is_none());
     assert_eq!(outcome.stats.instances, 12);
-    // Restart: dropping the engine joins the background flusher, so every
-    // insert the first life made is durable before the second life opens
-    // the file.
+    // Restart: dropping the engine joins the store's writer, so every
+    // fresh solve of the first life is durable before the second life
+    // opens the file.
     drop(engine);
 
     let engine = Engine::new(config);
@@ -501,4 +505,67 @@ fn warm_restart_serves_the_second_pass_from_the_store_bit_identically() {
         "warm restart is bit-identical modulo wall_micros and cache_hit"
     );
     fs::remove_file(&path).ok();
+}
+
+#[test]
+fn every_fresh_solve_is_stored() {
+    // Canonically distinct small instances (the first class's larger job
+    // differs), more than a 1,024-entry cache holds.
+    const DISTINCT: usize = 2_048;
+    let instances: Vec<Instance> = (0..DISTINCT as u64)
+        .map(|i| Instance::from_classes(3, &[vec![i + 3, 2], vec![3], vec![1, 1]]).unwrap())
+        .collect();
+    let mut corpus = String::new();
+    for (i, inst) in instances.iter().enumerate() {
+        corpus.push_str(&jsonl::write_instance_line(Some(&format!("d-{i}")), inst));
+        corpus.push('\n');
+    }
+    let config = EngineConfig {
+        threads: 2,
+        cache_capacity: 1024,
+        run_baselines: false,
+        eptas: EptasPolicy {
+            enabled: false,
+            ..EptasPolicy::default()
+        },
+        ..EngineConfig::default()
+    };
+
+    // Shard size 4096 puts every line in one miss batch; 256 sends eight
+    // batches through the writer's one-slot hand-off; `None` is the typed
+    // batch API.
+    for shard_size in [Some(4096), Some(256), None] {
+        let path = tmp(&format!("complete-{shard_size:?}.mcache"));
+        let _ = fs::remove_file(&path);
+        let engine = Engine::new(config.clone());
+        engine
+            .attach_cache_store(&path)
+            .expect("fresh store attaches");
+        match shard_size {
+            Some(shard_size) => {
+                let outcome = JsonlServer::new()
+                    .serve(&engine, corpus.as_bytes(), &mut io::sink(), shard_size)
+                    .expect("serve");
+                assert!(outcome.error.is_none());
+                assert_eq!(outcome.stats.instances, DISTINCT);
+            }
+            None => {
+                let reqs: Vec<SolveRequest> =
+                    instances.iter().cloned().map(SolveRequest::new).collect();
+                assert_eq!(engine.solve_batch(&reqs).len(), DISTINCT);
+            }
+        }
+        // Dropping the engine joins the writer: everything it was handed
+        // is on disk.
+        drop(engine);
+        let (_store, entries, stats) =
+            CacheStore::open(&path, config.content_fingerprint()).expect("store reopens");
+        assert_eq!(
+            stats.loaded, DISTINCT as u64,
+            "shard size {shard_size:?}: one record per distinct form"
+        );
+        let forms: HashSet<u128> = entries.iter().map(|e| e.fingerprint).collect();
+        assert_eq!(forms.len(), DISTINCT, "shard size {shard_size:?}");
+        fs::remove_file(&path).ok();
+    }
 }

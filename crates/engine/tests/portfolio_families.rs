@@ -257,3 +257,72 @@ fn cli_bench_table_and_usage_errors() {
     usage_error("--machines 0", "--machines must be ≥ 1");
     usage_error("--count 0", "--count must be ≥ 1");
 }
+
+/// `--cache-path` needs an active result cache: beside `--no-cache`,
+/// `--cache-capacity 0` or `--deadline-ms` it is a usage error (exit 1, no
+/// panic) on `batch`, `serve` and `dispatch`, and the store is left
+/// untouched. Each run is killed after a minute, so a command that
+/// wrongly starts serving fails the test instead of hanging it.
+#[test]
+fn cli_cache_path_with_an_inactive_cache_is_a_usage_error() {
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+    let dir = std::env::temp_dir().join(format!("msrs-cli-cache-path-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (corpus, store, out) = (path("c.jsonl"), path("s.mcache"), path("r.jsonl"));
+    std::fs::write(&corpus, "{\"machines\":2,\"classes\":[[3,1],[2]]}\n").expect("corpus");
+    let run = |args: &[&str]| {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_msrs"))
+            .args(args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("run msrs");
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while child.try_wait().expect("wait").is_none() {
+            if Instant::now() > deadline {
+                child.kill().ok();
+                panic!("{args:?} did not exit");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        child.wait_with_output().expect("output")
+    };
+
+    let warm = run(&[
+        "batch",
+        "--input",
+        &corpus,
+        "--out",
+        &out,
+        "--cache-path",
+        &store,
+    ]);
+    assert!(warm.status.success(), "{warm:?}");
+    let stored = std::fs::read(&store).expect("store written");
+    for inactive in [
+        &["--no-cache"][..],
+        &["--cache-capacity", "0"],
+        &["--deadline-ms", "100"],
+    ] {
+        for cmd in [
+            &["batch", "--input", &corpus][..],
+            &["serve", "--addr", "127.0.0.1:0"],
+            &["dispatch", "--input", &corpus, "--out", &out],
+        ] {
+            let args = [cmd, inactive, &["--cache-path", &store]].concat();
+            let refused = run(&args);
+            let stderr = String::from_utf8_lossy(&refused.stderr);
+            assert_eq!(refused.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains("--cache-path needs the result cache"),
+                "{args:?}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            assert_eq!(std::fs::read(&store).expect("store"), stored, "{args:?}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

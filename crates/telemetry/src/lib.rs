@@ -643,11 +643,13 @@ pub struct Registry {
     /// Cache store segments quarantined on load because a record inside
     /// them failed verification; loading continued past them.
     pub cache_store_segments_quarantined_total: Counter,
-    /// Durable batches the cache store's background flusher fsync'd to
-    /// disk (each flush covers one or more queued records).
+    /// Cache store `fsync`s that made appended records durable: one per
+    /// miss batch that added records through the engine's store writer,
+    /// and one per dispatch event batch that recorded fills.
     pub cache_store_flushes_total: Counter,
-    /// Cache entries dropped instead of persisted because the flusher's
-    /// bounded queue was full (the fast path never blocks on disk).
+    /// Retired: always reads 0. The store's writer takes every fresh
+    /// solve now, so no insert is dropped. Kept registered because the
+    /// benchmark's trace mode still reads it.
     pub cache_store_queue_drops_total: Counter,
     /// `#cacheq` probes the dispatch coordinator answered from its
     /// fleet-shared cache with a `#cachehit` payload.
