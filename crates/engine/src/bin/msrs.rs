@@ -627,11 +627,9 @@ fn cmd_batch(flags: &Flags) -> Result<(), String> {
             *slot -= prev;
         }
         eprintln!(
-            "pool: {} persistent worker(s) ({} spawned, {} reclaimed), {} parallel op(s), \
-             {} helper job(s), chunks by caller {}, by worker {:?}",
+            "pool: {} persistent worker(s), {} parallel op(s), {} helper job(s), \
+             chunks by caller {}, by worker {:?}",
             after.gauge("msrs_pool_workers_alive"),
-            after.counter("msrs_pool_spawns_total"),
-            after.counter("msrs_pool_reclaims_total"),
             delta("msrs_pool_ops_total"),
             delta("msrs_pool_helper_jobs_total"),
             delta("msrs_pool_caller_chunks_total"),

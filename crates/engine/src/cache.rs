@@ -14,22 +14,19 @@
 //! capacity. Small caches (≤ [`SHARD_THRESHOLD`] entries) use a single
 //! shard, so their eviction order is exact global LRU; larger caches trade
 //! that for lock spread, making eviction per-shard LRU (an approximation
-//! of global LRU). Hit/miss/eviction counters are monotone and lock-free.
+//! of global LRU).
 //!
-//! Every counter event is *dual-recorded*: the per-cache atomics stay the
-//! source of truth for [`CacheStats`] (each [`Engine`](crate::Engine) owns
-//! its cache, and callers may meter caches individually), and the same
-//! event is mirrored into the process-global `msrs_telemetry` registry
-//! (`msrs_cache_*` counters, `msrs_cache_entries` residency gauge) so one
-//! telemetry snapshot covers every cache in the process. Lookups
-//! additionally record a `cache_lookup` stage span. None of this allocates.
+//! Every hit, miss and eviction is counted once, in the process-global
+//! `msrs_telemetry` registry (`msrs_cache_*` counters, `msrs_cache_entries`
+//! residency gauge), so one telemetry snapshot covers every cache in the
+//! process. Lookups additionally record a `cache_lookup` stage span. None
+//! of this allocates.
 //!
 //! The cache is memory only: the engine's miss path hands fresh solves to
 //! the store's writer ([`crate::cachestore`]), so neither a hit nor an
 //! insert here touches the store.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use msrs_telemetry::{registry, Stage};
@@ -52,22 +49,6 @@ pub struct CacheKey {
     pub config: u64,
 }
 
-/// Monotone counter snapshot of a [`ReportCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups answered from the cache (including intra-batch dedup
-    /// fan-outs, which reuse a solve exactly like a cache hit does).
-    pub hits: u64,
-    /// Lookups that required a fresh solve.
-    pub misses: u64,
-    /// Entries displaced by capacity pressure.
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-    /// Configured capacity (0 = caching disabled).
-    pub capacity: usize,
-}
-
 struct Entry {
     /// Last-touch stamp from the shard's logical clock.
     stamp: u64,
@@ -86,20 +67,13 @@ pub struct ReportCache {
     /// Per-shard entry budget.
     shard_capacity: usize,
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl std::fmt::Debug for ReportCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
         f.debug_struct("ReportCache")
             .field("capacity", &self.capacity)
-            .field("entries", &stats.entries)
-            .field("hits", &stats.hits)
-            .field("misses", &stats.misses)
-            .field("evictions", &stats.evictions)
+            .field("entries", &self.resident())
             .finish()
     }
 }
@@ -125,9 +99,6 @@ impl ReportCache {
                 .collect(),
             shard_capacity: capacity.div_ceil(shard_count).max(1),
             capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -158,13 +129,11 @@ impl ReportCache {
                 entry.stamp = clock;
                 let report = entry.report.clone();
                 drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 registry().cache_hits_total.inc();
                 Some(report)
             }
             None => {
                 drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 registry().cache_misses_total.inc();
                 None
             }
@@ -189,7 +158,6 @@ impl ReportCache {
     /// intra-batch dedup fan-out path, which shares one solve across
     /// duplicate requests exactly like a cache hit would).
     pub fn count_dedup_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
         registry().cache_hits_total.inc();
     }
 
@@ -221,22 +189,14 @@ impl ReportCache {
             reg.cache_entries.add(1);
         }
         if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
             reg.cache_evictions_total.add(evicted);
             reg.cache_entries.sub(evicted as i64);
         }
     }
 
-    /// Current counter snapshot (per-cache; the process-global mirror is
-    /// available via `msrs_telemetry::snapshot()`).
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| s.lock().map.len()).sum(),
-            capacity: self.capacity,
-        }
+    /// Entries currently resident, across all shards.
+    fn resident(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().map.len()).sum()
     }
 }
 
@@ -244,7 +204,7 @@ impl Drop for ReportCache {
     fn drop(&mut self) {
         // Return this cache's residency to the global gauge so it tracks
         // live entries across engines coming and going.
-        let resident: usize = self.shards.iter().map(|s| s.lock().map.len()).sum();
+        let resident = self.resident();
         if resident > 0 {
             registry().cache_entries.sub(resident as i64);
         }
@@ -295,8 +255,7 @@ mod tests {
                 config: 8
             })
             .is_none());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
+        assert_eq!(cache.resident(), 1);
     }
 
     #[test]
@@ -305,8 +264,7 @@ mod tests {
         assert!(!cache.enabled());
         cache.insert(key(1), report(10));
         assert!(cache.get(&key(1)).is_none());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+        assert_eq!(cache.resident(), 0);
     }
 
     #[test]
@@ -317,11 +275,10 @@ mod tests {
         // Touch 1 so 2 becomes the least recently used.
         assert!(cache.get(&key(1)).is_some());
         cache.insert(key(3), report(3));
-        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.resident(), 2);
         assert!(cache.get(&key(2)).is_none(), "LRU entry 2 evicted");
         assert!(cache.get(&key(1)).is_some());
         assert!(cache.get(&key(3)).is_some());
-        assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]
@@ -330,9 +287,9 @@ mod tests {
         for i in 0..1000u128 {
             cache.insert(key(i), report(i as u64));
         }
-        let stats = cache.stats();
-        assert!(stats.entries <= SHARD_THRESHOLD + 16 + SHARDS);
-        assert!(stats.evictions >= 1000 - (SHARD_THRESHOLD as u64 + 16 + SHARDS as u64));
+        assert!(cache.resident() <= SHARD_THRESHOLD + 16 + SHARDS);
+        assert!(cache.get(&key(0)).is_none(), "the oldest entry was evicted");
+        assert_eq!(cache.get(&key(999)).unwrap().makespan, 999);
     }
 
     #[test]
@@ -340,7 +297,7 @@ mod tests {
         let cache = ReportCache::new(2);
         cache.insert(key(1), report(1));
         cache.insert(key(1), report(9));
-        assert_eq!(cache.stats().entries, 1);
+        assert_eq!(cache.resident(), 1);
         assert_eq!(cache.get(&key(1)).unwrap().makespan, 9);
     }
 }

@@ -37,10 +37,8 @@
 //! * Reopening an existing store appends a fresh segment marker, so new
 //!   appends are never swallowed by a quarantined trailing segment.
 //!
-//! The fault kinds `cache-torn:at=N` and `cache-flip:record=K` (see the
-//! [`mod@crate::dispatch`] module docs) mutate the file inside
-//! [`CacheStore::open`] *before* loading, so tests and CI can exercise
-//! these recovery paths byte-deterministically.
+//! The recovery paths are exercised by truncating and flipping the bytes
+//! of a real store file, at every offset, in `tests/cachestore.rs`.
 //!
 //! [`Engine`]: crate::Engine
 
@@ -53,7 +51,6 @@ use std::thread::JoinHandle;
 
 use msrs_telemetry::registry;
 
-use crate::dispatch::{CacheFault, FaultSpec};
 use crate::journal::{Header, Journal};
 use crate::json::Json;
 use crate::report::SolveReport;
@@ -133,53 +130,6 @@ fn parse_record(record: &str, config_fp: u64) -> Option<CacheStoreEntry> {
     })
 }
 
-/// Applies a `cache-torn` / `cache-flip` fault from `MSRS_FAULT` to the
-/// file at `path` (no-op when absent, the spec names another kind, or
-/// the file does not exist). Truncation cuts the file to `at` bytes; a
-/// flip inverts one bit in the middle of the `record`-th record line.
-fn apply_env_fault(path: &Path) -> io::Result<()> {
-    let Some(fault) = FaultSpec::from_env().and_then(|f| f.cache_fault()) else {
-        return Ok(());
-    };
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    match fault {
-        CacheFault::Torn { at } => {
-            let at = (at as usize).min(bytes.len());
-            eprintln!(
-                "msrs cachestore: injected torn tail at byte {at} of {}",
-                path.display()
-            );
-            std::fs::write(path, &bytes[..at])
-        }
-        CacheFault::Flip { record } => {
-            let mut bytes = bytes;
-            let mut start = 0usize;
-            let mut seen = 0u64;
-            for line in bytes.split(|&b| b == b'\n') {
-                if line.starts_with(b"{\"fp\":") {
-                    if seen == record {
-                        let mid = start + line.len() / 2;
-                        bytes[mid] ^= 0x01;
-                        eprintln!(
-                            "msrs cachestore: injected bit flip in record {record} (byte {mid}) \
-                             of {}",
-                            path.display()
-                        );
-                        return std::fs::write(path, &bytes);
-                    }
-                    seen += 1;
-                }
-                start += line.len() + 1;
-            }
-            Ok(()) // fewer records than requested: nothing to flip
-        }
-    }
-}
-
 impl CacheStore {
     /// Opens (or creates) the store at `path` for the engine
     /// configuration fingerprinted by `config_fp`, replaying and
@@ -192,7 +142,6 @@ impl CacheStore {
         path: &Path,
         config_fp: u64,
     ) -> io::Result<(CacheStore, Vec<CacheStoreEntry>, CacheLoadStats)> {
-        apply_env_fault(path)?;
         let mut entries = Vec::new();
         let mut stats = CacheLoadStats::default();
         // Records verified so far in the current segment; committed at the

@@ -98,11 +98,7 @@
 //! only in the worker whose ordinal (`MSRS_WORKER_INDEX`, set by the
 //! coordinator) is `W`; `ms` defaults to 1000.
 //!
-//! Three kinds target the durable cache plane instead:
-//! `cache-torn:at=N` truncates the cache store to `N` bytes before it is
-//! loaded (simulated torn tail), `cache-flip:record=K` flips one bit in
-//! its `K`-th record line (corruption-quarantine probe) — both fire at
-//! [`crate::cachestore::CacheStore::open`] and need no `shard=` — and
+//! One kind targets the fleet cache plane:
 //! `cache-stale-fill:shard=K[,ms=T]` makes the worker solving shard `K`
 //! go dark for `ms` after solving and send its `#cachefill` entries (and
 //! `#done`) only once its lease has lapsed, so the coordinator must drop
@@ -193,6 +189,24 @@ pub(crate) fn is_disconnect(e: &io::Error) -> bool {
     )
 }
 
+/// The longest line a remote peer may send, newline excluded (64 MiB):
+/// serve sessions and the coordinator's worker readers read no further.
+pub(crate) const MAX_LINE_BYTES: usize = 64 << 20;
+
+/// [`BufRead::read_line`] for lines from a remote peer: reads at most
+/// [`MAX_LINE_BYTES`] bytes and a newline. Returns the bytes read, or
+/// `None` when the line runs past the bound (its rest stays unread).
+pub(crate) fn read_peer_line(
+    reader: &mut impl BufRead,
+    buf: &mut String,
+) -> io::Result<Option<usize>> {
+    let n = reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_line(buf)?;
+    Ok((n <= MAX_LINE_BYTES || buf.ends_with('\n')).then_some(n))
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection
 // ---------------------------------------------------------------------------
@@ -207,49 +221,22 @@ pub(crate) enum FaultKind {
     Stall,
     DupDone,
     Slow,
-    /// Truncate the cache store to `at` bytes before loading it.
-    CacheTorn,
-    /// Flip one bit in the cache store's `record`-th record line before
-    /// loading it.
-    CacheFlip,
     /// Go dark (heartbeats off) for `ms` after solving, then send the
     /// `#cachefill` entries and `#done` — by then the lease has lapsed
     /// and the fills must be dropped as stale.
     CacheStaleFill,
 }
 
-/// A cache-store mutation derived from a [`FaultSpec`]; applied by
-/// [`crate::cachestore`] when opening a store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CacheFault {
-    /// Truncate the file to `at` bytes (a simulated torn tail).
-    Torn {
-        /// Byte length to keep.
-        at: u64,
-    },
-    /// Flip one bit in the `record`-th record line.
-    Flip {
-        /// 0-based record ordinal.
-        record: u64,
-    },
-}
-
 /// Parsed `MSRS_FAULT` spec; see the module docs for the grammar.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FaultSpec {
     pub(crate) kind: FaultKind,
-    /// Target shard; irrelevant (and optional) for the store-mutation
-    /// kinds `cache-torn`/`cache-flip`, which fire at store open.
-    shard: Option<usize>,
+    shard: usize,
     worker: Option<u64>,
     attempts: u32,
     /// Duration parameter for `stall`/`slow`/`cache-stale-fill`, in
     /// milliseconds.
     pub(crate) ms: u64,
-    /// Byte offset parameter for `cache-torn`.
-    at: u64,
-    /// Record ordinal parameter for `cache-flip`.
-    record: u64,
 }
 
 impl FaultSpec {
@@ -264,8 +251,6 @@ impl FaultSpec {
             "stall" => FaultKind::Stall,
             "dup-done" => FaultKind::DupDone,
             "slow" => FaultKind::Slow,
-            "cache-torn" => FaultKind::CacheTorn,
-            "cache-flip" => FaultKind::CacheFlip,
             "cache-stale-fill" => FaultKind::CacheStaleFill,
             _ => return None,
         };
@@ -273,8 +258,6 @@ impl FaultSpec {
         let mut worker = None;
         let mut attempts = 1u32;
         let mut ms = 1000u64;
-        let mut at = 0u64;
-        let mut record = 0u64;
         for kv in params.split(',') {
             let (k, v) = kv.split_once('=')?;
             match k {
@@ -282,22 +265,15 @@ impl FaultSpec {
                 "worker" => worker = Some(v.parse().ok()?),
                 "attempts" => attempts = v.parse().ok()?,
                 "ms" => ms = v.parse().ok()?,
-                "at" => at = v.parse().ok()?,
-                "record" => record = v.parse().ok()?,
                 _ => return None,
             }
         }
-        if shard.is_none() && !matches!(kind, FaultKind::CacheTorn | FaultKind::CacheFlip) {
-            return None; // every worker-side fault targets a shard
-        }
         Some(FaultSpec {
             kind,
-            shard,
+            shard: shard?, // every fault targets a shard
             worker,
             attempts,
             ms,
-            at,
-            record,
         })
     }
 
@@ -310,21 +286,10 @@ impl FaultSpec {
         parsed
     }
 
-    /// The cache-store mutation this spec asks for, if any.
-    pub(crate) fn cache_fault(&self) -> Option<CacheFault> {
-        match self.kind {
-            FaultKind::CacheTorn => Some(CacheFault::Torn { at: self.at }),
-            FaultKind::CacheFlip => Some(CacheFault::Flip {
-                record: self.record,
-            }),
-            _ => None,
-        }
-    }
-
     /// Should the fault fire for this (shard, 1-based attempt) in the
     /// worker with ordinal `worker_index`?
     fn fires(&self, shard: usize, attempt: u32, worker_index: Option<u64>) -> bool {
-        self.shard == Some(shard)
+        self.shard == shard
             && attempt <= self.attempts
             && match self.worker {
                 None => true,
@@ -666,10 +631,7 @@ fn inject_fault<W: Write + Send>(
             std::thread::sleep(Duration::from_millis(f.ms));
             Ok(())
         }
-        FaultKind::DupDone
-        | FaultKind::CacheTorn
-        | FaultKind::CacheFlip
-        | FaultKind::CacheStaleFill => Ok(()),
+        FaultKind::DupDone | FaultKind::CacheStaleFill => Ok(()),
     }
 }
 
@@ -1002,8 +964,8 @@ pub(crate) enum Event {
     /// `#cachefill` — a freshly solved report offered to the shared
     /// cache (fingerprint + still-unverified payload text).
     CacheFill(u128, String),
-    /// A line that is not part of the protocol (garbled output, torn
-    /// trailing line at EOF).
+    /// A line that is not part of the protocol (garbled output, a torn
+    /// trailing line at EOF, a line over [`MAX_LINE_BYTES`]).
     Garbage(String),
     /// The worker's output stream closed.
     Eof,
@@ -1804,16 +1766,16 @@ fn truncate(s: &str, max: usize) -> &str {
     }
 }
 
-/// Parses one worker connection's read half into [`Event`]s. A final
-/// line without its newline (a worker dying mid-write) is garbage, never
-/// a report.
+/// Parses one worker connection's read half into [`Event`]s. A line
+/// without its newline (a worker dying mid-write, or one longer than
+/// [`MAX_LINE_BYTES`]) is garbage, never a report, and the last line read.
 fn read_worker_lines(ordinal: u64, input: TcpStream, tx: &Sender<Msg>) {
     let mut reader = BufReader::new(input);
     let mut buf = String::new();
     loop {
         buf.clear();
-        match reader.read_line(&mut buf) {
-            Ok(0) | Err(_) => break,
+        match read_peer_line(&mut reader, &mut buf) {
+            Ok(Some(0)) | Err(_) => break,
             Ok(_) => {}
         }
         let terminated = buf.ends_with('\n');
@@ -1855,6 +1817,9 @@ fn read_worker_lines(ordinal: u64, input: TcpStream, tx: &Sender<Msg>) {
         };
         if tx.send(Msg::Worker(ordinal, event)).is_err() {
             return; // coordinator gone
+        }
+        if !terminated {
+            break;
         }
     }
     let _ = tx.send(Msg::Worker(ordinal, Event::Eof));
@@ -2173,21 +2138,40 @@ mod tests {
         assert!(FaultSpec::parse("crash:shard=x").is_none());
         assert!(FaultSpec::parse("stall:shard=1,ms=x").is_none());
 
-        // Cache-plane kinds: store mutations don't need a shard, the
-        // stale fill (a worker-side behavior) still does.
-        let f = FaultSpec::parse("cache-torn:at=64").unwrap();
-        assert_eq!(f.kind, FaultKind::CacheTorn);
-        assert_eq!(f.cache_fault(), Some(CacheFault::Torn { at: 64 }));
-        let f = FaultSpec::parse("cache-flip:record=2").unwrap();
-        assert_eq!(f.kind, FaultKind::CacheFlip);
-        assert_eq!(f.cache_fault(), Some(CacheFault::Flip { record: 2 }));
+        // The cache-plane kind is a worker-side behavior like the rest.
         let f = FaultSpec::parse("cache-stale-fill:shard=1,ms=500").unwrap();
         assert_eq!(f.kind, FaultKind::CacheStaleFill);
         assert_eq!(f.ms, 500);
-        assert!(f.cache_fault().is_none());
         assert!(f.fires(1, 1, None));
         assert!(FaultSpec::parse("cache-stale-fill").is_none()); // shard required
-        assert!(FaultSpec::parse("cache-torn:at=x").is_none());
+
+        // Store-file damage is no fault kind: tests edit the bytes.
+        assert!(FaultSpec::parse("cache-torn:at=64").is_none());
+        assert!(FaultSpec::parse("cache-flip:record=2").is_none());
+    }
+
+    #[test]
+    fn an_over_long_worker_line_is_one_garbage_event_and_the_last() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("loopback binds");
+        let addr = listener.local_addr().expect("bound address");
+        let worker = std::thread::spawn(move || {
+            let mut out = TcpStream::connect(addr).expect("worker connects");
+            // One byte past the bound, then a heartbeat the reader must
+            // never get to.
+            let _ = out.write_all(&vec![b'a'; MAX_LINE_BYTES + 1]);
+            let _ = out.write_all(b"#hb\n");
+        });
+        let (input, _) = listener.accept().expect("coordinator accepts");
+        let (tx, rx) = mpsc::channel();
+        read_worker_lines(3, input, &tx);
+        worker.join().expect("worker thread");
+        let events: Vec<Msg> = rx.try_iter().collect();
+        assert_eq!(events.len(), 2, "one garbage event, then EOF");
+        assert!(matches!(
+            &events[0],
+            Msg::Worker(3, Event::Garbage(line)) if line.len() == MAX_LINE_BYTES + 1
+        ));
+        assert!(matches!(events[1], Msg::Worker(3, Event::Eof)));
     }
 
     #[test]

@@ -297,11 +297,6 @@ impl Engine {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
-    }
-
     /// Whether requests are served through the result cache: the cache has
     /// capacity and no deadline is configured (deadline results are
     /// wall-clock-dependent, so memoizing them would be unsound). When
@@ -362,6 +357,15 @@ impl Engine {
         }
         *self.store.lock() = StoreWriter::spawn(store);
         Ok(stats)
+    }
+
+    /// Detaches the attached store from every clone and joins its writer
+    /// once it has synced each batch handed to it. `msrs serve` calls this
+    /// after its last session ended, so no fresh solve it answered is left
+    /// unsynced when the process exits.
+    pub(crate) fn close_store(&self) {
+        let writer = std::mem::take(&mut *self.store.lock());
+        drop(writer);
     }
 
     /// Solves one request: a batch of one (see

@@ -80,7 +80,7 @@ pub mod stream;
 
 pub use msrs_telemetry as telemetry;
 
-pub use cache::{CacheKey, CacheStats, ReportCache};
+pub use cache::{CacheKey, ReportCache};
 pub use cachestore::{CacheLoadStats, CacheStore, CacheStoreEntry};
 pub use checkpoint::{CheckpointHeader, CheckpointLog, ShardRecord, ShardStats};
 pub use dispatch::{dispatch_fleet, run_worker, DispatchConfig, DispatchOutcome, QuarantinedShard};
@@ -89,7 +89,6 @@ pub use families::{family, family_names, FamilySpec};
 pub use jsonl::LineDecoder;
 pub use portfolio::{plan, Portfolio, SolverKind};
 pub use profile::{classify, InstanceProfile, SizeTier};
-pub use rayon::PoolStats;
 pub use remote::{run_remote_worker, RemoteHub, RemoteWorkerConfig, REMOTE_PROTO_VERSION};
 pub use report::{RunStatus, SolveReport, SolveRequest, SolverRun};
 pub use stream::{JsonlServer, ServiceCore, StreamOutcome, StreamStats, DEFAULT_SHARD_SIZE};

@@ -22,6 +22,9 @@
 //! * **session_limit** — the session served `--max-requests-per-session`
 //!   requests: `{"error":"session_limit","max_requests":N}` is written
 //!   and the session closes (load-balancer-friendly connection churn).
+//! * **line_too_long** — a line ran past 64 MiB without its newline:
+//!   `{"error":"line_too_long","max_bytes":67108864}` is written and the
+//!   session closes; the rest of the line is never read.
 //!
 //! A peer that disconnects mid-write (`EPIPE`/connection reset) ends its
 //! session cleanly — counted in `msrs_serve_disconnects_total`, never a
@@ -54,7 +57,7 @@
 //! thread, which is reaped when the session ends, by a panic too; the
 //! peer then sees EOF.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -62,6 +65,7 @@ use std::time::{Duration, Instant};
 
 use msrs_telemetry::registry;
 
+use crate::dispatch::{read_peer_line, MAX_LINE_BYTES};
 use crate::engine::Engine;
 use crate::json::Json;
 use crate::remote::Acceptor;
@@ -220,16 +224,21 @@ impl ServerHandle {
         self.shared.begin_shutdown();
     }
 
-    /// Blocks until shutdown has begun and every session has ended, then
-    /// stops both listeners and returns the lifetime totals. Call after
-    /// [`begin_shutdown`](Self::begin_shutdown) (or rely on a client's
-    /// `#shutdown`).
+    /// Blocks until shutdown has begun and every session has ended, joins
+    /// the attached cache store's writer (every fresh solve a session
+    /// answered is then synced), stops both listeners and returns the
+    /// lifetime totals. Call after [`begin_shutdown`](Self::begin_shutdown)
+    /// (or rely on a client's `#shutdown`).
     pub fn wait(self) -> ServeSummary {
         let sessions = self.shared.sessions.lock().expect("session list lock");
         let ended = self.shared.changed.wait_while(sessions, |open| {
             !self.shared.shutdown.load(Ordering::SeqCst) || !open.is_empty()
         });
         drop(ended.expect("session list lock"));
+        // A session thread that just deregistered may still hold the last
+        // reference to the engine, whose drop would join the writer only
+        // after `wait` returned.
+        self.shared.engine.close_store();
         ServeSummary {
             sessions: self.shared.sessions_total.load(Ordering::SeqCst),
             requests: self.shared.requests_total.load(Ordering::SeqCst),
@@ -373,9 +382,15 @@ fn session_conversation(stream: TcpStream, shared: &Arc<ServerShared>) -> io::Re
     loop {
         line_buf.clear();
         line_no += 1;
-        match reader.read_line(&mut line_buf) {
-            Ok(0) => break,
-            Ok(_) => {}
+        match read_peer_line(&mut reader, &mut line_buf) {
+            Ok(Some(0)) => break,
+            Ok(Some(_)) => {}
+            Ok(None) => {
+                let max = Json::Num(MAX_LINE_BYTES as i128);
+                write_error_line(&mut out, "line_too_long", &[("max_bytes", max)])?;
+                out.flush()?;
+                break;
+            }
             Err(e) if is_idle_expiry(&e) => {
                 registry().serve_idle_closes_total.inc();
                 let idle_ms = shared
@@ -502,6 +517,7 @@ mod tests {
     use super::*;
     use crate::engine::INJECTED_PANICS;
     use crate::portfolio::SolverKind;
+    use std::io::BufRead;
 
     #[test]
     fn a_panicking_session_still_closes() {

@@ -249,12 +249,6 @@ impl ServiceCore {
         self.slots.len()
     }
 
-    /// The stats accumulated since [`begin`](Self::begin) (phase splits and
-    /// wall time are only filled in by [`finish`](Self::finish)).
-    pub fn stats(&self) -> &StreamStats {
-        &self.stats
-    }
-
     /// Attributes `spent` input-side time (reading, skipping blanks) to the
     /// parse phase, keeping the phase split an honest partition of the
     /// driver's wall time.

@@ -21,6 +21,10 @@
 //!   `--max-requests-per-session` requests is closed with a
 //!   `session_limit` line, and a peer that hangs up mid-conversation ends
 //!   its session cleanly (counted, never a session-thread error);
+//! * **bounded lines** — a line past 64 MiB is refused with a structured
+//!   `line_too_long` line that ends its session, and other sessions go on;
+//! * **durable exit** — with a cache store attached, `wait` returns only
+//!   after every fresh solve is synced;
 //! * **connection churn** — thousands of one-request connections to a
 //!   `msrs serve` process are each answered without a poll delay, and
 //!   leave its address space and thread count flat.
@@ -33,7 +37,7 @@ use std::time::{Duration, Instant};
 use msrs_engine::json::Json;
 use msrs_engine::service::{serve, ServeConfig};
 use msrs_engine::stream::JsonlServer;
-use msrs_engine::{jsonl, telemetry, Engine, EngineConfig, ExactPolicy};
+use msrs_engine::{jsonl, telemetry, CacheStore, Engine, EngineConfig, ExactPolicy};
 
 /// The admission gauge and serve counters are process-global; serializing
 /// the tests makes each test's server the only one moving them.
@@ -735,6 +739,81 @@ fn peer_disconnect_ends_session_cleanly() {
     handle.begin_shutdown();
     let summary = handle.wait();
     assert_eq!(summary.sessions, 2);
+}
+
+/// A line past the 64 MiB bound gets a structured `line_too_long` answer
+/// and ends its session; another connection is still answered.
+#[test]
+fn an_over_long_line_is_refused_and_other_sessions_go_on() {
+    let _guard = serialized();
+    let handle = serve(engine(1, 0), "127.0.0.1:0", ServeConfig::default()).expect("server binds");
+    let other = TcpStream::connect(handle.local_addr()).expect("connects");
+    let mut hostile = TcpStream::connect(handle.local_addr()).expect("connects");
+    hostile
+        .write_all(&vec![b'a'; (64 << 20) + 1])
+        .expect("write an unterminated line one byte over the bound");
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout set");
+    let mut reply = String::new();
+    hostile
+        .read_to_string(&mut reply)
+        .expect("an answer, then EOF");
+    assert_eq!(
+        reply,
+        "{\"error\":\"line_too_long\",\"max_bytes\":67108864}\n"
+    );
+
+    (&other)
+        .write_all(format!("{}\n", tiny_line("still")).as_bytes())
+        .expect("write");
+    let mut resp = String::new();
+    BufReader::new(&other)
+        .read_line(&mut resp)
+        .expect("read report");
+    let report = Json::parse(resp.trim()).expect("report parses");
+    assert_eq!(report.get("id").and_then(Json::as_str), Some("still"));
+    handle.begin_shutdown();
+    let summary = handle.wait();
+    assert_eq!((summary.sessions, summary.requests), (2, 1));
+}
+
+/// `wait` returns only once the store's writer has synced every fresh
+/// solve the sessions answered, so `msrs serve` exiting right after it
+/// loses none of them.
+#[test]
+fn wait_returns_after_every_fresh_solve_is_stored() {
+    const N: usize = 24;
+    let _guard = serialized();
+    let path = std::env::temp_dir().join(format!("msrs-serve-wait-{}.mcache", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let cfg = EngineConfig {
+        threads: 1,
+        cache_capacity: 1024,
+        ..EngineConfig::default()
+    };
+    let engine = Engine::new(cfg.clone());
+    engine.attach_cache_store(&path).expect("store attaches");
+    let handle = serve(engine, "127.0.0.1:0", ServeConfig::default()).expect("server binds");
+    let mut client = TcpStream::connect(handle.local_addr()).expect("connects");
+    // N canonically distinct lines, pipelined, then `#shutdown`.
+    let mut requests: String = (1..=N)
+        .map(|k| format!("{{\"id\":\"w{k}\",\"machines\":2,\"classes\":[[{k},3],[5]]}}\n"))
+        .collect();
+    requests.push_str("#shutdown\n");
+    client.write_all(requests.as_bytes()).expect("write");
+    let mut replies = String::new();
+    client
+        .read_to_string(&mut replies)
+        .expect("replies, then EOF");
+    assert_eq!(replies.matches("\"cache_hit\":false").count(), N);
+    handle.wait();
+
+    let (_store, entries, stats) =
+        CacheStore::open(&path, cfg.content_fingerprint()).expect("store reopens");
+    assert_eq!((entries.len(), stats.errors), (N, 0));
+    drop(_store);
+    std::fs::remove_file(&path).expect("remove store");
 }
 
 /// A spawned `msrs serve`, killed on drop so a failing test never leaks

@@ -520,15 +520,12 @@ fn outcome_labels() -> (
     }
 }
 
-/// Maximum pool-worker chunk slots a snapshot will carry.
-pub const MAX_POOL_WORKERS: usize = 256;
-
 static POOL_WORKER_CHUNKS: OnceLock<fn() -> Vec<u64>> = OnceLock::new();
 
 /// Register the source for per-worker chunk counts (first caller wins).
 ///
-/// The vendored pool owns per-worker attribution (workers are spawned and
-/// reclaimed dynamically, so the registry cannot preallocate them); it
+/// The vendored pool owns per-worker attribution (workers are spawned
+/// lazily, so the registry cannot preallocate them); it
 /// registers a plain function pointer here and [`snapshot()`] pulls the
 /// vector through it. Registration stores a `fn` pointer — no allocation.
 pub fn set_pool_worker_chunks_source(source: fn() -> Vec<u64>) {
@@ -562,14 +559,9 @@ pub struct Registry {
     pub cache_inserts_total: Counter,
     /// Worker threads spawned by the persistent pool.
     pub pool_spawns_total: Counter,
-    /// Idle worker threads reclaimed by the pool.
-    pub pool_reclaims_total: Counter,
     /// Times a pool worker parked on its condvar waiting for work.
     pub pool_parks_total: Counter,
-    /// Tasks stolen back by their submitter (join caller-takes, scope
-    /// waiter-drain) instead of running on a pool worker.
-    pub pool_stealbacks_total: Counter,
-    /// Parallel operations (`join`/`scope`/chunked loops) executed.
+    /// Parallel operations (chunked loops) that engaged the pool.
     pub pool_ops_total: Counter,
     /// Helper jobs submitted to workers.
     pub pool_helper_jobs_total: Counter,
@@ -686,9 +678,7 @@ impl Registry {
             cache_evictions_total: Counter::new(),
             cache_inserts_total: Counter::new(),
             pool_spawns_total: Counter::new(),
-            pool_reclaims_total: Counter::new(),
             pool_parks_total: Counter::new(),
-            pool_stealbacks_total: Counter::new(),
             pool_ops_total: Counter::new(),
             pool_helper_jobs_total: Counter::new(),
             pool_caller_chunks_total: Counter::new(),
@@ -735,7 +725,7 @@ impl Registry {
         &self.stages[stage as usize]
     }
 
-    fn counters(&self) -> [(&'static str, &Counter); 41] {
+    fn counters(&self) -> [(&'static str, &Counter); 39] {
         [
             ("msrs_requests_total", &self.requests_total),
             ("msrs_serve_fast_path_total", &self.serve_fast_path_total),
@@ -745,9 +735,7 @@ impl Registry {
             ("msrs_cache_evictions_total", &self.cache_evictions_total),
             ("msrs_cache_inserts_total", &self.cache_inserts_total),
             ("msrs_pool_spawns_total", &self.pool_spawns_total),
-            ("msrs_pool_reclaims_total", &self.pool_reclaims_total),
             ("msrs_pool_parks_total", &self.pool_parks_total),
-            ("msrs_pool_stealbacks_total", &self.pool_stealbacks_total),
             ("msrs_pool_ops_total", &self.pool_ops_total),
             ("msrs_pool_helper_jobs_total", &self.pool_helper_jobs_total),
             (
