@@ -83,18 +83,13 @@ impl CanonicalScratch {
     }
 }
 
-/// Descending-lexicographic span comparison, ties broken by span start
-/// (= original class order), so the permutation is total and deterministic
-/// under `sort_unstable`.
-fn span_cmp<T: Ord + Copy>(
-    buf: &[T],
-    key: impl Fn(T) -> Time,
-    a: (usize, usize),
-    b: (usize, usize),
-) -> std::cmp::Ordering {
-    let sa = buf[a.0..a.1].iter().map(|&x| key(x));
-    let sb = buf[b.0..b.1].iter().map(|&x| key(x));
-    sb.cmp(sa).then(a.0.cmp(&b.0))
+/// Descending-lexicographic comparison of two spans of `(size, job)` pairs
+/// by their sizes, ties broken by span start (= original class order), so
+/// the permutation is total and deterministic under `sort_unstable`.
+/// [`flat_fingerprint`] orders its sizes-only spans the same way.
+fn span_cmp(pairs: &[(Time, JobId)], a: (usize, usize), b: (usize, usize)) -> std::cmp::Ordering {
+    let sizes = |(start, end): (usize, usize)| pairs[start..end].iter().map(|&(p, _)| p);
+    sizes(b).cmp(sizes(a)).then(a.0.cmp(&b.0))
 }
 
 /// Rebuilds the canonical instance from sorted spans: one class per span,
@@ -158,10 +153,12 @@ pub fn flat_fingerprint(
             scratch.spans.push((start, end));
         }
     }
+    // The order of `span_cmp`, spelled as a slice comparison: slices
+    // compare lexicographically, in a tighter loop than mapped iterators.
     let buf = &scratch.sizes;
     scratch
         .spans
-        .sort_unstable_by(|&a, &b| span_cmp(buf, |x| x, a, b));
+        .sort_unstable_by(|&a, &b| buf[b.0..b.1].cmp(&buf[a.0..a.1]).then(a.0.cmp(&b.0)));
     hash_spans(machines, &scratch.spans, buf, |x| x)
 }
 
@@ -228,7 +225,7 @@ impl CanonicalForm {
         let pairs = &scratch.pairs;
         scratch
             .spans
-            .sort_unstable_by(|&a, &b| span_cmp(pairs, |(p, _)| p, a, b));
+            .sort_unstable_by(|&a, &b| span_cmp(pairs, a, b));
 
         let fingerprint = hash_spans(inst.machines(), &scratch.spans, pairs, |(p, _)| p);
 
@@ -471,6 +468,76 @@ mod tests {
         let orig_sched = form.schedule_to_original(&canon_sched);
         assert_eq!(validate(&inst, &orig_sched), Ok(()));
         assert_eq!(orig_sched.makespan(&inst), canon_sched.makespan(canon));
+    }
+
+    /// Cache stores, dispatch checkpoints and the fleet cache key on these
+    /// values, so both fingerprint paths must keep producing them.
+    #[test]
+    fn instance_fingerprints_are_pinned() {
+        // Line `hot-0` of perfbench's seed-1 traffic_hot corpus: 24
+        // classes, 160 jobs, 4 machines.
+        const HOT_0: &str = "61 94 65 65 91 99 79 77;10 70;30 84 68 88 40;49 68 14 23;\
+            52 78 89 70 86;74 89 42 97 73 35;18 77 76 36 41 85;38 2 41 42 85 67 1 41 54;\
+            47 19 99 22 79 7 84;36 16 37 15 100 9 13;36 78 66 54 41 68 9;2 1 81 70 14 63 15;\
+            51 18 92 57;65 97 39 97 97 64 54;63 76 5 40 65 75 60 27 48 59 17 33;75 28 25 67 31;\
+            52 93 33 30 95 38 59 39;63 10 27 58 51 13;98 35 94 60 26 16 16 2 74 96 23;\
+            28 96 86 16 20 56 27;99 69 20 86 16 85 27;46 10 40 74 24 24;5 63 93 31 95;\
+            88 74 22 46 19 66 9 91 78";
+        let hot: Vec<Vec<Time>> = HOT_0
+            .split(';')
+            .map(|c| c.split(' ').map(|p| p.parse().unwrap()).collect())
+            .collect();
+        let cases: [(&str, usize, Vec<Vec<Time>>, u128); 7] = [
+            (
+                "equal first sizes",
+                2,
+                vec![vec![5, 3], vec![1, 5]],
+                0xfb9e4e34_04bf700b_74ae0122_269a33a8,
+            ),
+            (
+                "a prefix class",
+                2,
+                vec![vec![5], vec![3, 5]],
+                0xf9feb805_394f7082_116fe45f_31de4301,
+            ),
+            (
+                "identical classes",
+                3,
+                vec![vec![4, 2], vec![2, 4]],
+                0x70695500_9ebf7015_980aa69c_77d00f64,
+            ),
+            (
+                "an empty class",
+                2,
+                vec![vec![], vec![3, 1]],
+                0x2e9c07b7_7983d94f_174f7855_0d782500,
+            ),
+            (
+                "a zero-size job",
+                2,
+                vec![vec![0], vec![2, 0]],
+                0xf92fb54c_374f7082_116fe42b_cebe8501,
+            ),
+            (
+                "u64::MAX on one machine",
+                1,
+                vec![vec![u64::MAX]],
+                0x878dfb99_6a75726f_4841939e_3e6b3c71,
+            ),
+            (
+                "traffic_hot hot-0",
+                4,
+                hot,
+                0x5d3350fc_74796fcc_cfef0d1b_678068db,
+            ),
+        ];
+        let mut scratch = CanonicalScratch::new();
+        for (what, m, classes, pin) in cases {
+            let inst = Instance::from_classes(m, &classes).unwrap();
+            let flat = flat_fingerprint(m, inst.flat_sizes(), inst.class_offsets(), &mut scratch);
+            assert_eq!(flat, pin, "flat_fingerprint, {what}");
+            assert_eq!(inst.canonical_form().fingerprint(), pin, "form, {what}");
+        }
     }
 
     #[test]

@@ -415,6 +415,23 @@ impl InstanceBuilder {
         *self.offsets.last_mut().expect("non-empty") = self.sizes.len();
     }
 
+    /// Appends one class whose sizes `fill` pushes straight onto the flat
+    /// size buffer, and returns what `fill` returned. When `fill` returns
+    /// `false`, the buffer is cut back to where it was and no class is
+    /// added.
+    pub fn push_class_with(&mut self, fill: impl FnOnce(&mut Vec<Time>) -> bool) -> bool {
+        let start = self.sizes.len();
+        if !fill(&mut self.sizes) {
+            self.sizes.truncate(start);
+            return false;
+        }
+        if self.offsets.is_empty() {
+            self.offsets.push(0);
+        }
+        self.offsets.push(self.sizes.len());
+        true
+    }
+
     /// The configured machine count.
     #[inline]
     pub fn machines(&self) -> usize {

@@ -208,7 +208,8 @@ impl CacheStore {
         if !created {
             // A fresh segment marker isolates new appends from whatever
             // the trailing loaded segment held (possibly quarantined
-            // records); `create` already synced a new file's header.
+            // records). A new file needs no marker: its header becomes
+            // durable with the first synced batch.
             store.write_marker()?;
             store.journal.sync()?;
         }

@@ -208,7 +208,8 @@ pub struct CheckpointLog {
 
 impl CheckpointLog {
     /// Starts a fresh journal at `path` (truncating any previous one) and
-    /// durably writes the header.
+    /// writes the header, which becomes durable with the first
+    /// [`append`](Self::append).
     pub fn create(path: &Path, header: CheckpointHeader) -> io::Result<Self> {
         let journal = Journal::create(path, &header.journal())?;
         Ok(CheckpointLog { journal })

@@ -114,11 +114,13 @@ pub(crate) struct Journal {
 
 impl Journal {
     /// Starts a fresh journal at `path`, replacing any file there, and
-    /// makes its header durable.
+    /// writes its header. The header is not synced here: the first
+    /// [`sync`](Self::sync) after an append makes it durable with the
+    /// records, and a crash before then leaves an empty file or a torn
+    /// header, which [`open`](Self::open) creates afresh.
     pub(crate) fn create(path: &Path, header: &Header) -> io::Result<Journal> {
         let mut file = File::create(path)?;
         file.write_all(header.line().as_bytes())?;
-        file.sync_data()?;
         Ok(Journal {
             file,
             line: Vec::new(),

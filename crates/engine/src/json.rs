@@ -186,9 +186,7 @@ impl<'a> Scan<'a> {
 
     /// Skips JSON whitespace.
     pub(crate) fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
+        self.pos = ws_end(self.text.as_bytes(), self.pos);
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -260,6 +258,58 @@ impl<'a> Scan<'a> {
                     return Ok(());
                 }
                 _ => return Err(self.err(expected)),
+            }
+        }
+    }
+
+    /// Reads an array of unsigned integers (cursor on its `[`) that sits
+    /// inside `depth` arrays or objects in one tight loop, appending each
+    /// element to `out`: the fast path for an instance line's job sizes.
+    /// Returns `false` at the first byte it does not accept (a sign,
+    /// fraction, exponent, leading zero, a literal past `u64::MAX`, a
+    /// non-number or a syntax error) and at the nesting bound, with the
+    /// cursor back on the `[` and `out` possibly holding a prefix of the
+    /// elements. The caller then walks the array with
+    /// [`elements`](Self::elements), whose errors are the ones reported.
+    pub(crate) fn u64_array(&mut self, depth: usize, out: &mut Vec<u64>) -> bool {
+        if depth >= MAX_DEPTH {
+            return false;
+        }
+        let bytes = self.text.as_bytes();
+        let mut i = ws_end(bytes, self.pos + 1);
+        if bytes.get(i) == Some(&b']') {
+            self.pos = i + 1;
+            return true;
+        }
+        loop {
+            let Some(first) = digit_at(bytes, i) else {
+                return false;
+            };
+            let mut value = u64::from(first);
+            i += 1;
+            // A `0` ends its literal: a digit after it is a leading zero,
+            // which the separator check below turns away.
+            if value != 0 {
+                while let Some(d) = digit_at(bytes, i) {
+                    let Some(next) = value
+                        .checked_mul(10)
+                        .and_then(|v| v.checked_add(u64::from(d)))
+                    else {
+                        return false;
+                    };
+                    value = next;
+                    i += 1;
+                }
+            }
+            out.push(value);
+            i = ws_end(bytes, i);
+            match bytes.get(i) {
+                Some(b',') => i = ws_end(bytes, i + 1),
+                Some(b']') => {
+                    self.pos = i + 1;
+                    return true;
+                }
+                _ => return false,
             }
         }
     }
@@ -407,6 +457,23 @@ impl<'a> Scan<'a> {
             }
         }
     }
+}
+
+/// The offset of the first byte at or after `at` that is not JSON
+/// whitespace.
+fn ws_end(bytes: &[u8], mut at: usize) -> usize {
+    while matches!(bytes.get(at), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        at += 1;
+    }
+    at
+}
+
+/// The value of the ASCII digit at `at`, if one is there.
+fn digit_at(bytes: &[u8], at: usize) -> Option<u8> {
+    bytes
+        .get(at)
+        .map(|b| b.wrapping_sub(b'0'))
+        .filter(|&d| d <= 9)
 }
 
 /// The tree builder behind [`Json::parse`]: one value that sits inside

@@ -251,7 +251,10 @@ impl LineDecoder {
 }
 
 /// Reads one entry of `classes` into `builder`: an array of job sizes
-/// opens a class, anything else is recorded as a semantic problem.
+/// opens a class, anything else is recorded as a semantic problem. A
+/// plain array of unsigned integers takes [`Scan::u64_array`]'s tight
+/// loop; any other array is walked element by element, which notes or
+/// reports what the loop turned away.
 fn class(
     builder: &mut InstanceBuilder,
     s: &mut Scan<'_>,
@@ -261,6 +264,9 @@ fn class(
     if s.peek() != Some(b'[') {
         note(semantic, Semantic::EntryNotArray);
         return s.skip_value(depth);
+    }
+    if builder.push_class_with(|sizes| s.u64_array(depth, sizes)) {
+        return Ok(());
     }
     builder.begin_class();
     s.elements(depth, |s, depth| {
@@ -319,6 +325,7 @@ pub fn write_corpus<'a>(requests: impl IntoIterator<Item = &'a SolveRequest>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The pre-rewrite reference decoder: a [`Json`] tree plus field
     /// extraction. The streaming [`LineDecoder`] must agree with it on
@@ -361,9 +368,9 @@ mod tests {
         Ok(SolveRequest { id, instance })
     }
 
-    /// Asserts the streaming decoder and the tree reference agree on `line`
-    /// (same request, or same error kind + line; byte offsets inside JSON
-    /// errors may differ for interleaved-field lines).
+    /// Asserts the streaming decoder and the tree reference agree on `line`:
+    /// the same request, or the same error (kind, line, reason, and for a
+    /// JSON error the byte offset).
     fn assert_agrees(line: &str) {
         let fast = read_instance_line(7, line);
         let tree = read_instance_line_via_tree(7, line);
@@ -372,21 +379,7 @@ mod tests {
                 assert_eq!(a.id, b.id, "{line}");
                 assert_eq!(a.instance, b.instance, "{line}");
             }
-            (Err(CorpusError::Json { line: la, .. }), Err(CorpusError::Json { line: lb, .. })) => {
-                assert_eq!(la, lb, "{line}");
-            }
-            (
-                Err(CorpusError::Malformed {
-                    line: la,
-                    reason: ra,
-                }),
-                Err(CorpusError::Malformed {
-                    line: lb,
-                    reason: rb,
-                }),
-            ) => {
-                assert_eq!((la, ra), (lb, rb), "{line}");
-            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "{line}"),
             other => panic!("decoders disagree on {line}: {other:?}"),
         }
     }
@@ -437,6 +430,161 @@ mod tests {
             r#"{"classe\u0073":[[9]],"machines":1,"classes":[[1,2]]}"#,
         ] {
             assert_agrees(line);
+        }
+    }
+
+    /// JSON whitespace runs, the empty one included.
+    const GAPS: [&str; 5] = ["", " ", "\t", "\r\n", " \n  "];
+
+    /// What a mutation puts at, before or after a job size.
+    const TOKENS: [&str; 21] = [
+        "-",
+        "-0",
+        "0",
+        "00",
+        ".5",
+        "e3",
+        "E-3",
+        "1234567890123456789",
+        "12345678901234567890",
+        "123456789012345678901",
+        "18446744073709551615",
+        "18446744073709551616",
+        "\"x\"",
+        "null",
+        "true",
+        "[2]",
+        "[",
+        "]",
+        ",",
+        " ",
+        "",
+    ];
+
+    /// Renders an instance line: `gaps` (indices into [`GAPS`], taken in
+    /// turn) go before every token, so an empty `gaps` renders it compact.
+    fn render(id: Option<&str>, machines: u64, classes: &[Vec<Time>], gaps: &[usize]) -> String {
+        let mut tokens: Vec<String> = vec!["{".into()];
+        if let Some(id) = id {
+            tokens.extend([
+                "\"id\"".into(),
+                ":".into(),
+                Json::Str(id.into()).to_string(),
+                ",".into(),
+            ]);
+        }
+        tokens.extend([
+            "\"machines\"".into(),
+            ":".into(),
+            machines.to_string(),
+            ",".into(),
+        ]);
+        tokens.extend(["\"classes\"".into(), ":".into(), "[".into()]);
+        for (c, sizes) in classes.iter().enumerate() {
+            if c > 0 {
+                tokens.push(",".into());
+            }
+            tokens.push("[".into());
+            for (i, size) in sizes.iter().enumerate() {
+                if i > 0 {
+                    tokens.push(",".into());
+                }
+                tokens.push(size.to_string());
+            }
+            tokens.push("]".into());
+        }
+        tokens.extend(["]".into(), "}".into()]);
+        let mut gaps = gaps.iter().cycle().map(|&g| GAPS[g]);
+        tokens
+            .iter()
+            .map(|t| format!("{}{t}", gaps.next().unwrap_or("")))
+            .collect()
+    }
+
+    /// One edit of the `classes` value of a rendered line, which starts at
+    /// byte `from`: `kind` picks what, `token` indexes [`TOKENS`], and
+    /// `at` picks where (modulo the places that kind of edit has).
+    fn mutate(line: &str, from: usize, kind: usize, token: usize, at: usize) -> String {
+        let bytes = line.as_bytes();
+        let region = from..line.len();
+        let mut literals = Vec::new(); // (start, end) of every digit run
+        let mut i = from;
+        while i < line.len() {
+            if bytes[i].is_ascii_digit() {
+                let start = i;
+                while i < line.len() && bytes[i].is_ascii_digit() {
+                    i += 1;
+                }
+                literals.push((start, i));
+            } else {
+                i += 1;
+            }
+        }
+        let places = |b: u8| -> Vec<usize> { region.clone().filter(|&i| bytes[i] == b).collect() };
+        let token = TOKENS[token];
+        let splice = |range: std::ops::Range<usize>, with: &str| {
+            format!("{}{with}{}", &line[..range.start], &line[range.end..])
+        };
+        match kind {
+            // Replace a job size, or put a token right before or after it.
+            0..=2 if !literals.is_empty() => {
+                let (start, end) = literals[at % literals.len()];
+                match kind {
+                    0 => splice(start..end, token),
+                    1 => splice(start..start, token),
+                    _ => splice(end..end, token),
+                }
+            }
+            // A missing comma.
+            3 => {
+                let commas = places(b',');
+                if commas.is_empty() {
+                    return line.to_string();
+                }
+                let comma = commas[at % commas.len()];
+                splice(comma..comma + 1, "")
+            }
+            // A trailing comma.
+            4 => {
+                let closes = places(b']');
+                let close = closes[at % closes.len()];
+                splice(close..close, ",")
+            }
+            // A cut.
+            5 => line[..from + at % (line.len() - from)].to_string(),
+            _ => line.to_string(),
+        }
+    }
+
+    /// Job sizes at the edges of the literal lengths, and small ones.
+    fn job_size() -> impl Strategy<Value = Time> {
+        let edges = prop::sample::select(vec![0, 1, 9, 10, u64::MAX / 2, u64::MAX]);
+        (edges, 0u64..200, any::<bool>()).prop_map(|(e, n, edge)| if edge { e } else { n })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The tight class loop and the element walker it falls back to
+        /// decode every line as the tree reference does: generated lines,
+        /// compact or spread with whitespace, each with one edit of its
+        /// `classes`.
+        #[test]
+        fn decoder_agrees_with_tree_reference_on_mutated_lines(
+            id in (0u32..1000, any::<bool>()),
+            machines in 0u64..5,
+            classes in prop::collection::vec(prop::collection::vec(job_size(), 0..6), 0..5),
+            spread in any::<bool>(),
+            gaps in prop::collection::vec(0usize..GAPS.len(), 1..16),
+            edit in (0usize..7, 0usize..TOKENS.len(), any::<usize>()),
+        ) {
+            let id = id.1.then(|| format!("req-{}", id.0));
+            let gaps = if spread { &gaps[..] } else { &[] };
+            let line = render(id.as_deref(), machines, &classes, gaps);
+            let from = line.find("\"classes\"").unwrap() + "\"classes\"".len();
+            let (kind, token, at) = edit;
+            assert_agrees(&line);
+            assert_agrees(&mutate(&line, from, kind, token, at));
         }
     }
 

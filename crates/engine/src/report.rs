@@ -183,6 +183,8 @@ impl SolveReport {
 
     /// The one byte writer behind both formats: `store` adds the fields
     /// [`to_store_json`](Self::to_store_json) adds to the wire object.
+    /// Keys go out as byte literals and integers through [`write_u64`],
+    /// with no `core::fmt` on the way.
     fn write_object(
         &self,
         id: Option<&str>,
@@ -191,10 +193,7 @@ impl SolveReport {
         store: bool,
         out: &mut Vec<u8>,
     ) {
-        use std::io::Write;
         out.clear();
-        // `write!` into a Vec<u8> cannot fail and does not allocate beyond
-        // the buffer itself.
         let w = out;
         w.push(b'{');
         if let Some(id) = id {
@@ -202,40 +201,34 @@ impl SolveReport {
             write_json_str(w, id);
             w.push(b',');
         }
-        let _ = write!(
-            w,
-            "\"jobs\":{},\"machines\":{},\"classes\":{},\"lower_bound\":{},\"makespan\":{}",
-            self.jobs, self.machines, self.classes, self.lower_bound, self.makespan
-        );
-        let _ = write!(w, ",\"winner\":\"{}\"", self.winner.name());
-        let _ = write!(w, ",\"certified_horizon\":{}", self.certified_horizon);
-        let _ = write!(w, ",\"certified_by\":\"{}\"", self.certified_by.name());
-        let _ = write!(
-            w,
-            ",\"proven_optimal\":{},\"cache_hit\":{cache_hit},\"wall_micros\":{wall_micros}",
-            self.proven_optimal
-        );
+        write_field(w, b"\"jobs\":", self.jobs as u64);
+        write_field(w, b",\"machines\":", self.machines as u64);
+        write_field(w, b",\"classes\":", self.classes as u64);
+        write_field(w, b",\"lower_bound\":", self.lower_bound);
+        write_field(w, b",\"makespan\":", self.makespan);
+        write_name(w, b",\"winner\":", self.winner.name());
+        write_field(w, b",\"certified_horizon\":", self.certified_horizon);
+        write_name(w, b",\"certified_by\":", self.certified_by.name());
+        write_bool(w, b",\"proven_optimal\":", self.proven_optimal);
+        write_bool(w, b",\"cache_hit\":", cache_hit);
+        write_field(w, b",\"wall_micros\":", wall_micros);
         w.extend_from_slice(b",\"runs\":[");
         for (i, r) in self.runs.iter().enumerate() {
             if i > 0 {
                 w.push(b',');
             }
-            let _ = write!(
-                w,
-                "{{\"solver\":\"{}\",\"status\":\"{}\"",
-                r.solver.name(),
-                r.status.label()
-            );
+            write_name(w, b"{\"solver\":", r.solver.name());
+            write_name(w, b",\"status\":", r.status.label());
             if let Some(mk) = r.makespan {
-                let _ = write!(w, ",\"makespan\":{mk}");
+                write_field(w, b",\"makespan\":", mk);
             }
             if let Some(h) = r.certified_horizon {
-                let _ = write!(w, ",\"certified_horizon\":{h}");
+                write_field(w, b",\"certified_horizon\":", h);
             }
             if let Some(n) = r.nodes {
-                let _ = write!(w, ",\"nodes\":{n}");
+                write_field(w, b",\"nodes\":", n);
             }
-            let _ = write!(w, ",\"wall_micros\":{}", r.wall_micros);
+            write_field(w, b",\"wall_micros\":", r.wall_micros);
             if let (true, RunStatus::Invalid(msg)) = (store, &r.status) {
                 w.extend_from_slice(b",\"error\":");
                 write_json_str(w, msg);
@@ -249,7 +242,9 @@ impl SolveReport {
                 if i > 0 {
                     w.push(b',');
                 }
-                let _ = write!(w, "[{},{}]", a.machine, a.start);
+                write_field(w, b"[", a.machine as u64);
+                write_field(w, b",", a.start);
+                w.push(b']');
             }
             w.push(b']');
         }
@@ -423,6 +418,43 @@ impl SolveReport {
     }
 }
 
+/// Appends `key` (the literal bytes before a value, separator included)
+/// and then the decimal digits of `n`.
+fn write_field(out: &mut Vec<u8>, key: &[u8], n: u64) {
+    out.extend_from_slice(key);
+    write_u64(out, n);
+}
+
+/// Appends `key` and then `name` as a JSON string. Solver names and run
+/// labels are plain ASCII identifiers, so nothing needs escaping.
+fn write_name(out: &mut Vec<u8>, key: &[u8], name: &str) {
+    out.extend_from_slice(key);
+    out.push(b'"');
+    out.extend_from_slice(name.as_bytes());
+    out.push(b'"');
+}
+
+/// Appends `key` and then `true` or `false`.
+fn write_bool(out: &mut Vec<u8>, key: &[u8], b: bool) {
+    out.extend_from_slice(key);
+    out.extend_from_slice(if b { b"true" } else { b"false" });
+}
+
+/// Appends the decimal digits of `n`, as `Display` writes them.
+fn write_u64(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
 /// JSON string escaping into a byte buffer — delegates to the crate's
 /// single escaping routine ([`crate::json`]'s `write_escaped_str`, which
 /// also backs [`Json::Str`]'s `Display`), through a no-allocation
@@ -442,6 +474,7 @@ fn write_json_str(out: &mut Vec<u8>, s: &str) {
 mod tests {
     use super::*;
     use msrs_core::Schedule;
+    use proptest::prelude::*;
 
     fn sample_report() -> SolveReport {
         SolveReport {
@@ -482,42 +515,6 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle} in {text}");
         }
-    }
-
-    #[test]
-    fn byte_writer_matches_tree_serialization() {
-        let mut buf = Vec::new();
-        let mut r = sample_report();
-        r.runs.push(SolverRun {
-            solver: SolverKind::Exact,
-            status: RunStatus::Exhausted,
-            makespan: None,
-            certified_horizon: None,
-            nodes: Some(123456),
-            wall_micros: 9,
-        });
-        for id in [Some("plain"), Some("esc \"x\"\\\n\té✓\u{1}"), None] {
-            r.id = id.map(str::to_owned);
-            r.write_json_line(&mut buf);
-            assert_eq!(
-                std::str::from_utf8(&buf).unwrap(),
-                r.to_json().to_string(),
-                "id {id:?}"
-            );
-        }
-        // The override variant matches a tree serialization of the
-        // overridden report.
-        let mut base = sample_report();
-        base.id = None;
-        base.write_json_line_as(Some("req-1"), true, 7, &mut buf);
-        let mut over = base.clone();
-        over.id = Some("req-1".into());
-        over.cache_hit = true;
-        over.wall_micros = 7;
-        assert_eq!(
-            std::str::from_utf8(&buf).unwrap(),
-            over.to_json().to_string()
-        );
     }
 
     #[test]
@@ -565,39 +562,143 @@ mod tests {
         assert_eq!(RunStatus::from_label("bogus", None), None);
     }
 
-    #[test]
-    fn store_byte_writer_matches_tree_serialization() {
-        use msrs_core::Assignment;
-        let mut r = sample_report();
-        let mut bytes = vec![b'x'; 3]; // stale contents are cleared
-        for runs in 0..3 {
-            r.runs.truncate(runs);
-            for id in [Some("esc \"x\"\\\n\té✓\u{1}"), None] {
-                r.id = id.map(str::to_owned);
-                for jobs in [0, 1, 3] {
-                    r.schedule = Schedule::new(
-                        (0..jobs)
-                            .map(|j| Assignment {
-                                machine: j,
-                                start: u64::MAX - j as u64,
-                            })
-                            .collect(),
-                    );
-                    r.write_store_json(&mut bytes);
-                    assert_eq!(
-                        std::str::from_utf8(&bytes).unwrap(),
-                        r.to_store_json().to_string()
-                    );
+    /// Integers at the digit-count edges, and anywhere else.
+    fn integer() -> impl Strategy<Value = u64> {
+        let edges = prop::sample::select(vec![0, 9, 10, 99, 100, u64::MAX - 1, u64::MAX]);
+        (edges, any::<u64>(), any::<bool>()).prop_map(|(e, n, edge)| if edge { e } else { n })
+    }
+
+    /// Strings of characters that need escaping (quotes, backslashes,
+    /// control characters) mixed with plain and multi-byte ones.
+    fn text() -> impl Strategy<Value = String> {
+        let chars = vec![
+            'a', 'Z', '0', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1}', '\u{1f}',
+            '\u{7f}', 'é', '✓', '😀',
+        ];
+        prop::collection::vec(prop::sample::select(chars), 0..8).prop_map(String::from_iter)
+    }
+
+    fn solver() -> impl Strategy<Value = SolverKind> {
+        prop::sample::select(vec![
+            SolverKind::FiveThirds,
+            SolverKind::ThreeHalves,
+            SolverKind::HebrardGreedy,
+            SolverKind::ListScheduler,
+            SolverKind::MergedLpt,
+            SolverKind::Exact,
+            SolverKind::Eptas,
+        ])
+    }
+
+    fn optional(n: impl Strategy<Value = u64>) -> impl Strategy<Value = Option<u64>> {
+        (n, any::<bool>()).prop_map(|(n, some)| some.then_some(n))
+    }
+
+    /// Runs of every status, `invalid` messages included, with each
+    /// optional field present or absent.
+    fn run() -> impl Strategy<Value = SolverRun> {
+        let status = (0usize..4, text()).prop_map(|(k, msg)| match k {
+            0 => RunStatus::Completed,
+            1 => RunStatus::Exhausted,
+            2 => RunStatus::TimedOut,
+            _ => RunStatus::Invalid(msg),
+        });
+        (
+            solver(),
+            status,
+            optional(integer()),
+            optional(integer()),
+            optional(integer()),
+            integer(),
+        )
+            .prop_map(
+                |(solver, status, makespan, certified_horizon, nodes, wall_micros)| SolverRun {
+                    solver,
+                    status,
+                    makespan,
+                    certified_horizon,
+                    nodes,
+                    wall_micros,
+                },
+            )
+    }
+
+    fn report() -> impl Strategy<Value = SolveReport> {
+        let id = (text(), any::<bool>()).prop_map(|(id, some)| some.then_some(id));
+        let counts = (
+            integer(),
+            integer(),
+            integer(),
+            integer(),
+            integer(),
+            integer(),
+        );
+        let flags = (solver(), solver(), any::<bool>(), any::<bool>());
+        let schedule = prop::collection::vec((integer(), integer()), 0..4).prop_map(|pairs| {
+            Schedule::new(
+                pairs
+                    .into_iter()
+                    .map(|(machine, start)| msrs_core::Assignment {
+                        machine: machine as usize,
+                        start,
+                    })
+                    .collect(),
+            )
+        });
+        let runs = prop::collection::vec(run(), 0..4);
+        (id, counts, flags, integer(), runs, schedule).prop_map(
+            |(id, counts, flags, wall_micros, runs, schedule)| {
+                let (jobs, machines, classes, lower_bound, makespan, certified_horizon) = counts;
+                let (winner, certified_by, proven_optimal, cache_hit) = flags;
+                SolveReport {
+                    id,
+                    jobs: jobs as usize,
+                    machines: machines as usize,
+                    classes: classes as usize,
+                    lower_bound,
+                    makespan,
+                    winner,
+                    certified_horizon,
+                    certified_by,
+                    proven_optimal,
+                    cache_hit,
+                    wall_micros,
+                    runs,
+                    schedule,
                 }
-            }
-            r.runs.push(SolverRun {
-                solver: SolverKind::Exact,
-                status: RunStatus::Invalid(format!("bad \"{runs}\"\n\u{7f}")),
-                makespan: Some(3),
-                certified_horizon: None,
-                nodes: Some(u64::MAX),
-                wall_micros: 1,
-            });
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn byte_writer_matches_tree_serialization(
+            r in report(),
+            id in (text(), any::<bool>()),
+            cache_hit in any::<bool>(),
+            wall_micros in integer(),
+        ) {
+            let mut buf = b"stale".to_vec();
+            r.write_json_line(&mut buf);
+            prop_assert_eq!(std::str::from_utf8(&buf).unwrap(), r.to_json().to_string());
+            // The override variant matches a tree serialization of the
+            // overridden report.
+            let id = id.1.then_some(id.0);
+            r.write_json_line_as(id.as_deref(), cache_hit, wall_micros, &mut buf);
+            let mut over = r.clone();
+            over.id = id;
+            over.cache_hit = cache_hit;
+            over.wall_micros = wall_micros;
+            prop_assert_eq!(std::str::from_utf8(&buf).unwrap(), over.to_json().to_string());
+        }
+
+        #[test]
+        fn store_byte_writer_matches_tree_serialization(r in report()) {
+            let mut bytes = b"stale".to_vec();
+            r.write_store_json(&mut bytes);
+            prop_assert_eq!(std::str::from_utf8(&bytes).unwrap(), r.to_store_json().to_string());
         }
     }
 

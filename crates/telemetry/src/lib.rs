@@ -557,8 +557,6 @@ pub struct Registry {
     pub cache_evictions_total: Counter,
     /// Fresh entries inserted into the cache.
     pub cache_inserts_total: Counter,
-    /// Worker threads spawned by the persistent pool.
-    pub pool_spawns_total: Counter,
     /// Times a pool worker parked on its condvar waiting for work.
     pub pool_parks_total: Counter,
     /// Parallel operations (chunked loops) that engaged the pool.
@@ -653,7 +651,8 @@ pub struct Registry {
     pub cache_entries: Gauge,
     /// Configured capacity of the most recently constructed cache.
     pub cache_capacity: Gauge,
-    /// Pool worker threads currently alive.
+    /// Pool worker threads currently alive. Workers live until the
+    /// process exits, so this is also the number ever spawned.
     pub pool_workers_alive: Gauge,
     /// Serve sessions currently open (accepted, not yet closed).
     pub serve_sessions_open: Gauge,
@@ -677,7 +676,6 @@ impl Registry {
             cache_misses_total: Counter::new(),
             cache_evictions_total: Counter::new(),
             cache_inserts_total: Counter::new(),
-            pool_spawns_total: Counter::new(),
             pool_parks_total: Counter::new(),
             pool_ops_total: Counter::new(),
             pool_helper_jobs_total: Counter::new(),
@@ -725,7 +723,7 @@ impl Registry {
         &self.stages[stage as usize]
     }
 
-    fn counters(&self) -> [(&'static str, &Counter); 39] {
+    fn counters(&self) -> [(&'static str, &Counter); 38] {
         [
             ("msrs_requests_total", &self.requests_total),
             ("msrs_serve_fast_path_total", &self.serve_fast_path_total),
@@ -734,7 +732,6 @@ impl Registry {
             ("msrs_cache_misses_total", &self.cache_misses_total),
             ("msrs_cache_evictions_total", &self.cache_evictions_total),
             ("msrs_cache_inserts_total", &self.cache_inserts_total),
-            ("msrs_pool_spawns_total", &self.pool_spawns_total),
             ("msrs_pool_parks_total", &self.pool_parks_total),
             ("msrs_pool_ops_total", &self.pool_ops_total),
             ("msrs_pool_helper_jobs_total", &self.pool_helper_jobs_total),
