@@ -2,7 +2,6 @@
 //! All quality claims are *asserted*, so running the harness doubles as an
 //! end-to-end soundness check of the whole workspace.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use rayon::prelude::*;
@@ -111,14 +110,11 @@ pub fn e2_ratio_vs_m(scale: Scale) -> Table {
             insts.push(msrs_gen::uniform(seed, m, 30 * m, 4 * m, 1, 60));
             insts.push(msrs_gen::zipf_classes(seed, m, 30 * m, 4 * m, 1, 60));
         }
-        // Index fan-out over an Arc'd corpus: pool tasks are 'static, and
-        // sharing beats cloning every instance once per algorithm.
-        let insts = Arc::new(insts);
+        // Index fan-out over the borrowed corpus: no instance is cloned.
         let worst = |algo: fn(&Instance) -> ApproxResult| -> f64 {
-            let insts = Arc::clone(&insts);
             (0..insts.len())
                 .into_par_iter()
-                .map(move |i| checked_ratio(&insts[i], &algo(&insts[i])))
+                .map(|i| checked_ratio(&insts[i], &algo(&insts[i])))
                 .fold(0.0, f64::max)
         };
         let guarantee = 2.0 * m as f64 / (m as f64 + 1.0);
@@ -179,26 +175,23 @@ pub fn e4_exact_smallscale(scale: Scale) -> Table {
         &["algo", "worst", "mean", "optimal%", "instances"],
     );
     let corpus = exact_corpus(scale.exact_cap);
-    let opts: Arc<Vec<(Instance, u64)>> = Arc::new(
-        corpus
-            .into_par_iter()
-            .filter_map(|inst| {
-                optimal(
-                    &inst,
-                    SolveLimits {
-                        max_nodes: 3_000_000,
-                    },
-                )
-                .map(|r| (inst, r.makespan))
-            })
-            .collect(),
-    );
+    let opts: Vec<(Instance, u64)> = corpus
+        .into_par_iter()
+        .filter_map(|inst| {
+            optimal(
+                &inst,
+                SolveLimits {
+                    max_nodes: 3_000_000,
+                },
+            )
+            .map(|r| (inst, r.makespan))
+        })
+        .collect();
     for (name, algo) in algos() {
-        let shared = Arc::clone(&opts);
         let ratios: Vec<f64> = (0..opts.len())
             .into_par_iter()
-            .map(move |i| {
-                let (inst, opt) = &shared[i];
+            .map(|i| {
+                let (inst, opt) = &opts[i];
                 let (inst, opt) = (inst, *opt);
                 let r = algo(inst);
                 assert_eq!(validate(inst, &r.schedule), Ok(()));
@@ -246,28 +239,24 @@ pub fn e5_ptas(_scale: Scale) -> Table {
             "intact%",
         ],
     );
-    let corpus: Arc<Vec<(Instance, u64)>> = Arc::new(
-        ptas_corpus()
-            .into_par_iter()
-            .map(|inst| {
-                let opt = optimal(&inst, SolveLimits::default())
-                    .expect("small")
-                    .makespan;
-                (inst, opt)
-            })
-            .collect(),
-    );
+    let corpus: Vec<(Instance, u64)> = ptas_corpus()
+        .into_par_iter()
+        .map(|inst| {
+            let opt = optimal(&inst, SolveLimits::default())
+                .expect("small")
+                .makespan;
+            (inst, opt)
+        })
+        .collect();
     for k in [2u64, 3, 4, 6] {
         for augmented in [false, true] {
-            // One EPTAS run per corpus entry, fanned out on the pool (index
-            // fan-out over the Arc'd corpus); per-instance results come
-            // back in corpus order, so the aggregation below is
-            // deterministic.
-            let shared = Arc::clone(&corpus);
+            // One EPTAS run per corpus entry, fanned out over the borrowed
+            // corpus by index; per-instance results come back in corpus
+            // order, so the aggregation below is deterministic.
             let runs: Vec<(f64, usize, usize, bool)> = (0..corpus.len())
                 .into_par_iter()
-                .map(move |i| {
-                    let (inst, opt) = &shared[i];
+                .map(|i| {
+                    let (inst, opt) = &corpus[i];
                     let cfg = EptasConfig {
                         eps_k: k,
                         node_budget: 2_000_000,

@@ -491,8 +491,7 @@ fn parse_single_instance(input: &mut dyn BufRead) -> Result<SolveRequest, String
         if n == 0 {
             return Err("empty input".into());
         }
-        let line = buf.trim();
-        if !line.is_empty() && !line.starts_with('#') {
+        if let Some(line) = jsonl::meaningful(&buf) {
             break line.to_string();
         }
     };
@@ -503,12 +502,7 @@ fn parse_single_instance(input: &mut dyn BufRead) -> Result<SolveRequest, String
             buf.clear();
             match input.read_line(&mut buf) {
                 Ok(0) => break,
-                Ok(_) => {
-                    let line = buf.trim();
-                    if !line.is_empty() && !line.starts_with('#') {
-                        extra += 1;
-                    }
-                }
+                Ok(_) => extra += usize::from(jsonl::meaningful(&buf).is_some()),
                 Err(e) => return Err(format!("reading input: {e}")),
             }
         }
@@ -621,19 +615,25 @@ fn cmd_batch(flags: &Flags) -> Result<(), String> {
             );
         }
         // Delta of the process-global pool counters over this run: how the
-        // chunks were actually distributed between workers and the caller.
-        let mut worker_chunks = after.pool_worker_chunks.clone();
-        for (slot, prev) in worker_chunks.iter_mut().zip(&before.pool_worker_chunks) {
-            *slot -= prev;
-        }
+        // chunks were actually distributed between the caller and the
+        // helper slots this run's thread budget allows.
+        let threads = match flags.get_num("--threads", 0)? {
+            0 => rayon::current_num_threads(),
+            n => n,
+        };
+        let helper_chunks: Vec<u64> = after.pool_worker_chunks
+            [..threads.saturating_sub(1).min(telemetry::POOL_HELPER_SLOTS)]
+            .iter()
+            .zip(&before.pool_worker_chunks)
+            .map(|(now, prev)| now - prev)
+            .collect();
         eprintln!(
-            "pool: {} persistent worker(s), {} parallel op(s), {} helper job(s), \
-             chunks by caller {}, by worker {:?}",
-            after.gauge("msrs_pool_workers_alive"),
+            "pool: {} parallel op(s), {} helper thread(s), \
+             chunks by caller {}, by helper {:?}",
             delta("msrs_pool_ops_total"),
             delta("msrs_pool_helper_jobs_total"),
             delta("msrs_pool_caller_chunks_total"),
-            worker_chunks,
+            helper_chunks,
         );
     }
     if let Some(err) = outcome.error {
@@ -1067,9 +1067,13 @@ fn cmd_stats(flags: &Flags) -> Result<(), String> {
         }
     }
     if let Some(chunks) = doc.get("pool_worker_chunks").and_then(Json::as_arr) {
+        let mut chunks: Vec<u64> = chunks.iter().map(num).collect();
+        // Helper slots past the last one that ran a chunk are not printed.
+        while chunks.last() == Some(&0) {
+            chunks.pop();
+        }
         if !chunks.is_empty() {
-            let chunks: Vec<u64> = chunks.iter().map(num).collect();
-            out!("pool worker chunks: {chunks:?}");
+            out!("pool chunks by helper: {chunks:?}");
         }
     }
     let mut stdout = std::io::stdout().lock();

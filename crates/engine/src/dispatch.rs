@@ -160,7 +160,7 @@ use crate::cachestore::CacheStore;
 use crate::checkpoint::{CheckpointHeader, CheckpointLog, ShardRecord, ShardStats};
 use crate::journal::{fnv1a_64_extend, FNV_OFFSET};
 use crate::json::{Json, JsonError};
-use crate::jsonl::CorpusError;
+use crate::jsonl::{meaningful, CorpusError};
 use crate::remote::{Acceptor, Admission, RemoteHub, REMOTE_PROTO_VERSION, SECRET_ENV};
 use crate::report::SolveReport;
 use crate::stream::{ServiceCore, StreamStats};
@@ -921,10 +921,9 @@ impl<R: BufRead> ShardSource<R> {
                     });
                 }
             }
-            let line = buf.trim();
-            if line.is_empty() || line.starts_with('#') {
+            let Some(line) = meaningful(&buf) else {
                 continue;
-            }
+            };
             hash = fnv1a_64_extend(hash, line.as_bytes());
             hash = fnv1a_64_extend(hash, b"\n");
             lines.push(line.to_string());

@@ -1,12 +1,13 @@
 //! The engine: portfolio/batch execution with certified selection.
 //!
 //! All parallelism runs on the workspace's `rayon` backend (the chunked
-//! shared-queue scheduler in `vendor/rayon`): batches fan instances out
-//! across pool workers, and each solve runs its portfolio members one
-//! after another, in canonical order, on the thread that took it. A
-//! member that panics is caught and reported as an `invalid` run; the
-//! other members still answer. Deadlines are enforced *cooperatively*: a
-//! [`CancelToken`] derived from
+//! shared-queue scheduler in `vendor/rayon`): a miss batch fans its
+//! distinct canonical instances out across the calling thread and helper
+//! threads scoped to that one call, and each solve runs its portfolio
+//! members one after another, in canonical order, on the thread that took
+//! it. A member that panics is caught and reported as an `invalid` run;
+//! the other members still answer. Deadlines are enforced
+//! *cooperatively*: a [`CancelToken`] derived from
 //! [`EngineConfig::deadline`] is threaded into every member, and the
 //! unbounded solvers (exact branch-and-bound, EPTAS) poll it inside their
 //! search loops — so the deadline bounds each member's runtime, not merely
@@ -102,10 +103,10 @@ impl Default for EptasPolicy {
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads for the engine's pool, which solves the instances of
-    /// a batch in parallel (the members of one solve always run one after
-    /// another); `0` = the backend default (`MSRS_THREADS` or available
-    /// parallelism).
+    /// Threads that solve the instances of a batch in parallel: the caller
+    /// plus helpers started for each parallel operation (the members of
+    /// one solve always run one after another); `0` = the backend default
+    /// (`MSRS_THREADS` or available parallelism).
     pub threads: usize,
     /// Optional wall-clock deadline per instance, enforced *inside* the
     /// unbounded members: the exact branch-and-bound and the EPTAS poll a
@@ -454,10 +455,11 @@ impl Engine {
     /// whether it was solved here. With the cache active the entries must
     /// be distinct; each is re-probed with the metric-neutral
     /// [`ReportCache::peek`] (the caller already counted its probe, and a
-    /// concurrent caller may have solved it since), the rest are solved on
-    /// the pool, and the fresh reports are inserted in batch order, then
-    /// handed to the attached store's writer as one batch. With the cache
-    /// inactive every entry is solved and nothing is inserted or stored.
+    /// concurrent caller may have solved it since), the rest are solved in
+    /// one parallel operation, and the fresh reports are inserted in batch
+    /// order, then handed to the attached store's writer as one batch. With
+    /// the cache inactive every entry is solved and nothing is inserted or
+    /// stored.
     pub(crate) fn solve_canonical_batch(
         &self,
         forms: Vec<(u128, Instance)>,
@@ -468,18 +470,11 @@ impl Engine {
             .map(|(fp, _)| active.then(|| self.cache.peek(&self.key(*fp))).flatten())
             .collect();
         let todo: Vec<usize> = (0..forms.len()).filter(|&i| known[i].is_none()).collect();
-        let forms = Arc::new(forms);
-        let solved: Vec<SolveReport> = {
-            // Not an engine clone: a pool worker must never hold the last
-            // one, whose drop joins the store's writer.
-            let cfg = self.cfg.clone();
-            let shared = Arc::clone(&forms);
-            self.cfg.pool().install(|| {
-                todo.into_par_iter()
-                    .map(move |i| solve_canonical(&cfg, &shared[i].1))
-                    .collect()
-            })
-        };
+        let solved: Vec<SolveReport> = self.cfg.pool().install(|| {
+            todo.into_par_iter()
+                .map(|i| solve_canonical(&self.cfg, &forms[i].1))
+                .collect()
+        });
         let mut solved = solved.into_iter();
         let mut fresh = Vec::new();
         let answers = known
@@ -518,7 +513,7 @@ fn solve_canonical(cfg: &EngineConfig, inst: &Instance) -> SolveReport {
     let started = Instant::now();
     let cancel = cfg.cancel_token(started);
     // Members run with nested parallelism pinned off (exactly as they
-    // do on pool workers in a batch), so a report — including
+    // do inside a batch's parallel operation), so a report — including
     // branch-and-bound node counts — is bit-identical at any ambient
     // thread count.
     let one = rayon::ThreadPoolBuilder::new()

@@ -297,15 +297,23 @@ pub fn read_instance_line(line_no: usize, line: &str) -> Result<SolveRequest, Co
     Ok(decoder.build_request())
 }
 
-/// Parses a whole JSONL corpus (blank and `#` lines skipped).
+/// The one rule for which corpus lines carry a request: `raw` trimmed,
+/// unless that is blank or a `#` comment. Batch, dispatch's shards and
+/// `msrs solve` all apply it, so a corpus splits into the same requests on
+/// every path.
+pub fn meaningful(raw: &str) -> Option<&str> {
+    let line = raw.trim();
+    (!line.is_empty() && !line.starts_with('#')).then_some(line)
+}
+
+/// Parses a whole JSONL corpus (lines that are not [`meaningful`] skipped).
 pub fn read_corpus(text: &str) -> Result<Vec<SolveRequest>, CorpusError> {
     let mut decoder = LineDecoder::new();
     let mut out = Vec::new();
     for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
+        let Some(line) = meaningful(raw) else {
             continue;
-        }
+        };
         decoder.decode(i + 1, line)?;
         out.push(decoder.build_request());
     }

@@ -37,8 +37,9 @@
 //!
 //! Every solver in the portfolio is deterministic, and batch parallelism —
 //! running on the workspace's work-distributing `rayon` backend — only
-//! fans *instances* out across pool workers: each instance's report is
-//! computed sequentially by a single worker with a fixed configuration, and
+//! fans *instances* out across the calling thread and the helper threads
+//! one parallel operation starts: each instance's report is computed
+//! sequentially by a single thread with a fixed configuration, and
 //! collection is order-preserving, so every report field except the
 //! `wall_micros` timings is bit-identical regardless of thread count. The
 //! only opt-in source of result nondeterminism is a wall-clock deadline

@@ -250,7 +250,7 @@ impl ServerHandle {
 
 /// Binds `addr` and starts serving JSONL sessions on `engine` (one
 /// thread per connection, all sharing the engine's result cache and
-/// worker pool). Returns once the listeners are bound and their threads
+/// store writer). Returns once the listeners are bound and their threads
 /// run; drive shutdown via the returned handle or a `#shutdown` control
 /// line.
 pub fn serve(engine: Engine, addr: &str, config: ServeConfig) -> io::Result<ServerHandle> {

@@ -45,11 +45,11 @@ use msrs_core::{CanonicalScratch, Instance};
 use msrs_telemetry::{registry, Stage};
 
 use crate::engine::{Engine, Source};
-use crate::jsonl::{CorpusError, LineDecoder};
+use crate::jsonl::{meaningful, CorpusError, LineDecoder};
 use crate::report::SolveReport;
 
-/// Default shard size for streamed batches: large enough to keep every pool
-/// worker saturated and let intra-shard dedup bite, small enough that a
+/// Default shard size for streamed batches: large enough to keep every
+/// helper thread busy and let intra-shard dedup bite, small enough that a
 /// shard of requests plus reports stays a bounded, cache-friendly working
 /// set regardless of corpus length.
 pub const DEFAULT_SHARD_SIZE: usize = 4096;
@@ -488,11 +488,10 @@ impl JsonlServer {
                         break;
                     }
                 }
-                let line = self.line_buf.trim();
-                if line.is_empty() || line.starts_with('#') {
+                let Some(line) = meaningful(&self.line_buf) else {
                     self.core.note_parse(t0.elapsed());
                     continue;
-                }
+                };
                 if let Err(e) = self.core.admit_line(engine, line_no, line, t0) {
                     error = Some(e);
                     break;

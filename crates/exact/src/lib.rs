@@ -25,7 +25,8 @@
 //! incumbent is seeded with the best of `Algorithm_3/2`, `Algorithm_5/3` and
 //! the baselines — or a caller-provided schedule via [`solve_warm`] — stored
 //! in an atomic (guide: *Rust Atomics and Locks*) and shared across
-//! rayon-parallelized root branches.
+//! rayon-parallelized root branches, which borrow the instance, the
+//! token and the shared search state for the one parallel operation.
 //!
 //! ## The allocation-free hot loop
 //!
@@ -145,12 +146,9 @@ pub struct ExactResult {
     pub nodes: u64,
 }
 
-/// State shared by the parallel root-branch tasks. Owned (instance clone,
-/// token clone) rather than borrowed: root branches run as `'static` jobs
-/// on the persistent worker pool, which cannot hold stack borrows — the
-/// one-time instance clone is noise next to the search it seeds.
-struct Shared {
-    inst: Instance,
+/// State the root-branch tasks of one solve share by reference. It lives on
+/// the solve's stack and borrows the caller's cancellation token.
+struct Shared<'a> {
     m: usize,
     bounds: BoundConfig,
     best: AtomicU64,
@@ -158,7 +156,7 @@ struct Shared {
     nodes: AtomicU64,
     max_nodes: u64,
     overflowed: AtomicBool,
-    cancel: Option<CancelToken>,
+    cancel: Option<&'a CancelToken>,
     cancelled: AtomicBool,
 }
 
@@ -403,7 +401,7 @@ fn candidate_starts_into(
 /// candidate scratch buffers, and a locally batched slice of the shared
 /// node budget.
 struct Search<'b> {
-    sh: &'b Shared,
+    sh: &'b Shared<'b>,
     node: Node,
     /// Per-depth candidate buffers, reused across sibling subtrees.
     cands: Vec<Vec<(ClassId, usize)>>,
@@ -416,7 +414,7 @@ struct Search<'b> {
 }
 
 impl<'b> Search<'b> {
-    fn new(sh: &'b Shared, node: Node) -> Self {
+    fn new(sh: &'b Shared<'b>, node: Node) -> Self {
         Search {
             sh,
             node,
@@ -694,8 +692,7 @@ fn solve_seeded(
         partial,
         min_class: 0,
     };
-    let sh = std::sync::Arc::new(Shared {
-        inst: inst.clone(),
+    let sh = Shared {
         m,
         bounds,
         best: AtomicU64::new(ub),
@@ -703,13 +700,13 @@ fn solve_seeded(
         nodes: AtomicU64::new(0),
         max_nodes: limits.max_nodes,
         overflowed: AtomicBool::new(false),
-        cancel: cancel.cloned(),
+        cancel,
         cancelled: AtomicBool::new(false),
-    });
+    };
 
     // Root branching: each first job choice is its own subtree. With more
-    // than one ambient thread the branches fan out as pool tasks sharing
-    // the state and the root node via `Arc` clones; single-threaded — the
+    // than one ambient thread the branches fan out as parallel tasks
+    // borrowing the state and the root node; single-threaded — the
     // engine always pins report-path solves to one thread — the branches
     // run through ONE mutable `Search` with the same apply/undo discipline
     // as the inner loop, so the root fan-out allocates no per-branch node
@@ -730,16 +727,11 @@ fn solve_seeded(
         }
         search.finish();
     } else {
-        let root = std::sync::Arc::new(root);
-        cands.into_par_iter().for_each({
-            let sh = std::sync::Arc::clone(&sh);
-            let root = std::sync::Arc::clone(&root);
-            move |(c, i)| {
-                let mut search = Search::new(&sh, (*root).clone());
-                search.node.apply_start(c, i);
-                search.dfs(0);
-                search.finish();
-            }
+        cands.into_par_iter().for_each(|(c, i)| {
+            let mut search = Search::new(&sh, root.clone());
+            search.node.apply_start(c, i);
+            search.dfs(0);
+            search.finish();
         });
     }
 
@@ -751,11 +743,8 @@ fn solve_seeded(
         return SolveOutcome::Exhausted { nodes };
     }
     let makespan = sh.best.load(Ordering::Relaxed);
-    // Pool helpers may still hold their `Arc` clones for an instant after
-    // the operation completes, so the schedule is cloned out of the lock
-    // rather than unwrapped out of the `Arc` (the clone is one schedule).
-    let schedule = sh.best_schedule.lock().clone();
-    debug_assert_eq!(validate(&sh.inst, &schedule), Ok(()));
+    let schedule = sh.best_schedule.into_inner();
+    debug_assert_eq!(validate(inst, &schedule), Ok(()));
     debug_assert_eq!(schedule.makespan(inst), makespan);
     SolveOutcome::Optimal(ExactResult {
         makespan,

@@ -520,17 +520,9 @@ fn outcome_labels() -> (
     }
 }
 
-static POOL_WORKER_CHUNKS: OnceLock<fn() -> Vec<u64>> = OnceLock::new();
-
-/// Register the source for per-worker chunk counts (first caller wins).
-///
-/// The vendored pool owns per-worker attribution (workers are spawned
-/// lazily, so the registry cannot preallocate them); it
-/// registers a plain function pointer here and [`snapshot()`] pulls the
-/// vector through it. Registration stores a `fn` pointer — no allocation.
-pub fn set_pool_worker_chunks_source(source: fn() -> Vec<u64>) {
-    let _ = POOL_WORKER_CHUNKS.set(source);
-}
+/// Helper threads one parallel operation can start: the vendored `rayon`
+/// splits an operation into at most 64 chunks, and the caller runs one.
+pub const POOL_HELPER_SLOTS: usize = 63;
 
 /// The process-global metrics registry.
 ///
@@ -538,7 +530,7 @@ pub fn set_pool_worker_chunks_source(source: fn() -> Vec<u64>) {
 /// `&'static Counter` / `&'static Histogram` references and pay only the
 /// atomic op. A non-static `Registry::new()` works too (used by tests that
 /// need isolation from the global instance).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Registry {
     /// Reports finalized for a caller (typed API) plus fast-path lines
     /// served straight from cache by the JSONL server.
@@ -557,14 +549,20 @@ pub struct Registry {
     pub cache_evictions_total: Counter,
     /// Fresh entries inserted into the cache.
     pub cache_inserts_total: Counter,
-    /// Times a pool worker parked on its condvar waiting for work.
+    /// Retired: always reads 0. Parallel operations run on scoped
+    /// threads that never park. Kept registered because the benchmark's
+    /// per-layer figures still read it.
     pub pool_parks_total: Counter,
-    /// Parallel operations (chunked loops) that engaged the pool.
+    /// Parallel operations that ran on more than one thread.
     pub pool_ops_total: Counter,
-    /// Helper jobs submitted to workers.
+    /// Helper threads started by parallel operations.
     pub pool_helper_jobs_total: Counter,
-    /// Work chunks executed inline by the submitting caller.
+    /// Work chunks run by the calling thread of a parallel operation.
     pub pool_caller_chunks_total: Counter,
+    /// Work chunks run by helper threads, by helper slot: entry `k` counts
+    /// the chunks every operation's `k`-th helper ran. Exported as the
+    /// snapshot's `pool_worker_chunks`.
+    pub pool_helper_chunks: [Counter; POOL_HELPER_SLOTS],
     /// TCP sessions accepted by `msrs serve` (counted at accept).
     pub serve_sessions_total: Counter,
     /// Requests shed by serve admission control (`overloaded` lines
@@ -651,9 +649,6 @@ pub struct Registry {
     pub cache_entries: Gauge,
     /// Configured capacity of the most recently constructed cache.
     pub cache_capacity: Gauge,
-    /// Pool worker threads currently alive. Workers live until the
-    /// process exits, so this is also the number ever spawned.
-    pub pool_workers_alive: Gauge,
     /// Serve sessions currently open (accepted, not yet closed).
     pub serve_sessions_open: Gauge,
     /// Requests currently being served (admitted, response not yet
@@ -680,6 +675,7 @@ impl Registry {
             pool_ops_total: Counter::new(),
             pool_helper_jobs_total: Counter::new(),
             pool_caller_chunks_total: Counter::new(),
+            pool_helper_chunks: [const { Counter::new() }; POOL_HELPER_SLOTS],
             serve_sessions_total: Counter::new(),
             serve_sheds_total: Counter::new(),
             serve_deadline_hits_total: Counter::new(),
@@ -709,7 +705,6 @@ impl Registry {
             dispatch_stale_fills_dropped_total: Counter::new(),
             cache_entries: Gauge::new(),
             cache_capacity: Gauge::new(),
-            pool_workers_alive: Gauge::new(),
             serve_sessions_open: Gauge::new(),
             serve_inflight: Gauge::new(),
             stages: [const { Histogram::new() }; 6],
@@ -835,11 +830,10 @@ impl Registry {
         ]
     }
 
-    fn gauges(&self) -> [(&'static str, &Gauge); 5] {
+    fn gauges(&self) -> [(&'static str, &Gauge); 4] {
         [
             ("msrs_cache_entries", &self.cache_entries),
             ("msrs_cache_capacity", &self.cache_capacity),
-            ("msrs_pool_workers_alive", &self.pool_workers_alive),
             ("msrs_serve_sessions_open", &self.serve_sessions_open),
             ("msrs_serve_inflight", &self.serve_inflight),
         ]
@@ -848,15 +842,8 @@ impl Registry {
     /// Capture an owned snapshot of this registry (allocates).
     ///
     /// Ordering is deterministic (catalog order); all-zero outcome cells
-    /// are skipped. The pool's per-worker chunk vector is pulled through
-    /// the source registered by [`set_pool_worker_chunks_source`] — only
-    /// snapshots of the *global* registry carry it.
+    /// are skipped.
     pub fn snapshot(&self) -> Snapshot {
-        let pool_worker_chunks = if std::ptr::eq(self, registry()) {
-            POOL_WORKER_CHUNKS.get().map(|f| f()).unwrap_or_default()
-        } else {
-            Vec::new()
-        };
         Snapshot {
             counters: self
                 .counters()
@@ -873,8 +860,14 @@ impl Registry {
                 .map(|s| self.stage(*s).snapshot(s.metric_name()))
                 .collect(),
             outcomes: self.outcomes.snapshot(),
-            pool_worker_chunks,
+            pool_worker_chunks: self.pool_helper_chunks.iter().map(Counter::get).collect(),
         }
+    }
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Registry::new()
     }
 }
 
@@ -928,9 +921,9 @@ pub struct Snapshot {
     pub stages: Vec<HistogramSnapshot>,
     /// Non-empty outcome cells in (profile, member) order.
     pub outcomes: Vec<OutcomeSnapshot>,
-    /// Cumulative chunk counts per pool worker, in spawn order (empty if
-    /// no pool source is registered or this snapshot is of a local
-    /// registry).
+    /// Cumulative chunk counts per helper slot (entry `k`: chunks run by
+    /// the `k`-th helper of every parallel operation), all
+    /// [`POOL_HELPER_SLOTS`] of them.
     pub pool_worker_chunks: Vec<u64>,
 }
 
@@ -1124,7 +1117,7 @@ impl Snapshot {
             out.push('\n');
         }
         for (i, v) in self.pool_worker_chunks.iter().enumerate() {
-            out.push_str("msrs_pool_worker_chunks_total{worker=\"");
+            out.push_str("msrs_pool_worker_chunks_total{helper=\"");
             out.push_str(&i.to_string());
             out.push_str("\"} ");
             out.push_str(&v.to_string());
@@ -1279,7 +1272,7 @@ mod tests {
         assert_eq!(s.counter("msrs_cache_hits_total"), 3);
         assert_eq!(s.gauge("msrs_cache_entries"), 2);
         assert_eq!(s.counter("no_such_counter"), 0);
-        assert!(s.pool_worker_chunks.is_empty(), "local registry: no pool");
+        assert_eq!(s.pool_worker_chunks, vec![0; POOL_HELPER_SLOTS]);
     }
 
     #[test]

@@ -96,7 +96,7 @@ fn snapshots_are_deterministic_modulo_timing() {
         r.requests_total.add(7);
         r.cache_hits_total.add(3);
         r.cache_entries.set(4);
-        r.pool_workers_alive.set(2);
+        r.serve_sessions_open.set(2);
         for v in [0u64, 1, 900, 900, 16_384, u64::MAX] {
             r.stage(Stage::Decode).record(v);
             r.stage(Stage::MemberRace).record(v / 2);
