@@ -366,16 +366,8 @@ fn attach_cache_path(flags: &Flags, engine: &Engine) -> Result<(), String> {
         .attach_cache_store(std::path::Path::new(path))
         .map_err(|e| format!("opening cache store {path}: {e}"))?;
     if !flags.has("--quiet") {
-        let quarantine = if stats.segments_quarantined > 0 {
-            format!(
-                ", {} segment(s) quarantined ({} corrupt record(s))",
-                stats.segments_quarantined, stats.errors
-            )
-        } else {
-            String::new()
-        };
         eprintln!(
-            "cache store: {} report(s) warm-loaded from {path}{quarantine}",
+            "cache store: {} report(s) warm-loaded from {path}",
             stats.loaded
         );
     }
@@ -577,6 +569,8 @@ fn cmd_batch(flags: &Flags) -> Result<(), String> {
         .map_err(|e| format!("writing reports: {e}"))?;
     out.flush().map_err(|e| format!("writing reports: {e}"))?;
     drop(out);
+    // Join the store's writer first, so the snapshot counts its flushes.
+    engine.close_store();
     // All summary lines below are rebuilt from registry snapshots (the
     // per-run view is the delta against the pre-run snapshot); the engine's
     // deprecated per-object accessors are no longer consulted.
@@ -1002,13 +996,11 @@ fn cmd_stats(flags: &Flags) -> Result<(), String> {
         );
         out!(
             "  cache plane: {} fleet hit(s), {} stale fill(s) dropped; store \
-             {} loaded / {} load error(s) / {} segment(s) quarantined / \
-             {} flush(es)",
+             {} loaded / {} load error(s) / {} flush(es)",
             counter("msrs_dispatch_fleet_cache_hits_total"),
             counter("msrs_dispatch_stale_fills_dropped_total"),
             counter("msrs_cache_store_loads_total"),
             counter("msrs_cache_store_load_errors_total"),
-            counter("msrs_cache_store_segments_quarantined_total"),
             counter("msrs_cache_store_flushes_total"),
         );
     }

@@ -9,8 +9,7 @@
 //!
 //! ```text
 //! {"journal":"cache store","version":2,"config_fp":…}          header
-//! {"fp":"<32-hex>","config":…,"report":{…},"sum":"<16-hex>"}   record × 64
-//! {"segment":0,"sum":"<16-hex>"}                               segment marker
+//! {"fp":"<32-hex>","config":…,"report":{…},"sum":"<16-hex>"}   record
 //! …
 //! ```
 //!
@@ -29,13 +28,10 @@
 //!   silently (the entry is re-solved and re-appended later) and the
 //!   reopen truncates it away.
 //! * A corrupt *complete* record — checksum mismatch, unparsable report,
-//!   foreign config — quarantines its whole segment: the segment's records
-//!   are discarded, `msrs_cache_store_segments_quarantined_total` and a log
-//!   line record the loss, and loading continues at the next segment
-//!   marker. Corruption costs at most [`SEGMENT_RECORDS`] entries, never
-//!   the store and never a wrong answer.
-//! * Reopening an existing store appends a fresh segment marker, so new
-//!   appends are never swallowed by a quarantined trailing segment.
+//!   foreign config — is dropped alone: it is counted in
+//!   [`CacheLoadStats::errors`] and `msrs_cache_store_load_errors_total`,
+//!   a log line names it, and every other record still loads. Corruption
+//!   costs the damaged entries, never the store and never a wrong answer.
 //!
 //! The recovery paths are exercised by truncating and flipping the bytes
 //! of a real store file, at every offset, in `tests/cachestore.rs`.
@@ -55,10 +51,6 @@ use crate::journal::{Header, Journal};
 use crate::json::Json;
 use crate::report::SolveReport;
 
-/// Records per segment — the quarantine blast radius of one corrupt
-/// record.
-pub const SEGMENT_RECORDS: usize = 64;
-
 /// One entry loaded from a store: the canonical fingerprint, the parsed
 /// report, and the exact payload bytes it was stored with (what the
 /// dispatch cache authority serves to `#cacheq` probes without
@@ -74,17 +66,14 @@ pub struct CacheStoreEntry {
 }
 
 /// What loading a store found; mirrored into the process-global
-/// telemetry (`msrs_cache_store_{loads,load_errors,segments_quarantined}
-/// _total`).
+/// telemetry (`msrs_cache_store_{loads,load_errors}_total`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheLoadStats {
     /// Records that verified and loaded.
     pub loaded: u64,
     /// Complete records that failed verification (checksum mismatch,
-    /// unparsable, foreign config).
+    /// unparsable, foreign config) and were dropped.
     pub errors: u64,
-    /// Segments discarded because they held a corrupt record.
-    pub segments_quarantined: u64,
 }
 
 /// The append side of a cache store. Obtained from [`CacheStore::open`],
@@ -99,10 +88,6 @@ pub struct CacheStore {
     unsynced: bool,
     /// The buffer `record` serializes into, reused across calls.
     payload: String,
-    /// Records appended into the current segment.
-    in_segment: usize,
-    /// Id of the next segment marker to write.
-    next_segment: u64,
 }
 
 /// The record for `fp` under `config_fp`, before the journal adds its
@@ -144,84 +129,42 @@ impl CacheStore {
     ) -> io::Result<(CacheStore, Vec<CacheStoreEntry>, CacheLoadStats)> {
         let mut entries = Vec::new();
         let mut stats = CacheLoadStats::default();
-        // Records verified so far in the current segment; committed at the
-        // next segment marker (or the end), discarded wholesale if the
-        // segment turns out to hold a corrupt record.
-        let mut segment: Vec<CacheStoreEntry> = Vec::new();
-        let mut quarantined = false;
-        let mut next_segment = 0u64;
         let mut line_no = 1;
         let header = Header {
             kind: "cache store",
             config_fp,
             shard_size: None,
         };
-        let (journal, created) = Journal::open(path, &header, |record| {
+        let journal = Journal::open(path, &header, |record| {
             line_no += 1;
-            let marker = record
-                .and_then(|r| r.strip_prefix("{\"segment\":")?.strip_suffix('}'))
-                .and_then(|id| id.parse::<u64>().ok());
-            if let Some(id) = marker {
-                entries.append(&mut segment);
-                quarantined = false;
-                next_segment = next_segment.max(id + 1);
+            // Earlier writers of this format version put `{"segment":N}`
+            // marker lines between records; they hold no report.
+            if record.is_some_and(|r| r.starts_with("{\"segment\":")) {
                 return Ok(true);
             }
-            match record.and_then(|r| parse_record(r, config_fp)) {
-                Some(entry) if !quarantined => segment.push(entry),
-                Some(_) => {} // rest of a quarantined segment
-                None => {
-                    stats.errors += 1;
-                    if !quarantined {
-                        quarantined = true;
-                        stats.segments_quarantined += 1;
-                        segment.clear();
-                        eprintln!(
-                            "msrs cachestore: corrupt record at line {line_no} of {} — \
-                             quarantining its segment",
-                            path.display()
-                        );
-                    }
-                    return Ok(false);
-                }
-            }
+            let Some(entry) = record.and_then(|r| parse_record(r, config_fp)) else {
+                stats.errors += 1;
+                eprintln!(
+                    "msrs cachestore: dropping corrupt record at line {line_no} of {}",
+                    path.display()
+                );
+                return Ok(false);
+            };
+            entries.push(entry);
             Ok(true)
         })?;
-        if !quarantined {
-            entries.append(&mut segment);
-        }
         stats.loaded = entries.len() as u64;
         let reg = registry();
         reg.cache_store_loads_total.add(stats.loaded);
         reg.cache_store_load_errors_total.add(stats.errors);
-        reg.cache_store_segments_quarantined_total
-            .add(stats.segments_quarantined);
-        let mut store = CacheStore {
+        let store = CacheStore {
             journal,
             config_fp,
             held: entries.iter().map(|e| e.fingerprint).collect(),
             unsynced: false,
             payload: String::new(),
-            in_segment: 0,
-            next_segment,
         };
-        if !created {
-            // A fresh segment marker isolates new appends from whatever
-            // the trailing loaded segment held (possibly quarantined
-            // records). A new file needs no marker: its header becomes
-            // durable with the first synced batch.
-            store.write_marker()?;
-            store.journal.sync()?;
-        }
         Ok((store, entries, stats))
-    }
-
-    fn write_marker(&mut self) -> io::Result<()> {
-        self.journal
-            .append(&format!("{{\"segment\":{}}}", self.next_segment))?;
-        self.next_segment += 1;
-        self.in_segment = 0;
-        Ok(())
     }
 
     /// Appends one record (call [`sync`](Self::sync) to make a batch
@@ -231,10 +174,6 @@ impl CacheStore {
         self.journal.append(&record(fp, config_fp, payload))?;
         self.held.insert(fp);
         self.unsynced = true;
-        self.in_segment += 1;
-        if self.in_segment >= SEGMENT_RECORDS {
-            self.write_marker()?;
-        }
         Ok(())
     }
 
@@ -380,8 +319,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         fill(&path, 7, 3);
         let (_store, entries, stats) = CacheStore::open(&path, 7).unwrap();
-        assert_eq!(stats.loaded, 3);
-        assert_eq!((stats.errors, stats.segments_quarantined), (0, 0));
+        assert_eq!((stats.loaded, stats.errors), (3, 0));
         assert_eq!(entries.len(), 3);
         for (i, e) in entries.iter().enumerate() {
             assert_eq!(e.fingerprint, i as u128 + 1);
@@ -423,28 +361,78 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_record_quarantines_only_its_segment() {
-        let path = tmp("quarantine.mcache");
+    fn corrupt_record_costs_only_itself() {
+        let path = tmp("corrupt.mcache");
         let _ = std::fs::remove_file(&path);
-        // Two segments: records 0..SEGMENT_RECORDS and a second batch.
-        fill(&path, 7, SEGMENT_RECORDS as u64 + 4);
-        // Corrupt one record in the first segment.
+        fill(&path, 7, 100);
+        // Corrupt the checksum of the record of fingerprint 41 (line 1 is
+        // the header).
         let text = std::fs::read_to_string(&path).unwrap();
         let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
-        let victim = lines
-            .iter()
-            .position(|l| l.starts_with("{\"fp\":"))
-            .unwrap();
-        lines[victim] = lines[victim].replace("\"sum\":", "\"sum\":9");
+        assert_eq!(lines.len(), 101, "header and 100 records, nothing else");
+        lines[41] = lines[41].replace("\"sum\":", "\"sum\":9");
         std::fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
+        let (mut store, entries, stats) = CacheStore::open(&path, 7).unwrap();
+        assert_eq!((stats.loaded, stats.errors), (99, 1));
+        assert!(entries.iter().all(|e| e.fingerprint != 41));
+        // The store does not hold the lost fingerprint: recording it again
+        // appends it, and the next open serves it. The corrupt line stays
+        // in the file and is counted again.
+        assert!(store.record(41, &report(40)).unwrap().is_some());
+        store.sync().unwrap();
+        drop(store);
         let (_store, entries, stats) = CacheStore::open(&path, 7).unwrap();
-        assert_eq!(stats.segments_quarantined, 1);
-        assert_eq!(stats.errors, 1);
-        // The second segment survived untouched.
-        assert_eq!(entries.len(), 4);
+        assert_eq!((stats.loaded, stats.errors), (100, 1));
+        let entry = entries.iter().find(|e| e.fingerprint == 41).unwrap();
+        assert_eq!(*entry.payload, report(40).to_store_json().to_string());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Earlier writers of format version 2 put a `{"segment":N}` marker
+    /// line after every 64 records and at every reopen. Such a store loads
+    /// in full, and appending to it writes no marker.
+    #[test]
+    fn loads_stores_with_marker_lines() {
+        let path = tmp("markers.mcache");
+        let _ = std::fs::remove_file(&path);
+        let header = Header {
+            kind: "cache store",
+            config_fp: 7,
+            shard_size: None,
+        };
+        let mut journal = Journal::create(&path, &header).unwrap();
+        for i in 0..130u64 {
+            let payload = report(i).to_store_json().to_string();
+            journal.append(&record(i as u128 + 1, 7, &payload)).unwrap();
+            if i % 64 == 63 {
+                journal
+                    .append(&format!("{{\"segment\":{}}}", i / 64))
+                    .unwrap();
+            }
+        }
+        journal.append("{\"segment\":2}").unwrap();
+        journal.sync().unwrap();
+        drop(journal);
+        let markers = |path: &Path| {
+            let text = std::fs::read_to_string(path).unwrap();
+            text.lines().filter(|l| !l.starts_with("{\"fp\":")).count() - 1
+        };
+        assert_eq!(markers(&path), 3);
+
+        let (mut store, entries, stats) = CacheStore::open(&path, 7).unwrap();
+        assert_eq!((stats.loaded, stats.errors), (130, 0));
         assert!(entries
             .iter()
-            .all(|e| e.fingerprint > SEGMENT_RECORDS as u128));
+            .enumerate()
+            .all(|(i, e)| e.fingerprint == i as u128 + 1));
+        let payload = report(130).to_store_json().to_string();
+        store.append(131, 7, &payload).unwrap();
+        store.sync().unwrap();
+        drop(store);
+        assert_eq!(markers(&path), 3, "a reopen and an append write no marker");
+        let (_store, entries, stats) = CacheStore::open(&path, 7).unwrap();
+        assert_eq!((stats.loaded, stats.errors), (131, 0));
+        assert_eq!(entries.last().unwrap().fingerprint, 131);
         std::fs::remove_file(&path).unwrap();
     }
 

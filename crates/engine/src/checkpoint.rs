@@ -224,7 +224,7 @@ impl CheckpointLog {
     pub fn open(path: &Path, header: CheckpointHeader) -> io::Result<(Self, Vec<ShardRecord>)> {
         let mut records: Vec<ShardRecord> = Vec::new();
         let mut bad_line = None;
-        let (journal, _) = Journal::open(path, &header.journal(), |line| {
+        let journal = Journal::open(path, &header.journal(), |line| {
             if let Some(at) = bad_line {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,

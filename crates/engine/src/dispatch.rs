@@ -587,8 +587,7 @@ fn answers(report: &SolveReport, instance: &Instance) -> bool {
 /// Applies an injected fault. `crash`/`garble`/`partial` terminate the
 /// process; `hang` parks it (heartbeats off) until the coordinator's
 /// health monitor kills it; `disconnect` raises a synthetic transport
-/// error; `stall` and `slow` return to the solve path late. The
-/// store-mutation kinds act at `CacheStore::open`, not here.
+/// error; `stall` and `slow` return to the solve path late.
 fn inject_fault<W: Write + Send>(
     f: FaultSpec,
     out: &Arc<Mutex<W>>,

@@ -363,8 +363,9 @@ impl Engine {
     /// Detaches the attached store from every clone and joins its writer
     /// once it has synced each batch handed to it. `msrs serve` calls this
     /// after its last session ended, so no fresh solve it answered is left
-    /// unsynced when the process exits.
-    pub(crate) fn close_store(&self) {
+    /// unsynced when the process exits; `msrs batch` calls it before its
+    /// metrics snapshot, so the snapshot counts every flush.
+    pub fn close_store(&self) {
         let writer = std::mem::take(&mut *self.store.lock());
         drop(writer);
     }

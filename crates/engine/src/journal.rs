@@ -127,9 +127,9 @@ impl Journal {
         })
     }
 
-    /// Opens the journal at `path` for appending, and reports `true` when
-    /// it had to [`create`](Self::create) it: the file was missing, empty,
-    /// or held only a torn header.
+    /// Opens the journal at `path` for appending, or
+    /// [`create`](Self::create)s it when the file is missing, empty, or
+    /// holds only a torn header.
     ///
     /// Every complete record line goes to `visit` in file order: the
     /// record as appended when its checksum holds, `None` when it does
@@ -140,18 +140,16 @@ impl Journal {
         path: &Path,
         header: &Header,
         mut visit: impl FnMut(Option<&str>) -> io::Result<bool>,
-    ) -> io::Result<(Journal, bool)> {
+    ) -> io::Result<Journal> {
         let file = match OpenOptions::new().read(true).append(true).open(path) {
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Ok((Journal::create(path, header)?, true));
-            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Journal::create(path, header),
             opened => opened?,
         };
         let mut reader = BufReader::new(&file);
         let mut line = Vec::new();
         let mut end = read_line(&mut reader, &mut line)? as u64;
         if end == 0 {
-            return Ok((Journal::create(path, header)?, true));
+            return Journal::create(path, header);
         }
         header.check(&line, path)?;
         let mut kept = end;
@@ -167,7 +165,7 @@ impl Journal {
         }
         drop(reader);
         file.set_len(kept)?;
-        Ok((Journal { file, line }, false))
+        Ok(Journal { file, line })
     }
 
     /// Appends `record`, a JSON object, with its checksum: one `write` of

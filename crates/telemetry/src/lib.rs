@@ -625,12 +625,10 @@ pub struct Registry {
     pub dispatch_stale_drops_total: Counter,
     /// Cache records loaded from a durable cache store on warm restart.
     pub cache_store_loads_total: Counter,
-    /// Cache store records rejected on load (checksum mismatch, torn or
-    /// unparsable line) — the damage that triggered a segment quarantine.
+    /// Complete cache store records dropped on load because they failed
+    /// verification (checksum mismatch, unparsable report, foreign
+    /// config); every other record still loads.
     pub cache_store_load_errors_total: Counter,
-    /// Cache store segments quarantined on load because a record inside
-    /// them failed verification; loading continued past them.
-    pub cache_store_segments_quarantined_total: Counter,
     /// Cache store `fsync`s that made appended records durable: one per
     /// miss batch that added records through the engine's store writer,
     /// and one per dispatch event batch that recorded fills.
@@ -698,7 +696,6 @@ impl Registry {
             dispatch_stale_drops_total: Counter::new(),
             cache_store_loads_total: Counter::new(),
             cache_store_load_errors_total: Counter::new(),
-            cache_store_segments_quarantined_total: Counter::new(),
             cache_store_flushes_total: Counter::new(),
             cache_store_queue_drops_total: Counter::new(),
             dispatch_fleet_cache_hits_total: Counter::new(),
@@ -718,7 +715,7 @@ impl Registry {
         &self.stages[stage as usize]
     }
 
-    fn counters(&self) -> [(&'static str, &Counter); 38] {
+    fn counters(&self) -> [(&'static str, &Counter); 37] {
         [
             ("msrs_requests_total", &self.requests_total),
             ("msrs_serve_fast_path_total", &self.serve_fast_path_total),
@@ -806,10 +803,6 @@ impl Registry {
             (
                 "msrs_cache_store_load_errors_total",
                 &self.cache_store_load_errors_total,
-            ),
-            (
-                "msrs_cache_store_segments_quarantined_total",
-                &self.cache_store_segments_quarantined_total,
             ),
             (
                 "msrs_cache_store_flushes_total",
