@@ -14,9 +14,10 @@
 //! ```
 //!
 //! `sum` is an FNV-1a checksum over the record's bytes, checked before the
-//! record is parsed. The report is the [`SolveReport::to_store_json`]
-//! serialization, and a loaded entry's payload is those checksummed bytes
-//! themselves.
+//! record is parsed. The report is the bytes
+//! [`SolveReport::write_store_json`] writes, and the loader accepts only
+//! those bytes: it reads them with [`SolveReport::read_store_json`]. A
+//! loaded entry's payload is those checksummed bytes themselves.
 //!
 //! Durability and recovery:
 //!
@@ -27,8 +28,8 @@
 //! * A crash mid-append tears at most the final line. The loader drops it
 //!   silently (the entry is re-solved and re-appended later) and the
 //!   reopen truncates it away.
-//! * A corrupt *complete* record — checksum mismatch, unparsable report,
-//!   foreign config — is dropped alone: it is counted in
+//! * A corrupt *complete* record — checksum mismatch, a report in any
+//!   other layout, foreign config — is dropped alone: it is counted in
 //!   [`CacheLoadStats::errors`] and `msrs_cache_store_load_errors_total`,
 //!   a log line names it, and every other record still loads. Corruption
 //!   costs the damaged entries, never the store and never a wrong answer.
@@ -48,7 +49,6 @@ use std::thread::JoinHandle;
 use msrs_telemetry::registry;
 
 use crate::journal::{Header, Journal};
-use crate::json::Json;
 use crate::report::SolveReport;
 
 /// One entry loaded from a store: the canonical fingerprint, the parsed
@@ -97,7 +97,8 @@ fn record(fp: u128, config_fp: u64, payload: &str) -> String {
 }
 
 /// Parses one checksum-verified record under `config_fp`. `None` means
-/// the record is foreign or its report does not parse — never a panic.
+/// the record is foreign or its report is not `write_store_json`'s bytes
+/// — never a panic.
 fn parse_record(record: &str, config_fp: u64) -> Option<CacheStoreEntry> {
     let (hex, rest) = record.strip_prefix("{\"fp\":\"")?.split_at_checked(32)?;
     let (config, payload) = rest
@@ -107,7 +108,7 @@ fn parse_record(record: &str, config_fp: u64) -> Option<CacheStoreEntry> {
     if config.parse::<u64>().ok()? != config_fp {
         return None;
     }
-    let report = SolveReport::from_store_json(&Json::parse(payload).ok()?)?;
+    let report = SolveReport::read_store_json(payload)?;
     Some(CacheStoreEntry {
         fingerprint: u128::from_str_radix(hex, 16).ok()?,
         report: Arc::new(report),
@@ -169,7 +170,8 @@ impl CacheStore {
 
     /// Appends one record (call [`sync`](Self::sync) to make a batch
     /// durable). `payload` must be the report's
-    /// [`SolveReport::to_store_json`] serialization.
+    /// [`SolveReport::write_store_json`] serialization, as
+    /// `to_store_json().to_string()` also writes it.
     pub fn append(&mut self, fp: u128, config_fp: u64, payload: &str) -> io::Result<()> {
         self.journal.append(&record(fp, config_fp, payload))?;
         self.held.insert(fp);
@@ -385,6 +387,39 @@ mod tests {
         assert_eq!((stats.loaded, stats.errors), (100, 1));
         let entry = entries.iter().find(|e| e.fingerprint == 41).unwrap();
         assert_eq!(*entry.payload, report(40).to_store_json().to_string());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A record whose checksum holds but whose report is valid JSON in
+    /// another layout than the writer's (two keys swapped) costs exactly
+    /// that record.
+    #[test]
+    fn a_foreign_report_layout_costs_only_its_record() {
+        let path = tmp("layout.mcache");
+        let _ = std::fs::remove_file(&path);
+        let header = Header {
+            kind: "cache store",
+            config_fp: 7,
+            shard_size: None,
+        };
+        let mut journal = Journal::create(&path, &header).unwrap();
+        for i in 0..10u64 {
+            let mut payload = report(i).to_store_json().to_string();
+            if i == 4 {
+                let swapped =
+                    payload.replacen("\"jobs\":2,\"machines\":1", "\"machines\":1,\"jobs\":2", 1);
+                assert_ne!(swapped, payload);
+                assert!(crate::json::Json::parse(&swapped).is_ok());
+                payload = swapped;
+            }
+            journal.append(&record(i as u128 + 1, 7, &payload)).unwrap();
+        }
+        journal.sync().unwrap();
+        drop(journal);
+        let (_store, entries, stats) = CacheStore::open(&path, 7).unwrap();
+        assert_eq!((stats.loaded, stats.errors), (9, 1));
+        let fps: Vec<u128> = entries.iter().map(|e| e.fingerprint).collect();
+        assert_eq!(fps, [1, 2, 3, 4, 6, 7, 8, 9, 10]);
         std::fs::remove_file(&path).unwrap();
     }
 

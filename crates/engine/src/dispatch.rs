@@ -35,7 +35,10 @@
 //! ```
 //!
 //! Every worker speaks these lines after the versioned
-//! `#hello`/`#welcome` handshake ([`crate::remote`]).
+//! `#hello`/`#welcome` handshake ([`crate::remote`]). Each side reads the
+//! other's lines through one 64 MiB bound (`MAX_LINE_BYTES`): the
+//! coordinator fails a worker that sends a longer line as garbled, and a
+//! worker ends its session with `InvalidData` naming the bound.
 //!
 //! ## Leases and stale attempts
 //!
@@ -135,11 +138,16 @@
 //! probing worker a local solve, never a wrong report. It makes the
 //! recorded fills durable with one `fsync` per drained event batch that
 //! appended any, so every fill is on disk before the checkpoint journals
-//! a later shard.
-//! Payloads are [`crate::report::SolveReport::to_store_json`] lines. The
-//! exchange is versioned through the remote handshake
-//! ([`crate::remote::REMOTE_PROTO_VERSION`]), so pre-cache workers are
-//! rejected before they can mis-parse it.
+//! a later shard. The coordinator answers probes into a buffer per
+//! worker and writes each worker's replies with one write per drained
+//! event batch, ahead of that batch's `fsync`.
+//! Payloads are exactly the bytes
+//! [`crate::report::SolveReport::write_store_json`] writes, and both ends
+//! read them with [`crate::report::SolveReport::read_store_json`]: a
+//! payload in any other layout is refused like an unparsable one, so a
+//! hit is solved locally and a fill is dropped. The exchange is versioned
+//! through the remote handshake ([`crate::remote::REMOTE_PROTO_VERSION`]),
+//! so pre-cache workers are rejected before they can mis-parse it.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fs::{File, OpenOptions};
@@ -190,7 +198,8 @@ pub(crate) fn is_disconnect(e: &io::Error) -> bool {
 }
 
 /// The longest line a remote peer may send, newline excluded (64 MiB):
-/// serve sessions and the coordinator's worker readers read no further.
+/// serve sessions, the coordinator's worker readers and each worker's
+/// reads of its coordinator read no further.
 pub(crate) const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// [`BufRead::read_line`] for lines from a remote peer: reads at most
@@ -410,8 +419,7 @@ fn worker_loop<R: BufRead, W: Write + Send>(
     let mut buf = String::new();
     let mut lines: Vec<String> = Vec::new();
     loop {
-        buf.clear();
-        if input.read_line(&mut buf)? == 0 {
+        if !read_coordinator_line(&mut input, &mut buf)? {
             return Ok(WorkerExit::Eof); // coordinator closed the transport
         }
         let header = buf.trim_end();
@@ -426,14 +434,12 @@ fn worker_loop<R: BufRead, W: Write + Send>(
         };
         lines.clear();
         for _ in 0..n {
-            buf.clear();
-            if input.read_line(&mut buf)? == 0 {
+            if !read_coordinator_line(&mut input, &mut buf)? {
                 return Ok(WorkerExit::Eof);
             }
             lines.push(buf.trim_end().to_string());
         }
-        buf.clear();
-        if input.read_line(&mut buf)? == 0 {
+        if !read_coordinator_line(&mut input, &mut buf)? {
             return Ok(WorkerExit::Eof);
         }
         if buf.trim_end() != "#run" {
@@ -492,6 +498,20 @@ fn worker_loop<R: BufRead, W: Write + Send>(
     }
 }
 
+/// Reads the coordinator's next line into `buf` through the
+/// [`MAX_LINE_BYTES`] bound. Returns `false` when the coordinator closed
+/// the transport; a longer line ends the session with `InvalidData`.
+fn read_coordinator_line(input: &mut impl BufRead, buf: &mut String) -> io::Result<bool> {
+    buf.clear();
+    match read_peer_line(input, buf)? {
+        Some(n) => Ok(n > 0),
+        None => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("coordinator line longer than {MAX_LINE_BYTES} bytes"),
+        )),
+    }
+}
+
 fn parse_shard_header(line: &str) -> Option<(usize, u32, usize, bool)> {
     let mut it = line.split_whitespace();
     if it.next()? != "#shard" {
@@ -539,8 +559,7 @@ fn cache_exchange<R: BufRead, W: Write + Send>(
     let mut fills = Vec::new();
     let mut buf = String::new();
     for (fp, instance) in probes {
-        buf.clear();
-        if input.read_line(&mut buf)? == 0 {
+        if !read_coordinator_line(input, &mut buf)? {
             return Ok(None);
         }
         let line = buf.trim_end();
@@ -557,8 +576,7 @@ fn cache_exchange<R: BufRead, W: Write + Send>(
             }
         };
         let hit = payload
-            .and_then(|p| Json::parse(p).ok())
-            .and_then(|v| SolveReport::from_store_json(&v))
+            .and_then(SolveReport::read_store_json)
             .filter(|report| answers(report, instance));
         match hit {
             Some(report) => engine.serve_cache_install(*fp, Arc::new(report)),
@@ -1000,6 +1018,9 @@ struct WorkerHandle {
     state: WorkerState,
     last_output: Instant,
     shard_started: Instant,
+    /// `#cacheq` replies not yet written; the main loop writes them once
+    /// per drained event batch.
+    replies: Vec<u8>,
 }
 
 impl WorkerHandle {
@@ -1244,6 +1265,7 @@ impl<'a> Coordinator<'a> {
             state: WorkerState::Idle,
             last_output: Instant::now(),
             shard_started: Instant::now(),
+            replies: Vec::new(),
         });
     }
 
@@ -1542,7 +1564,7 @@ impl<'a> Coordinator<'a> {
                 stats,
             } => self.handle_done(pos, ordinal, shard, attempt, stats),
             Event::Error(payload) => self.handle_error(pos, ordinal, payload),
-            Event::CacheQ(fp) => self.handle_cacheq(pos, ordinal, fp),
+            Event::CacheQ(fp) => self.handle_cacheq(pos, fp),
             Event::CacheFill(fp, payload) => self.handle_cachefill(pos, ordinal, fp, &payload),
             Event::Garbage(line) => {
                 let reason = format!("garbled worker output: `{}`", truncate(&line, 120));
@@ -1672,25 +1694,40 @@ impl<'a> Coordinator<'a> {
         );
     }
 
-    /// Answers a `#cacheq` probe. Every probe gets exactly one reply —
-    /// even a zombie's, and even without a cache authority — because the
-    /// probing worker blocks reading one reply line per probe; silence
-    /// here would deadlock it into a lease expiry.
-    fn handle_cacheq(&mut self, pos: usize, ordinal: u64, fp: u128) {
-        let hit = if self.workers[pos].state == WorkerState::Zombie {
+    /// Answers a `#cacheq` probe into the worker's reply buffer, which
+    /// [`flush_replies`](Self::flush_replies) writes. Every probe gets
+    /// exactly one reply — even a zombie's, and even without a cache
+    /// authority — because the probing worker blocks reading one reply
+    /// line per probe; silence here would deadlock it into a lease expiry.
+    fn handle_cacheq(&mut self, pos: usize, fp: u128) {
+        let w = &mut self.workers[pos];
+        let hit = if w.state == WorkerState::Zombie {
             None // stale lease: don't leak cache state to a revoked attempt
         } else {
-            self.cache.as_ref().and_then(|c| c.map.get(&fp)).cloned()
+            self.cache.as_ref().and_then(|c| c.map.get(&fp))
         };
-        let reply = match hit {
+        match hit {
             Some(payload) => {
                 registry().dispatch_fleet_cache_hits_total.inc();
                 self.outcome.fleet_cache_hits += 1;
-                format!("#cachehit {fp:032x} {payload}\n")
+                writeln!(w.replies, "#cachehit {fp:032x} {payload}")
             }
-            None => format!("#cachemiss {fp:032x}\n"),
-        };
-        if let Err(e) = self.workers[pos].stream.write_all(reply.as_bytes()) {
+            None => writeln!(w.replies, "#cachemiss {fp:032x}"),
+        }
+        .expect("Vec writes are infallible");
+    }
+
+    /// Writes each worker's buffered `#cacheq` replies with one write, and
+    /// fails a worker whose write fails. The buffers are freed, not kept:
+    /// a burst of hits can run to hundreds of kilobytes.
+    fn flush_replies(&mut self) {
+        let mut failed = Vec::new();
+        for w in self.workers.iter_mut().filter(|w| !w.replies.is_empty()) {
+            if let Err(e) = w.stream.write_all(&std::mem::take(&mut w.replies)) {
+                failed.push((w.ordinal, e));
+            }
+        }
+        for (ordinal, e) in failed {
             self.fail_worker(ordinal, &format!("failed to answer cache probe: {e}"));
         }
     }
@@ -1710,11 +1747,7 @@ impl<'a> Coordinator<'a> {
         let Some(cache) = self.cache.as_mut() else {
             return; // no authority: a confused worker's fill is harmless
         };
-        let Some(report) = Json::parse(payload)
-            .ok()
-            .as_ref()
-            .and_then(SolveReport::from_store_json)
-        else {
+        let Some(report) = SolveReport::read_store_json(payload) else {
             return; // unverifiable payload: never persist it
         };
         match cache.store.record(fp, &report) {
@@ -2073,6 +2106,8 @@ pub fn dispatch_fleet<R: BufRead>(
                 while let Ok(msg) = coord.rx.try_recv() {
                     coord.handle_msg(msg);
                 }
+                // One write per worker for the whole batch's probe replies.
+                coord.flush_replies();
                 // One fsync for the whole batch's cache fills, before the
                 // next pass journals the shards they belong to. Fills
                 // arrive only here, so none is left unsynced at exit.

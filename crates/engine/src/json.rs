@@ -8,9 +8,11 @@
 //! This module also holds the crate's one JSON lexer, `Scan`. [`Json::parse`]
 //! builds a tree on it, and [`crate::jsonl::LineDecoder`] decodes instance
 //! lines on it without building one, so both parsers accept the same
-//! grammar and report the same error offsets and messages. The lexer makes
-//! one linear pass over its input, and both of its recursive walkers stop
-//! at a fixed nesting depth with a [`JsonError`].
+//! grammar and report the same error offsets and messages.
+//! [`crate::report::SolveReport::read_store_json`] decodes the strings of
+//! store payloads with it. The lexer makes one linear pass over its input,
+//! and both of its recursive walkers stop at a fixed nesting depth with a
+//! [`JsonError`].
 
 use std::fmt;
 
@@ -115,7 +117,9 @@ impl fmt::Display for Json {
 /// single source of truth for the crate's string escaping — both
 /// [`Json::Str`]'s `Display` and the allocation-free report byte writer
 /// ([`crate::report::SolveReport::write_json_line`]) go through it, so the
-/// two serialization paths cannot diverge.
+/// two serialization paths cannot diverge, and
+/// [`crate::report::SolveReport::read_store_json`] accepts a string only
+/// if this writes it back byte for byte.
 pub(crate) fn write_escaped_str(s: &str, out: &mut impl fmt::Write) -> fmt::Result {
     out.write_str("\"")?;
     for ch in s.chars() {
@@ -177,6 +181,11 @@ impl<'a> Scan<'a> {
             at: self.pos,
             reason: reason.into(),
         }
+    }
+
+    /// The cursor's byte offset into the text.
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
     }
 
     /// The byte under the cursor.
@@ -469,7 +478,7 @@ fn ws_end(bytes: &[u8], mut at: usize) -> usize {
 }
 
 /// The value of the ASCII digit at `at`, if one is there.
-fn digit_at(bytes: &[u8], at: usize) -> Option<u8> {
+pub(crate) fn digit_at(bytes: &[u8], at: usize) -> Option<u8> {
     bytes
         .get(at)
         .map(|b| b.wrapping_sub(b'0'))

@@ -2,7 +2,7 @@
 
 use msrs_core::{Instance, Schedule, Time};
 
-use crate::json::Json;
+use crate::json::{digit_at, Json, Scan};
 use crate::portfolio::SolverKind;
 
 /// A solve request: one instance plus an optional caller-supplied id that is
@@ -251,6 +251,71 @@ impl SolveReport {
         w.push(b'}');
     }
 
+    /// Reads back exactly the bytes [`write_store_json`](Self::write_store_json)
+    /// writes, in one pass and without a [`Json`] tree: the same key order
+    /// and no whitespace, integers as `write_u64` writes them, and the `id`
+    /// and `error` strings as `write_json_str` escapes them.
+    /// Returns `Some(r)` exactly when `text` is byte for byte `r`'s store
+    /// serialization; any other layout is `None`, never a panic. This is
+    /// how the cache store loader and both ends of the dispatch cache
+    /// plane read payloads.
+    pub fn read_store_json(text: &str) -> Option<SolveReport> {
+        let mut r = StoreReader { text, pos: 0 };
+        r.lit(b"{")?;
+        let id = if r.eat(b"\"id\":") {
+            let id = r.string()?;
+            r.lit(b",")?;
+            Some(id)
+        } else {
+            None
+        };
+        let jobs = r.usize(b"\"jobs\":")?;
+        let machines = r.usize(b",\"machines\":")?;
+        let classes = r.usize(b",\"classes\":")?;
+        let lower_bound = r.field(b",\"lower_bound\":")?;
+        let makespan = r.field(b",\"makespan\":")?;
+        let winner = r.solver(b",\"winner\":")?;
+        let certified_horizon = r.field(b",\"certified_horizon\":")?;
+        let certified_by = r.solver(b",\"certified_by\":")?;
+        let proven_optimal = r.bool(b",\"proven_optimal\":")?;
+        let cache_hit = r.bool(b",\"cache_hit\":")?;
+        let wall_micros = r.field(b",\"wall_micros\":")?;
+        let mut runs = Vec::new();
+        r.lit(b",\"runs\":[")?;
+        r.elements(|r| {
+            runs.push(r.run()?);
+            Some(())
+        })?;
+        // One pair takes at least six bytes (`[0,0],`), so the text bounds
+        // what a foreign `jobs` count may reserve.
+        let mut assignments = Vec::with_capacity(jobs.min(text.len() / 6));
+        r.lit(b",\"schedule\":[")?;
+        r.elements(|r| {
+            let machine = r.usize(b"[")?;
+            let start = r.field(b",")?;
+            r.lit(b"]")?;
+            assignments.push(msrs_core::Assignment { machine, start });
+            Some(())
+        })?;
+        r.lit(b"}")?;
+        (r.pos == text.len()).then(|| SolveReport {
+            id,
+            jobs,
+            machines,
+            classes,
+            lower_bound,
+            makespan,
+            winner,
+            certified_horizon,
+            certified_by,
+            proven_optimal,
+            cache_hit,
+            wall_micros,
+            runs,
+            schedule: Schedule::new(assignments),
+        })
+    }
+
     /// Serializes the report (without the schedule) as one JSON object.
     pub fn to_json(&self) -> Json {
         let mut obj = Vec::new();
@@ -303,10 +368,10 @@ impl SolveReport {
     /// wire object *plus* the fields the wire format elides because the
     /// caller already has them — the canonical `schedule` (as
     /// `[[machine, start], …]` pairs in job order) and the diagnostic of any
-    /// `invalid` run. The output is canonical: serializing, parsing with
-    /// [`from_store_json`](Self::from_store_json), and serializing again is
-    /// bit-identical, which is what lets the cache store checksum records by
-    /// re-serialization.
+    /// `invalid` run. [`write_store_json`](Self::write_store_json) writes
+    /// the same bytes without the tree, and
+    /// [`read_store_json`](Self::read_store_json) reads exactly those bytes
+    /// back.
     pub fn to_store_json(&self) -> Json {
         let Json::Obj(mut obj) = self.to_json() else {
             unreachable!("to_json always returns an object")
@@ -331,74 +396,6 @@ impl SolveReport {
             .collect();
         obj.push(("schedule".into(), Json::Arr(schedule)));
         Json::Obj(obj)
-    }
-
-    /// Parses a [`to_store_json`](Self::to_store_json) object back into a
-    /// typed report. Returns `None` on any structural mismatch — an unknown
-    /// solver or status name, a missing field, a malformed schedule pair —
-    /// never panics on foreign input.
-    pub fn from_store_json(v: &Json) -> Option<SolveReport> {
-        let id = match v.get("id") {
-            Some(j) => Some(j.as_str()?.to_string()),
-            None => None,
-        };
-        let as_bool = |key: &str| match v.get(key)? {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        };
-        let runs = v
-            .get("runs")?
-            .as_arr()?
-            .iter()
-            .map(|r| {
-                let opt_num = |key: &str| match r.get(key) {
-                    Some(j) => j.as_u64().map(Some),
-                    None => Some(None),
-                };
-                Some(SolverRun {
-                    solver: SolverKind::from_name(r.get("solver")?.as_str()?)?,
-                    status: RunStatus::from_label(
-                        r.get("status")?.as_str()?,
-                        r.get("error").and_then(Json::as_str),
-                    )?,
-                    makespan: opt_num("makespan")?,
-                    certified_horizon: opt_num("certified_horizon")?,
-                    nodes: opt_num("nodes")?,
-                    wall_micros: r.get("wall_micros")?.as_u64()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let assignments = v
-            .get("schedule")?
-            .as_arr()?
-            .iter()
-            .map(|pair| {
-                let pair = pair.as_arr()?;
-                if pair.len() != 2 {
-                    return None;
-                }
-                Some(msrs_core::Assignment {
-                    machine: pair[0].as_usize()?,
-                    start: pair[1].as_u64()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(SolveReport {
-            id,
-            jobs: v.get("jobs")?.as_usize()?,
-            machines: v.get("machines")?.as_usize()?,
-            classes: v.get("classes")?.as_usize()?,
-            lower_bound: v.get("lower_bound")?.as_u64()?,
-            makespan: v.get("makespan")?.as_u64()?,
-            winner: SolverKind::from_name(v.get("winner")?.as_str()?)?,
-            certified_horizon: v.get("certified_horizon")?.as_u64()?,
-            certified_by: SolverKind::from_name(v.get("certified_by")?.as_str()?)?,
-            proven_optimal: as_bool("proven_optimal")?,
-            cache_hit: as_bool("cache_hit")?,
-            wall_micros: v.get("wall_micros")?.as_u64()?,
-            runs,
-            schedule: Schedule::new(assignments),
-        })
     }
 
     /// One-line human summary.
@@ -468,6 +465,217 @@ fn write_json_str(out: &mut Vec<u8>, s: &str) {
         }
     }
     crate::json::write_escaped_str(s, &mut BytesWriter(out)).expect("Vec writes are infallible");
+}
+
+/// The cursor behind [`SolveReport::read_store_json`]: each method reads
+/// what the matching writer above writes, and returns `None` at the first
+/// byte that writer would not have written. The cursor only moves past
+/// ASCII bytes and whole strings, so it always sits on a character
+/// boundary.
+struct StoreReader<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> StoreReader<'a> {
+    /// Consumes `lit` if the text continues with it.
+    fn eat(&mut self, lit: &[u8]) -> bool {
+        let hit = self.text.as_bytes()[self.pos..].starts_with(lit);
+        if hit {
+            self.pos += lit.len();
+        }
+        hit
+    }
+
+    fn lit(&mut self, lit: &[u8]) -> Option<()> {
+        self.eat(lit).then_some(())
+    }
+
+    /// Reads the elements of a list whose `[` was consumed, through its
+    /// `]`.
+    fn elements(&mut self, mut element: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
+        if self.eat(b"]") {
+            return Some(());
+        }
+        loop {
+            element(self)?;
+            if self.eat(b"]") {
+                return Some(());
+            }
+            self.lit(b",")?;
+        }
+    }
+
+    /// `key`, then an integer.
+    fn field(&mut self, key: &[u8]) -> Option<u64> {
+        self.lit(key)?;
+        self.u64()
+    }
+
+    /// An integer as [`write_u64`] writes it: `0`, or digits with no
+    /// leading zero that fit in `u64`.
+    fn u64(&mut self) -> Option<u64> {
+        let bytes = self.text.as_bytes();
+        let mut value = u64::from(digit_at(bytes, self.pos)?);
+        self.pos += 1;
+        // A `0` ends its literal: a digit after it is a leading zero,
+        // which the next `lit` turns away.
+        if value != 0 {
+            while let Some(d) = digit_at(bytes, self.pos) {
+                value = value.checked_mul(10)?.checked_add(u64::from(d))?;
+                self.pos += 1;
+            }
+        }
+        Some(value)
+    }
+
+    fn usize(&mut self, key: &[u8]) -> Option<usize> {
+        usize::try_from(self.field(key)?).ok()
+    }
+
+    /// `key` and an integer, if the text continues with `key`.
+    fn optional(&mut self, key: &[u8]) -> Option<Option<u64>> {
+        if self.eat(key) {
+            self.u64().map(Some)
+        } else {
+            Some(None)
+        }
+    }
+
+    fn bool(&mut self, key: &[u8]) -> Option<bool> {
+        self.lit(key)?;
+        if self.eat(b"true") {
+            Some(true)
+        } else {
+            self.lit(b"false").map(|()| false)
+        }
+    }
+
+    /// `key`, then a name as [`write_name`] writes it. Names need no
+    /// escaping, so one ends at the next quote.
+    fn name(&mut self, key: &[u8]) -> Option<&'a str> {
+        self.lit(key)?;
+        self.lit(b"\"")?;
+        let rest = &self.text[self.pos..];
+        let len = rest.find('"')?;
+        self.pos += len + 1;
+        Some(&rest[..len])
+    }
+
+    fn solver(&mut self, key: &[u8]) -> Option<SolverKind> {
+        SolverKind::from_name(self.name(key)?)
+    }
+
+    /// A string as [`write_json_str`] writes it: decoded by the crate's
+    /// lexer, and accepted only if escaping it again gives back the bytes
+    /// it was read from.
+    fn string(&mut self) -> Option<String> {
+        let mut scan = Scan::new(&self.text[self.pos..]);
+        let mut decoded = String::new();
+        scan.string(Some(&mut decoded)).ok()?;
+        let raw = &self.text.as_bytes()[self.pos..self.pos + scan.pos()];
+        self.pos += scan.pos();
+        let mut again = Vec::new();
+        write_json_str(&mut again, &decoded);
+        (again == raw).then_some(decoded)
+    }
+
+    /// One run object, as [`SolveReport::write_store_json`] writes it.
+    fn run(&mut self) -> Option<SolverRun> {
+        let solver = self.solver(b"{\"solver\":")?;
+        let label = self.name(b",\"status\":")?;
+        let makespan = self.optional(b",\"makespan\":")?;
+        let certified_horizon = self.optional(b",\"certified_horizon\":")?;
+        let nodes = self.optional(b",\"nodes\":")?;
+        let wall_micros = self.field(b",\"wall_micros\":")?;
+        let status = match label {
+            "invalid" => {
+                self.lit(b",\"error\":")?;
+                RunStatus::Invalid(self.string()?)
+            }
+            label => RunStatus::from_label(label, None)?,
+        };
+        self.lit(b"}")?;
+        Some(SolverRun {
+            solver,
+            status,
+            makespan,
+            certified_horizon,
+            nodes,
+            wall_micros,
+        })
+    }
+}
+
+#[cfg(test)]
+impl SolveReport {
+    /// The tree reader [`read_store_json`](Self::read_store_json) replaced,
+    /// kept as its differential reference: it parses a [`Json`] tree, looks
+    /// keys up by name and ignores unknown ones, so it accepts layouts the
+    /// store never writes.
+    fn from_store_json(v: &Json) -> Option<SolveReport> {
+        let id = match v.get("id") {
+            Some(j) => Some(j.as_str()?.to_string()),
+            None => None,
+        };
+        let as_bool = |key: &str| match v.get(key)? {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        };
+        let runs = v
+            .get("runs")?
+            .as_arr()?
+            .iter()
+            .map(|r| {
+                let opt_num = |key: &str| match r.get(key) {
+                    Some(j) => j.as_u64().map(Some),
+                    None => Some(None),
+                };
+                Some(SolverRun {
+                    solver: SolverKind::from_name(r.get("solver")?.as_str()?)?,
+                    status: RunStatus::from_label(
+                        r.get("status")?.as_str()?,
+                        r.get("error").and_then(Json::as_str),
+                    )?,
+                    makespan: opt_num("makespan")?,
+                    certified_horizon: opt_num("certified_horizon")?,
+                    nodes: opt_num("nodes")?,
+                    wall_micros: r.get("wall_micros")?.as_u64()?,
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let assignments = v
+            .get("schedule")?
+            .as_arr()?
+            .iter()
+            .map(|pair| {
+                let pair = pair.as_arr()?;
+                if pair.len() != 2 {
+                    return None;
+                }
+                Some(msrs_core::Assignment {
+                    machine: pair[0].as_usize()?,
+                    start: pair[1].as_u64()?,
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(SolveReport {
+            id,
+            jobs: v.get("jobs")?.as_usize()?,
+            machines: v.get("machines")?.as_usize()?,
+            classes: v.get("classes")?.as_usize()?,
+            lower_bound: v.get("lower_bound")?.as_u64()?,
+            makespan: v.get("makespan")?.as_u64()?,
+            winner: SolverKind::from_name(v.get("winner")?.as_str()?)?,
+            certified_horizon: v.get("certified_horizon")?.as_u64()?,
+            certified_by: SolverKind::from_name(v.get("certified_by")?.as_str()?)?,
+            proven_optimal: as_bool("proven_optimal")?,
+            cache_hit: as_bool("cache_hit")?,
+            wall_micros: v.get("wall_micros")?.as_u64()?,
+            runs,
+            schedule: Schedule::new(assignments),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -547,7 +755,7 @@ mod tests {
             assert_eq!(std::str::from_utf8(&bytes).unwrap(), text);
             assert!(text.contains("\"schedule\":[[0,0],[1,3]]"), "{text}");
             assert!(text.contains("\"error\":\"ghost overlap on machine 1\""));
-            let back = SolveReport::from_store_json(&Json::parse(&text).unwrap()).unwrap();
+            let back = SolveReport::read_store_json(&text).unwrap();
             assert_eq!(back.to_store_json().to_string(), text, "id {id:?}");
             assert_eq!(back.runs[1].status, r.runs[1].status);
             assert_eq!(back.schedule, r.schedule);
@@ -558,7 +766,7 @@ mod tests {
             r.write_json_line(&mut expect);
             assert_eq!(wire, expect);
         }
-        assert!(SolveReport::from_store_json(&Json::parse("{\"jobs\":1}").unwrap()).is_none());
+        assert!(SolveReport::read_store_json("{\"jobs\":1}").is_none());
         assert_eq!(RunStatus::from_label("bogus", None), None);
     }
 
@@ -670,8 +878,145 @@ mod tests {
         )
     }
 
+    /// `r`'s store serialization.
+    fn store_text(r: &SolveReport) -> String {
+        let mut bytes = Vec::new();
+        r.write_store_json(&mut bytes);
+        String::from_utf8(bytes).expect("JSON output is UTF-8")
+    }
+
+    /// Offsets where an integer literal starts: a digit after `:`, `[` or
+    /// `,`.
+    fn number_starts(text: &str) -> Vec<usize> {
+        let b = text.as_bytes();
+        (1..b.len())
+            .filter(|&i| b[i].is_ascii_digit() && matches!(b[i - 1], b':' | b'[' | b','))
+            .collect()
+    }
+
+    /// Key pairs the swap edit exchanges, at their first occurrences.
+    const KEY_SWAPS: [(&str, &str); 7] = [
+        ("jobs", "machines"),
+        ("lower_bound", "makespan"),
+        ("winner", "certified_by"),
+        ("proven_optimal", "cache_hit"),
+        ("wall_micros", "runs"),
+        ("runs", "schedule"),
+        ("solver", "status"),
+    ];
+
+    /// Literals the writer never writes, for the integer edit.
+    const FOREIGN_NUMBERS: [&str; 6] = [
+        "-0",
+        "1e3",
+        "1.0",
+        "100000000000000000000",
+        "18446744073709551616",
+        "-1",
+    ];
+
+    /// Spellings a JSON reader decodes like the writer's own.
+    const EQUIVALENT_ESCAPES: [(&str, &str); 4] = [
+        ("\\n", "\\u000a"),
+        ("/", "\\/"),
+        ("a", "\\u0061"),
+        ("\\u001f", "\\u001F"),
+    ];
+
+    /// `text` with one edit of kind `kind`, at the `pick`-th place (modulo
+    /// their count) where that edit applies; `None` when it applies
+    /// nowhere.
+    fn edit(text: &str, kind: usize, pick: usize) -> Option<String> {
+        let b = text.as_bytes();
+        let at = |places: Vec<usize>| (!places.is_empty()).then(|| places[pick % places.len()]);
+        let bytes_where = |pred: fn(u8) -> bool| (0..b.len()).filter(|&i| pred(b[i])).collect();
+        let insert = |i: usize, s: &str| format!("{}{s}{}", &text[..i], &text[i..]);
+        Some(match kind {
+            // A space after a `:` or a `,`.
+            0 => insert(at(bytes_where(|c| c == b':' || c == b','))? + 1, " "),
+            // A leading zero.
+            1 => insert(at(number_starts(text))?, "0"),
+            // An integer the writer would have written otherwise.
+            2 => {
+                let start = at(number_starts(text))?;
+                let end = start + text[start..].bytes().take_while(u8::is_ascii_digit).count();
+                let with = FOREIGN_NUMBERS[pick % FOREIGN_NUMBERS.len()];
+                format!("{}{with}{}", &text[..start], &text[end..])
+            }
+            // Two keys swapped.
+            3 => {
+                let (x, y) = KEY_SWAPS[pick % KEY_SWAPS.len()];
+                let (x, y) = (format!("\"{x}\":"), format!("\"{y}\":"));
+                let (i, j) = (text.find(&x)?, text.find(&y)?);
+                let (i, x, j, y) = if i < j { (i, x, j, y) } else { (j, y, i, x) };
+                let (head, mid, tail) = (&text[..i], &text[i + x.len()..j], &text[j + y.len()..]);
+                format!("{head}{y}{mid}{x}{tail}")
+            }
+            // An unknown member.
+            4 => insert(at(bytes_where(|c| c == b'{'))? + 1, "\"extra\":0,"),
+            // A key renamed: an `x` before the quote that ends it.
+            5 => {
+                let ends = (0..b.len())
+                    .filter(|&i| b[i..].starts_with(b"\":"))
+                    .collect();
+                insert(at(ends)?, "x")
+            }
+            // An `A` after a quote: in a key, a name, a label or a string.
+            6 => insert(at(bytes_where(|c| c == b'"'))? + 1, "A"),
+            // A `}` dropped.
+            7 => {
+                let i = at(bytes_where(|c| c == b'}'))?;
+                format!("{}{}", &text[..i], &text[i + 1..])
+            }
+            // Trailing bytes.
+            8 => format!("{text}{}", [" ", "\n", "x", "}", "{}", ","][pick % 6]),
+            // An escape the writer does not use, in a string or a key.
+            9 => {
+                let (from, to) = EQUIVALENT_ESCAPES[pick % EQUIVALENT_ESCAPES.len()];
+                let at = at(text.match_indices(from).map(|(i, _)| i).collect())?;
+                format!("{}{to}{}", &text[..at], &text[at + from.len()..])
+            }
+            // A cut.
+            _ => {
+                let cut = at((0..text.len())
+                    .filter(|&i| text.is_char_boundary(i))
+                    .collect())?;
+                text[..cut].to_string()
+            }
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn store_reader_reads_back_every_report(r in report()) {
+            let text = store_text(&r);
+            let back = SolveReport::read_store_json(&text).expect("the writer's bytes read back");
+            prop_assert_eq!(store_text(&back), text);
+        }
+
+        /// On payloads with one edit each, the one-pass reader accepts
+        /// only the writer's bytes, and everything the tree reference
+        /// accepts that is the writer's bytes.
+        #[test]
+        fn store_reader_accepts_exactly_the_writers_bytes(
+            r in report(),
+            kind in 0usize..11,
+            pick in any::<usize>(),
+        ) {
+            let edited = edit(&store_text(&r), kind, pick);
+            prop_assume!(edited.is_some());
+            let edited = edited.expect("assumed above");
+            let ours = SolveReport::read_store_json(&edited);
+            if let Some(back) = &ours {
+                prop_assert_eq!(store_text(back), edited.as_str());
+            }
+            let reference = Json::parse(&edited).ok().and_then(|v| SolveReport::from_store_json(&v));
+            if reference.is_some_and(|back| store_text(&back) == edited) {
+                prop_assert!(ours.is_some(), "refused the writer's bytes {edited}");
+            }
+        }
 
         #[test]
         fn byte_writer_matches_tree_serialization(

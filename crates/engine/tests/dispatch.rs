@@ -16,9 +16,10 @@
 //!   `shard_quarantined` record in its place, and the rest of the run
 //!   completes normally;
 //! * **worker protocol** — over a scripted coordinator, a fleet cache hit
-//!   is installed only when it answers the probed instance, and a
-//!   coordinator that closes where `#run` belongs ends the conversation
-//!   cleanly;
+//!   is installed only when it answers the probed instance in the store
+//!   writer's exact bytes, a coordinator line over 64 MiB ends the
+//!   session, and a coordinator that closes where `#run` belongs ends the
+//!   conversation cleanly;
 //! * **checkpointed resume** — a run interrupted after a random shard
 //!   resumes from its checkpoint to a byte-identical output file and
 //!   bits-exact merged statistics, also after its checkpoint lost part of
@@ -475,18 +476,25 @@ impl Write for Captured {
 }
 
 /// Runs the worker protocol over a scripted coordinator `input` (the
-/// whole conversation, written up front) and returns what the worker
-/// said, heartbeats left out.
-fn scripted_worker(engine: &Engine, input: String) -> io::Result<Vec<String>> {
+/// whole conversation, written up front) and returns how the session
+/// ended and what the worker said, heartbeats left out.
+fn converse(engine: &Engine, input: String) -> (io::Result<()>, Vec<String>) {
     let out = Captured::default();
     let heartbeat = Duration::from_millis(20);
-    dispatch::run_worker(engine, Cursor::new(input), out.clone(), heartbeat, 1)?;
+    let ended = dispatch::run_worker(engine, Cursor::new(input), out.clone(), heartbeat, 1);
     let text = String::from_utf8(out.0.lock().unwrap().clone()).expect("utf8 output");
-    Ok(text
+    let said = text
         .lines()
         .filter(|l| *l != "#hb")
         .map(str::to_owned)
-        .collect())
+        .collect();
+    (ended, said)
+}
+
+/// [`converse`], for a session that must end cleanly.
+fn scripted_worker(engine: &Engine, input: String) -> io::Result<Vec<String>> {
+    let (ended, said) = converse(engine, input);
+    ended.map(|()| said)
 }
 
 const PROBED_LINE: &str = r#"{"id":"a","machines":2,"classes":[[5,3],[4],[2,2]]}"#;
@@ -494,8 +502,9 @@ const PROBED_LINE: &str = r#"{"id":"a","machines":2,"classes":[[5,3],[4],[2,2]]}
 /// A fleet cache hit is installed only when its report answers the
 /// canonical instance the worker probed for. A well-formed report with a
 /// wrong schedule is solved locally, answered exactly as a batch run
-/// answers the line, and owed back as a fill; a sound report is served as
-/// a hit; and a reply naming another fingerprint fails the exchange.
+/// answers the line, and owed back as a fill, and so is a sound report in
+/// any layout but the store writer's; a sound report is served as a hit;
+/// and a reply naming another fingerprint fails the exchange.
 #[test]
 fn fleet_cache_hits_are_checked_against_the_probed_instance() {
     let cfg = EngineConfig {
@@ -538,18 +547,22 @@ fn fleet_cache_hits_are_checked_against_the_probed_instance() {
         String::from_utf8(bytes).unwrap()
     };
 
-    let said = scripted_worker(
-        &Engine::new(cfg.clone()),
-        conversation(format!("#cachehit {fp:032x} {}", store_json(&wrong))),
-    )
-    .expect("a wrong hit is solved locally");
-    assert_eq!(said[0], format!("#cacheq {fp:032x}"));
-    let reports: Vec<&String> = said.iter().filter(|l| l.starts_with('{')).collect();
-    assert_eq!(reports.len(), 1, "{said:?}");
-    assert!(reports[0].contains("\"cache_hit\":false"), "{}", reports[0]);
-    assert_eq!(redacted(reports[0]), redacted(reference));
-    let fill = format!("#cachefill {fp:032x} ");
-    assert!(said.iter().any(|l| l.starts_with(&fill)), "{said:?}");
+    // One space after the first `:` is still JSON, but not the writer's.
+    let spaced = store_json(&sound).replacen(':', ": ", 1);
+    for payload in [store_json(&wrong), spaced] {
+        let said = scripted_worker(
+            &Engine::new(cfg.clone()),
+            conversation(format!("#cachehit {fp:032x} {payload}")),
+        )
+        .expect("a refused hit is solved locally");
+        assert_eq!(said[0], format!("#cacheq {fp:032x}"));
+        let reports: Vec<&String> = said.iter().filter(|l| l.starts_with('{')).collect();
+        assert_eq!(reports.len(), 1, "{said:?}");
+        assert!(reports[0].contains("\"cache_hit\":false"), "{}", reports[0]);
+        assert_eq!(redacted(reports[0]), redacted(reference));
+        let fill = format!("#cachefill {fp:032x} ");
+        assert!(said.iter().any(|l| l.starts_with(&fill)), "{said:?}");
+    }
 
     let said = scripted_worker(
         &Engine::new(cfg.clone()),
@@ -571,6 +584,34 @@ fn fleet_cache_hits_are_checked_against_the_probed_instance() {
     )
     .expect_err("a reply for another fingerprint is malformed");
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+}
+
+/// A worker reads its coordinator's lines through the 64 MiB bound: a
+/// longer shard line or cache reply ends the session with `InvalidData`
+/// naming the bound, before any report.
+#[test]
+fn an_over_long_coordinator_line_ends_the_session() {
+    const MAX_LINE_BYTES: usize = 64 << 20;
+    let cfg = EngineConfig {
+        cache_capacity: 1024,
+        ..EngineConfig::default()
+    };
+    let fp = jsonl::read_instance_line(1, PROBED_LINE)
+        .unwrap()
+        .instance
+        .canonical_form()
+        .fingerprint();
+    let long = "a".repeat(MAX_LINE_BYTES + 1);
+    for input in [
+        format!("#shard 0 1 1 cache\n{long}\n#run\n"),
+        format!("#shard 0 1 1 cache\n{PROBED_LINE}\n#run\n#cachehit {fp:032x} {long}\n"),
+    ] {
+        let (ended, said) = converse(&Engine::new(cfg.clone()), input);
+        let err = ended.expect_err("an over-long line ends the session");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("67108864"), "{err}");
+        assert!(!said.iter().any(|l| l.starts_with('{')), "{said:?}");
+    }
 }
 
 /// A coordinator that closes the transport where `#run` belongs has gone
