@@ -323,17 +323,6 @@ impl<'a> ScheduleBuilder<'a> {
         None
     }
 
-    /// Whether job `j` has been placed already.
-    #[inline]
-    pub fn is_placed(&self, j: JobId) -> bool {
-        self.placed[j]
-    }
-
-    /// Number of jobs placed so far.
-    pub fn placed_count(&self) -> usize {
-        self.placed.iter().filter(|&&p| p).count()
-    }
-
     /// Resolves all blocks into a [`Schedule`].
     pub fn finalize(self) -> Result<Schedule, BuildError> {
         let missing: Vec<JobId> = self

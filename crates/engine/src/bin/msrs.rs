@@ -571,9 +571,9 @@ fn cmd_batch(flags: &Flags) -> Result<(), String> {
     drop(out);
     // Join the store's writer first, so the snapshot counts its flushes.
     engine.close_store();
-    // All summary lines below are rebuilt from registry snapshots (the
-    // per-run view is the delta against the pre-run snapshot); the engine's
-    // deprecated per-object accessors are no longer consulted.
+    // The `batch:` and `data plane:` lines below come from the run's own
+    // stats; the `cache:` and `pool:` lines come from this registry
+    // snapshot, their counters as deltas against the pre-run snapshot.
     let after = telemetry::snapshot();
     write_metrics(flags, &after)?;
     if !flags.has("--quiet") {

@@ -21,9 +21,11 @@
 //!
 //! Durability and recovery:
 //!
-//! * One method, `record`, writes reports: for an [`Engine`]'s writer
-//!   thread (its miss batches) and the dispatch coordinator (its fleet's
-//!   fills). [`CacheStore::sync`] makes a batch durable with one `fsync`;
+//! * One method, `record`, appends a report's store bytes unless the
+//!   store holds its fingerprint: for an [`Engine`]'s writer thread (its
+//!   miss batches, serialized there) and the dispatch coordinator (its
+//!   fleet's fills, as received). [`CacheStore::sync`] makes a batch
+//!   durable with one `fsync`;
 //!   a record the store synced survives a `kill -9`.
 //! * A crash mid-append tears at most the final line. The loader drops it
 //!   silently (the entry is re-solved and re-appended later) and the
@@ -86,8 +88,6 @@ pub struct CacheStore {
     held: HashSet<u128>,
     /// Whether a record was appended since the last `fsync`.
     unsynced: bool,
-    /// The buffer `record` serializes into, reused across calls.
-    payload: String,
 }
 
 /// The record for `fp` under `config_fp`, before the journal adds its
@@ -163,7 +163,6 @@ impl CacheStore {
             config_fp,
             held: entries.iter().map(|e| e.fingerprint).collect(),
             unsynced: false,
-            payload: String::new(),
         };
         Ok((store, entries, stats))
     }
@@ -179,20 +178,16 @@ impl CacheStore {
         Ok(())
     }
 
-    /// Appends `report` under `fp` unless the store already holds `fp`,
-    /// and returns the payload it appended: the report's store
-    /// serialization. The one write path of the engine's writer and the
-    /// dispatch coordinator.
-    pub(crate) fn record(&mut self, fp: u128, report: &SolveReport) -> io::Result<Option<&str>> {
+    /// Appends `payload`, a report's [`SolveReport::write_store_json`]
+    /// bytes, under `fp` unless the store already holds `fp`, and returns
+    /// whether it appended. The one write path of the engine's writer and
+    /// the dispatch coordinator.
+    pub(crate) fn record(&mut self, fp: u128, payload: &str) -> io::Result<bool> {
         if self.held.contains(&fp) {
-            return Ok(None);
+            return Ok(false);
         }
-        let mut bytes = std::mem::take(&mut self.payload).into_bytes();
-        report.write_store_json(&mut bytes);
-        let payload = String::from_utf8(bytes).expect("JSON output is UTF-8");
-        self.append(fp, self.config_fp, &payload)?;
-        self.payload = payload;
-        Ok(Some(&self.payload))
+        self.append(fp, self.config_fp, payload)?;
+        Ok(true)
     }
 
     /// Makes every appended record durable: one `fsync`, counted as one
@@ -222,9 +217,13 @@ impl StoreWriter {
     pub(crate) fn spawn(mut store: CacheStore) -> StoreWriter {
         let (batches, rx) = sync_channel::<Batch>(1);
         let thread = std::thread::spawn(move || {
+            let mut payload = Vec::new();
             for batch in rx {
                 for (fp, report) in &batch {
-                    if let Err(e) = store.record(*fp, report) {
+                    payload.clear();
+                    report.write_store_json(&mut payload);
+                    let payload = std::str::from_utf8(&payload).expect("JSON output is UTF-8");
+                    if let Err(e) = store.record(*fp, payload) {
                         eprintln!("msrs: cache store append failed: {e}");
                     }
                 }
@@ -380,7 +379,8 @@ mod tests {
         // The store does not hold the lost fingerprint: recording it again
         // appends it, and the next open serves it. The corrupt line stays
         // in the file and is counted again.
-        assert!(store.record(41, &report(40)).unwrap().is_some());
+        let payload = report(40).to_store_json().to_string();
+        assert!(store.record(41, &payload).unwrap());
         store.sync().unwrap();
         drop(store);
         let (_store, entries, stats) = CacheStore::open(&path, 7).unwrap();

@@ -43,17 +43,21 @@
 //! ## Leases and stale attempts
 //!
 //! Every shard assignment is a *lease* identified by a monotonically
-//! increasing per-shard attempt id: at most one attempt owns a shard's
-//! commit slot at a time, and a lapsed lease — worker disconnect,
+//! increasing per-shard attempt id. It lives in one place, the handle of
+//! the worker holding it: a worker is idle, holds one attempt, or is a
+//! zombie (a remote worker whose lease was revoked but whose socket is
+//! still alive). Busy workers, a shard's live attempts and every deadline
+//! are read off those leases. A lapsed lease — worker disconnect,
 //! heartbeat silence, or shard deadline — returns the shard to the queue
-//! and bumps the attempt counter. A zombie worker (a remote worker whose
-//! lease was revoked but whose socket is still alive) may later deliver
-//! a `#done` for the stale attempt; the coordinator discards it (counted
-//! as a stale-attempt drop) and never commits it, so a shard's reports
-//! reach the merged stream exactly once. A shard's buffered report lines
-//! are committed only when its `#done` arrives with the matching shard
-//! index, attempt id, and report count: torn, garbled, duplicated, or
-//! stale output from a dying worker can never reach the merged stream.
+//! and bumps the attempt counter. A `#done` or `#error` is a stale drop
+//! (counted, never committed) when its worker is a zombie, when its
+//! worker is idle and names a shard whose output is already final, or
+//! when a hedge twin committed first; an idle worker's line naming any
+//! other shard fails the worker. A shard's buffered report lines are
+//! committed only when its `#done` arrives with the matching shard index,
+//! attempt id, and report count: torn, garbled, duplicated, or stale
+//! output from a dying worker can never reach the merged stream, and a
+//! shard's reports reach it exactly once.
 //!
 //! ## Straggler hedging
 //!
@@ -128,14 +132,14 @@
 //! it, bit-identically to a local hit. Any other payload is solved
 //! locally, exactly like a miss. After solving, the worker sends a
 //! `#cachefill <fp> <payload>` for every probed miss it now holds (before
-//! `#done`, while its lease is live); the coordinator parses each fill
-//! and records it through the store's one write path, the one the
-//! engine's store writer uses too: the store serializes the report anew
-//! and appends it unless it already holds the fingerprint. Fills from
-//! zombie or idle workers are dropped (counted as
+//! `#done`, while its lease is live); the coordinator checks that each
+//! fill reads as a report and records the bytes it received through the
+//! store's one write path, the one the engine's store writer uses too:
+//! the store appends them unless it already holds the fingerprint. Fills
+//! from zombie or idle workers are dropped (counted as
 //! `msrs_dispatch_stale_fills_dropped_total`). The coordinator holds no
-//! instances, so it cannot check a fill; a bad store entry costs a
-//! probing worker a local solve, never a wrong report. It makes the
+//! instances, so it cannot check a fill against one; a bad store entry
+//! costs a probing worker a local solve, never a wrong report. It makes the
 //! recorded fills durable with one `fsync` per drained event batch that
 //! appended any, so every fill is on disk before the checkpoint journals
 //! a later shard. The coordinator answers probes into a buffer per
@@ -149,7 +153,7 @@
 //! through the remote handshake ([`crate::remote::REMOTE_PROTO_VERSION`]),
 //! so pre-cache workers are rejected before they can mis-parse it.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::net::{Shutdown, TcpStream};
@@ -996,16 +1000,16 @@ pub(crate) enum Msg {
     Joined(TcpStream, u64, Option<u64>),
 }
 
-/// A worker's lease state as the coordinator sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WorkerState {
+/// A worker's lease: the one place the coordinator records which shard
+/// attempt, if any, the worker runs.
+enum Lease {
     Idle,
-    Busy,
+    Held(Inflight),
     /// A remote worker whose lease was revoked (heartbeat silence or
     /// deadline) but whose socket is still open: anything it sends for
     /// the stale attempt is discarded, and a `#done`/`#error` returns it
     /// to `Idle`.
-    Zombie,
+    Revoked,
 }
 
 /// A worker connection that passed the handshake.
@@ -1015,23 +1019,31 @@ struct WorkerHandle {
     /// The process, for a child this coordinator spawned.
     child: Option<Child>,
     reader: JoinHandle<()>,
-    state: WorkerState,
+    lease: Lease,
     last_output: Instant,
-    shard_started: Instant,
     /// `#cacheq` replies not yet written; the main loop writes them once
     /// per drained event batch.
     replies: Vec<u8>,
 }
 
 impl WorkerHandle {
+    /// The shard attempt the worker holds, if any.
+    fn attempt(&self) -> Option<&Inflight> {
+        match &self.lease {
+            Lease::Held(attempt) => Some(attempt),
+            Lease::Idle | Lease::Revoked => None,
+        }
+    }
+
     /// Tears the worker down: kill + reap a child, shut the socket down,
-    /// and join the reader thread.
-    fn teardown(self) {
+    /// and join the reader thread. Returns the lease it held.
+    fn teardown(self) -> Lease {
         if let Some(child) = self.child {
             reap(child);
         }
         let _ = self.stream.shutdown(Shutdown::Both);
         let _ = self.reader.join();
+        self.lease
     }
 }
 
@@ -1047,9 +1059,9 @@ fn reap(mut child: Child) {
     let _ = child.wait();
 }
 
-/// Per-shard lease bookkeeping: the attempt counter, live attempt count,
-/// and failure history. Lives in `tracks` from assignment until the
-/// shard commits or quarantines.
+/// Per-shard bookkeeping: the attempt counter and failure history. Lives
+/// in `tracks` from the shard's read until it commits, errors or
+/// quarantines; its live attempts are the worker leases that name it.
 struct ShardTrack {
     shard: Arc<Shard>,
     /// Failed attempts so far.
@@ -1057,8 +1069,6 @@ struct ShardTrack {
     /// Next attempt id to hand out (1-based, monotonic — stale attempts
     /// are recognized by comparing against this sequence).
     next_attempt: u32,
-    /// Attempts currently running (2 while a hedge race is on).
-    active: u32,
     /// The attempt id of the outstanding hedge, if one was launched.
     hedge_attempt: Option<u32>,
     last_failure: String,
@@ -1114,13 +1124,11 @@ struct Coordinator<'a> {
     /// `Some` when a `--cache-path` store backs the fleet cache plane.
     cache: Option<CacheAuthority>,
     workers: Vec<WorkerHandle>,
-    inflight: HashMap<u64, Inflight>,
     tracks: HashMap<usize, ShardTrack>,
-    /// Shards whose output is final (committed, errored, or
-    /// quarantined): late attempts for these are stale drops.
-    committed: HashSet<usize>,
     retries: Vec<Retry>,
     completed: BTreeMap<usize, Completed>,
+    /// The next shard to emit: every shard below it is written out.
+    next_emit: usize,
     /// Trailing committed-attempt durations for the hedging median.
     durations: VecDeque<Duration>,
     tx: Sender<Msg>,
@@ -1151,11 +1159,10 @@ impl<'a> Coordinator<'a> {
             join_failures: 0,
             cache: None,
             workers: Vec::new(),
-            inflight: HashMap::new(),
             tracks: HashMap::new(),
-            committed: HashSet::new(),
             retries: Vec::new(),
             completed: BTreeMap::new(),
+            next_emit: 0,
             durations: VecDeque::new(),
             tx,
             rx,
@@ -1262,9 +1269,8 @@ impl<'a> Coordinator<'a> {
             stream,
             child,
             reader,
-            state: WorkerState::Idle,
+            lease: Lease::Idle,
             last_output: Instant::now(),
-            shard_started: Instant::now(),
             replies: Vec::new(),
         });
     }
@@ -1278,7 +1284,6 @@ impl<'a> Coordinator<'a> {
                 shard: Arc::new(shard),
                 failures: 0,
                 next_attempt: 1,
-                active: 0,
                 hedge_attempt: None,
                 last_failure: String::new(),
                 last_worker: None,
@@ -1294,7 +1299,6 @@ impl<'a> Coordinator<'a> {
         let track = self.tracks.get_mut(&index).expect("assigning known shard");
         let attempt = track.next_attempt;
         track.next_attempt += 1;
-        track.active += 1;
         let shard = Arc::clone(&track.shard);
         let mut payload =
             String::with_capacity(shard.lines.iter().map(|l| l.len() + 1).sum::<usize>() + 64);
@@ -1313,22 +1317,17 @@ impl<'a> Coordinator<'a> {
         }
         payload.push_str("#run\n");
         let w = &mut self.workers[pos];
-        let ordinal = w.ordinal;
-        w.state = WorkerState::Busy;
-        w.last_output = Instant::now();
-        w.shard_started = Instant::now();
-        let sent = w.stream.write_all(payload.as_bytes());
-        self.inflight.insert(
-            ordinal,
-            Inflight {
-                index,
-                attempt,
-                reports: Vec::new(),
-                report_count: 0,
-                started: Instant::now(),
-            },
-        );
-        if let Err(e) = sent {
+        let started = Instant::now();
+        w.last_output = started;
+        w.lease = Lease::Held(Inflight {
+            index,
+            attempt,
+            reports: Vec::new(),
+            report_count: 0,
+            started,
+        });
+        if let Err(e) = w.stream.write_all(payload.as_bytes()) {
+            let ordinal = w.ordinal;
             self.fail_worker(ordinal, &format!("failed to send shard: {e}"));
         }
     }
@@ -1336,25 +1335,42 @@ impl<'a> Coordinator<'a> {
     fn idle_worker(&self) -> Option<usize> {
         self.workers
             .iter()
-            .position(|w| w.state == WorkerState::Idle)
+            .position(|w| matches!(w.lease, Lease::Idle))
     }
 
-    /// Records a failed attempt of shard `index`. If a twin attempt is
-    /// still running (hedge race), the shard stays leased; otherwise it
-    /// is retried with backoff or quarantined. No-op when the shard
-    /// already committed (a hedge loser dying late).
+    /// The attempts of shard `index` that workers hold (2 while a hedge
+    /// race is on).
+    fn live_attempts(&self, index: usize) -> usize {
+        self.workers
+            .iter()
+            .filter_map(WorkerHandle::attempt)
+            .filter(|a| a.index == index)
+            .count()
+    }
+
+    /// Whether shard `index`'s output is final: it was read and has left
+    /// `tracks`, so it is emitted or waits in `completed`.
+    fn is_final(&self, index: usize) -> bool {
+        index < self.next_emit || self.completed.contains_key(&index)
+    }
+
+    /// Records a failed attempt of shard `index`, whose lease the caller
+    /// has already ended. If a twin attempt is still running (hedge
+    /// race), the shard stays leased; otherwise it is retried with
+    /// backoff or quarantined. No-op when the shard already committed (a
+    /// hedge loser dying late).
     fn fail_attempt(&mut self, index: usize, attempt: u32, ordinal: u64, reason: &str) {
+        let live = self.live_attempts(index);
         let Some(track) = self.tracks.get_mut(&index) else {
             return; // shard already committed/quarantined: nothing to redo
         };
-        track.active = track.active.saturating_sub(1);
         track.failures += 1;
         track.last_failure = reason.to_string();
         track.last_worker = Some(ordinal);
         if track.hedge_attempt == Some(attempt) {
             track.hedge_attempt = None;
         }
-        if track.active > 0 {
+        if live > 0 {
             return; // the surviving twin is the live retry
         }
         let failures = track.failures;
@@ -1378,7 +1394,6 @@ impl<'a> Coordinator<'a> {
             }
             obj.push(("message".into(), Json::Str(track.last_failure.clone())));
             let line = Json::Obj(obj);
-            self.committed.insert(index);
             self.completed.insert(
                 index,
                 Completed {
@@ -1409,10 +1424,9 @@ impl<'a> Coordinator<'a> {
         let Some(pos) = self.workers.iter().position(|w| w.ordinal == ordinal) else {
             return;
         };
-        let w = self.workers.remove(pos);
-        w.teardown();
+        let lease = self.workers.remove(pos).teardown();
         registry().dispatch_worker_crashes_total.inc();
-        if let Some(entry) = self.inflight.remove(&ordinal) {
+        if let Lease::Held(entry) = lease {
             self.fail_attempt(entry.index, entry.attempt, ordinal, reason);
         }
     }
@@ -1421,9 +1435,9 @@ impl<'a> Coordinator<'a> {
     /// worker becomes a zombie whose stale output is discarded, and the
     /// shard is requeued immediately.
     fn revoke_lease(&mut self, pos: usize, reason: &str) {
-        let ordinal = self.workers[pos].ordinal;
-        self.workers[pos].state = WorkerState::Zombie;
-        if let Some(entry) = self.inflight.remove(&ordinal) {
+        let w = &mut self.workers[pos];
+        let ordinal = w.ordinal;
+        if let Lease::Held(entry) = std::mem::replace(&mut w.lease, Lease::Revoked) {
             self.fail_attempt(entry.index, entry.attempt, ordinal, reason);
         }
     }
@@ -1439,14 +1453,17 @@ impl<'a> Coordinator<'a> {
     fn next_deadline(&self) -> Duration {
         let mut deadline = Duration::from_millis(100);
         let now = Instant::now();
-        for w in self.workers.iter().filter(|w| w.state == WorkerState::Busy) {
+        for w in &self.workers {
+            let Some(attempt) = w.attempt() else {
+                continue;
+            };
             let hb_left = self
                 .cfg
                 .heartbeat_timeout
                 .saturating_sub(now.duration_since(w.last_output));
             deadline = deadline.min(hb_left);
             if let Some(limit) = self.cfg.shard_timeout {
-                deadline = deadline.min(limit.saturating_sub(now.duration_since(w.shard_started)));
+                deadline = deadline.min(limit.saturating_sub(now.duration_since(attempt.started)));
             }
         }
         for r in &self.retries {
@@ -1463,10 +1480,9 @@ impl<'a> Coordinator<'a> {
         let late: Vec<(u64, bool, String)> = self
             .workers
             .iter()
-            .filter(|w| w.state == WorkerState::Busy)
             .filter_map(|w| {
                 let silent = now.duration_since(w.last_output);
-                let running = now.duration_since(w.shard_started);
+                let running = now.duration_since(w.attempt()?.started);
                 let reason = if silent > self.cfg.heartbeat_timeout {
                     format!("no output for {} ms", silent.as_millis())
                 } else if self.cfg.shard_timeout.is_some_and(|limit| running > limit) {
@@ -1507,19 +1523,21 @@ impl<'a> Coordinator<'a> {
                 return;
             };
             let now = Instant::now();
-            // The slowest eligible straggler: active solo attempt, past
-            // the threshold, not already hedged.
+            // The slowest eligible straggler: its shard's only held
+            // attempt, past the threshold, not already hedged.
             let candidate = self
-                .inflight
-                .values()
-                .filter(|inf| now.duration_since(inf.started) > threshold)
-                .filter(|inf| {
+                .workers
+                .iter()
+                .filter_map(WorkerHandle::attempt)
+                .filter(|a| now.duration_since(a.started) > threshold)
+                .filter(|a| {
                     self.tracks
-                        .get(&inf.index)
-                        .is_some_and(|t| t.active == 1 && t.hedge_attempt.is_none())
+                        .get(&a.index)
+                        .is_some_and(|t| t.hedge_attempt.is_none())
+                        && self.live_attempts(a.index) == 1
                 })
-                .min_by_key(|inf| inf.started)
-                .map(|inf| inf.index);
+                .min_by_key(|a| a.started)
+                .map(|a| a.index);
             let Some(index) = candidate else {
                 return;
             };
@@ -1545,79 +1563,69 @@ impl<'a> Coordinator<'a> {
         self.workers[pos].last_output = Instant::now();
         match event {
             Event::Heartbeat => {}
-            Event::Report(line) => {
-                if self.workers[pos].state == WorkerState::Zombie {
-                    return; // stale attempt's reports: drop silently
+            Event::Report(line) => match &mut self.workers[pos].lease {
+                Lease::Held(entry) => {
+                    entry.reports.extend_from_slice(line.as_bytes());
+                    entry.reports.push(b'\n');
+                    entry.report_count += 1;
                 }
-                match self.inflight.get_mut(&ordinal) {
-                    Some(entry) => {
-                        entry.reports.extend_from_slice(line.as_bytes());
-                        entry.reports.push(b'\n');
-                        entry.report_count += 1;
-                    }
-                    None => self.fail_worker(ordinal, "report line from an idle worker"),
-                }
-            }
+                Lease::Revoked => {} // stale attempt's reports: drop silently
+                Lease::Idle => self.fail_worker(ordinal, "report line from an idle worker"),
+            },
             Event::Done {
                 shard,
                 attempt,
                 stats,
-            } => self.handle_done(pos, ordinal, shard, attempt, stats),
-            Event::Error(payload) => self.handle_error(pos, ordinal, payload),
+            } => self.handle_done(pos, shard, attempt, stats),
+            Event::Error(payload) => self.handle_error(pos, payload),
             Event::CacheQ(fp) => self.handle_cacheq(pos, fp),
-            Event::CacheFill(fp, payload) => self.handle_cachefill(pos, ordinal, fp, &payload),
+            Event::CacheFill(fp, payload) => self.handle_cachefill(pos, fp, &payload),
             Event::Garbage(line) => {
                 let reason = format!("garbled worker output: `{}`", truncate(&line, 120));
                 self.fail_worker(ordinal, &reason);
             }
-            Event::Eof => {
-                self.fail_worker(ordinal, "worker exited mid-run");
-            }
+            Event::Eof => self.fail_worker(ordinal, "worker exited mid-run"),
         }
     }
 
-    fn handle_done(
-        &mut self,
-        pos: usize,
-        ordinal: u64,
-        shard: usize,
-        attempt: u32,
-        stats: ShardStats,
-    ) {
-        if self.workers[pos].state == WorkerState::Zombie {
-            // The revoked lease's late #done: the worker is healthy
-            // again, but the attempt is stale.
-            self.stale_drop();
-            self.workers[pos].state = WorkerState::Idle;
-            return;
-        }
-        let Some(entry) = self.inflight.get(&ordinal) else {
-            if self.committed.contains(&shard) {
-                self.stale_drop(); // duplicate #done for a committed shard
-            } else {
-                self.fail_worker(ordinal, "#done from an idle worker");
+    /// Ends worker `pos`'s lease on its `#done`/`#error` naming `shard`:
+    /// returns the held attempt and its shard's track when the line may
+    /// commit, `None` after a stale drop or a failed worker (module docs).
+    fn end_lease(&mut self, pos: usize, shard: Option<usize>) -> Option<(Inflight, ShardTrack)> {
+        let entry = match std::mem::replace(&mut self.workers[pos].lease, Lease::Idle) {
+            Lease::Held(entry) => entry,
+            Lease::Idle if !shard.is_some_and(|s| self.is_final(s)) => {
+                self.fail_worker(self.workers[pos].ordinal, "idle worker sent #done/#error");
+                return None;
             }
-            return;
+            Lease::Idle | Lease::Revoked => {
+                self.stale_drop();
+                return None;
+            }
         };
-        if entry.index != shard
-            || entry.attempt != attempt
-            || entry.report_count as u64 != stats.instances
-        {
-            let reason = format!(
-                "shard report mismatch (#done shard {shard} attempt {attempt} × leased {}/{}, \
-                 {} report(s) × {} instance(s))",
-                entry.index, entry.attempt, entry.report_count, stats.instances
-            );
-            self.fail_worker(ordinal, &reason);
-            return;
-        }
-        let entry = self.inflight.remove(&ordinal).expect("checked above");
-        self.workers[pos].state = WorkerState::Idle;
-        let Some(track) = self.tracks.remove(&shard) else {
+        let Some(track) = self.tracks.remove(&entry.index) else {
             // The hedge twin already committed this shard.
             self.stale_drop();
             registry().dispatch_hedge_wasted_total.inc();
             self.outcome.hedges_wasted += 1;
+            return None;
+        };
+        Some((entry, track))
+    }
+
+    fn handle_done(&mut self, pos: usize, shard: usize, attempt: u32, stats: ShardStats) {
+        if let Some(held) = self.workers[pos].attempt() {
+            let reports = held.report_count as u64;
+            if (held.index, held.attempt, reports) != (shard, attempt, stats.instances) {
+                let reason = format!(
+                    "shard report mismatch (#done shard {shard} attempt {attempt} × leased {}/{}, \
+                     {reports} report(s) × {} instance(s))",
+                    held.index, held.attempt, stats.instances
+                );
+                return self.fail_worker(self.workers[pos].ordinal, &reason);
+            }
+        }
+        let Some((entry, track)) = self.end_lease(pos, Some(shard)) else {
             return;
         };
         if track.hedge_attempt == Some(attempt) {
@@ -1628,7 +1636,6 @@ impl<'a> Coordinator<'a> {
         if self.durations.len() > MEDIAN_WINDOW {
             self.durations.pop_front();
         }
-        self.committed.insert(shard);
         self.completed.insert(
             shard,
             Completed {
@@ -1643,26 +1650,9 @@ impl<'a> Coordinator<'a> {
         );
     }
 
-    fn handle_error(&mut self, pos: usize, ordinal: u64, payload: Json) {
-        if self.workers[pos].state == WorkerState::Zombie {
-            self.stale_drop();
-            self.workers[pos].state = WorkerState::Idle;
-            return;
-        }
-        let Some(entry) = self.inflight.remove(&ordinal) else {
-            let shard = payload.get("shard").and_then(Json::as_usize);
-            if shard.is_some_and(|s| self.committed.contains(&s)) {
-                self.stale_drop();
-            } else {
-                self.fail_worker(ordinal, "#error from an idle worker");
-            }
-            return;
-        };
-        self.workers[pos].state = WorkerState::Idle;
-        let Some(track) = self.tracks.remove(&entry.index) else {
-            self.stale_drop();
-            registry().dispatch_hedge_wasted_total.inc();
-            self.outcome.hedges_wasted += 1;
+    fn handle_error(&mut self, pos: usize, payload: Json) {
+        let shard = payload.get("shard").and_then(Json::as_usize);
+        let Some((entry, track)) = self.end_lease(pos, shard) else {
             return;
         };
         let local = payload
@@ -1679,7 +1669,6 @@ impl<'a> Coordinator<'a> {
             line: global,
             message: "worker reported an unparsable corpus error".into(),
         });
-        self.committed.insert(entry.index);
         self.completed.insert(
             entry.index,
             Completed {
@@ -1701,10 +1690,10 @@ impl<'a> Coordinator<'a> {
     /// line per probe; silence here would deadlock it into a lease expiry.
     fn handle_cacheq(&mut self, pos: usize, fp: u128) {
         let w = &mut self.workers[pos];
-        let hit = if w.state == WorkerState::Zombie {
-            None // stale lease: don't leak cache state to a revoked attempt
-        } else {
-            self.cache.as_ref().and_then(|c| c.map.get(&fp))
+        let hit = match w.lease {
+            // A revoked lease: don't leak cache state to a stale attempt.
+            Lease::Revoked => None,
+            Lease::Idle | Lease::Held(_) => self.cache.as_ref().and_then(|c| c.map.get(&fp)),
         };
         match hit {
             Some(payload) => {
@@ -1733,13 +1722,13 @@ impl<'a> Coordinator<'a> {
     }
 
     /// Accepts (or drops) a `#cachefill` offer. Fills are only trusted
-    /// from a live lease: a zombie or idle sender means the lease lapsed
-    /// before the fill arrived, so it is dropped as stale. Accepted
-    /// payloads are parsed and recorded through the store, which
-    /// serializes them anew — it only ever holds bytes the coordinator
-    /// produced itself.
-    fn handle_cachefill(&mut self, pos: usize, ordinal: u64, fp: u128, payload: &str) {
-        if self.workers[pos].state == WorkerState::Zombie || !self.inflight.contains_key(&ordinal) {
+    /// from a held lease: a revoked or idle sender means the lease lapsed
+    /// before the fill arrived, so it is dropped as stale. An accepted
+    /// payload that [`SolveReport::read_store_json`] reads is recorded
+    /// through the store and indexed as the bytes received: the reader
+    /// accepts exactly the bytes the store's writer would produce.
+    fn handle_cachefill(&mut self, pos: usize, fp: u128, payload: &str) {
+        if self.workers[pos].attempt().is_none() {
             registry().dispatch_stale_fills_dropped_total.inc();
             self.outcome.stale_fills_dropped += 1;
             return;
@@ -1747,24 +1736,25 @@ impl<'a> Coordinator<'a> {
         let Some(cache) = self.cache.as_mut() else {
             return; // no authority: a confused worker's fill is harmless
         };
-        let Some(report) = SolveReport::read_store_json(payload) else {
+        if SolveReport::read_store_json(payload).is_none() {
             return; // unverifiable payload: never persist it
-        };
-        match cache.store.record(fp, &report) {
-            Ok(Some(stored)) => {
-                cache.map.insert(fp, stored.into());
+        }
+        match cache.store.record(fp, payload) {
+            Ok(true) => {
+                cache.map.insert(fp, payload.into());
             }
-            Ok(None) => {} // racing fill from a twin attempt: first one wins
+            Ok(false) => {} // racing fill from a twin attempt: first one wins
             Err(e) => eprintln!("msrs: cache store append failed: {e}"),
         }
     }
 
-    /// Any leased attempt for a still-tracked shard? (Stale leases held
-    /// by zombies don't count: their shard already committed.)
+    /// Any held attempt of a still-tracked shard? (A hedge loser's lease
+    /// doesn't count: its shard already committed.)
     fn busy(&self) -> bool {
-        self.inflight
-            .values()
-            .any(|inf| self.tracks.contains_key(&inf.index))
+        self.workers
+            .iter()
+            .filter_map(WorkerHandle::attempt)
+            .any(|a| self.tracks.contains_key(&a.index))
     }
 
     /// Tears the fleet down: `#shutdown` to every worker so none redials,
@@ -1916,7 +1906,6 @@ pub fn dispatch_fleet<R: BufRead>(
             .collect();
         coord.cache = Some(CacheAuthority { store, map });
     }
-    let mut next_emit = 0usize;
     let mut emitted_bytes = 0u64;
     let mut shards_resumed = 0usize;
     let mut outcome_error: Option<CorpusError> = None;
@@ -1963,7 +1952,7 @@ pub fn dispatch_fleet<R: BufRead>(
             registry().dispatch_shards_resumed_total.inc();
         }
         shards_resumed = records.len();
-        next_emit = shards_resumed;
+        coord.next_emit = shards_resumed;
         emitted_bytes = records.last().map_or(0, |r| r.out_bytes);
         ckpt_log = Some(log);
     }
@@ -1991,7 +1980,7 @@ pub fn dispatch_fleet<R: BufRead>(
     // --- main loop --------------------------------------------------------
     let mut interrupted = false;
     if let Some(stop) = cfg.stop_after_shards {
-        if next_emit >= stop {
+        if coord.next_emit >= stop {
             interrupted = true;
         }
     }
@@ -2044,7 +2033,7 @@ pub fn dispatch_fleet<R: BufRead>(
         }
 
         // Emit the contiguous completed prefix.
-        while let Some(done) = coord.completed.remove(&next_emit) {
+        while let Some(done) = coord.completed.remove(&coord.next_emit) {
             out.write_all(&done.bytes)?;
             emitted_bytes += done.bytes.len() as u64;
             registry().dispatch_shards_total.inc();
@@ -2065,7 +2054,7 @@ pub fn dispatch_fleet<R: BufRead>(
                 out.flush()?;
                 out.get_ref().sync_data()?;
                 log.append(&ShardRecord {
-                    shard: next_emit,
+                    shard: coord.next_emit,
                     lines: done.lines,
                     shard_fp: done.fp,
                     out_bytes: emitted_bytes,
@@ -2074,8 +2063,11 @@ pub fn dispatch_fleet<R: BufRead>(
                     stats: done.stats,
                 })?;
             }
-            next_emit += 1;
-            if cfg.stop_after_shards.is_some_and(|stop| next_emit >= stop) {
+            coord.next_emit += 1;
+            if cfg
+                .stop_after_shards
+                .is_some_and(|stop| coord.next_emit >= stop)
+            {
                 interrupted = true;
             }
         }
@@ -2083,7 +2075,7 @@ pub fn dispatch_fleet<R: BufRead>(
         // Termination: nothing running, nothing queued, nothing to come.
         let busy = coord.busy();
         let retry_pending = !coord.retries.is_empty();
-        if error_shard.is_some_and(|e| next_emit >= e) {
+        if error_shard.is_some_and(|e| coord.next_emit >= e) {
             break;
         }
         if interrupted && !busy {
@@ -2127,7 +2119,7 @@ pub fn dispatch_fleet<R: BufRead>(
     merged.wall_micros = started.elapsed().as_micros() as u64;
     Ok(DispatchOutcome {
         stats: merged,
-        shards_total: next_emit,
+        shards_total: coord.next_emit,
         shards_resumed,
         interrupted,
         error: outcome_error,
@@ -2205,6 +2197,103 @@ mod tests {
             Msg::Worker(3, Event::Garbage(line)) if line.len() == MAX_LINE_BYTES + 1
         ));
         assert!(matches!(events[1], Msg::Worker(3, Event::Eof)));
+    }
+
+    /// The coordinator's lease transitions, driven by hand on one
+    /// registered socket (no event loop, no sleeps): each `#done` either
+    /// commits, is one stale drop, or fails the worker, and a fill counts
+    /// only from a held lease.
+    #[test]
+    fn lease_transitions_commit_drop_or_fail() {
+        let path = std::env::temp_dir().join(format!("msrs-lease-{}.mcache", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let cfg = DispatchConfig::default();
+        let hub = RemoteHub::bind("127.0.0.1:0").expect("loopback binds");
+        let mut coord = Coordinator::new(&cfg, hub, false).expect("coordinator starts");
+        let (store, _, _) = CacheStore::open(&path, cfg.config_fp).expect("fresh store");
+        coord.cache = Some(CacheAuthority {
+            store,
+            map: HashMap::new(),
+        });
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("loopback binds");
+        let addr = listener.local_addr().expect("bound address");
+        let _worker = TcpStream::connect(addr).expect("worker connects");
+        let (socket, _) = listener.accept().expect("coordinator accepts");
+        coord.register(socket, 0, None);
+        let w = 0; // the first worker's ordinal; it sits at position 0
+        let shard = |index: usize| Shard {
+            index,
+            lines: vec!["{\"machines\":1,\"classes\":[[1]]}".into()],
+            line_nos: vec![index + 1],
+            fp: index as u64,
+        };
+        let done = |shard: usize, attempt: u32| Event::Done {
+            shard,
+            attempt,
+            stats: ShardStats {
+                instances: 1,
+                ..ShardStats::default()
+            },
+        };
+        let instance = Instance::from_classes(2, &[vec![3, 1], vec![2]]).expect("valid instance");
+        let report = Engine::new(crate::EngineConfig::default())
+            .solve(&crate::report::SolveRequest::new(instance));
+        let mut payload = Vec::new();
+        report.write_store_json(&mut payload);
+        let payload = String::from_utf8(payload).expect("JSON output is UTF-8");
+        let fill = |fp: u128| Event::CacheFill(fp, payload.clone());
+
+        // A matching #done commits the shard and frees the worker; a fill
+        // from the held lease is recorded and answers the next probe.
+        let index = coord.track(shard(0));
+        coord.assign(0, index);
+        assert!(coord.busy());
+        assert_eq!(coord.idle_worker(), None);
+        coord.handle_event(w, fill(1));
+        coord.handle_event(w, Event::CacheQ(1));
+        assert_eq!(coord.outcome.fleet_cache_hits, 1);
+        coord.handle_event(w, Event::Report("{}".into()));
+        coord.handle_event(w, done(0, 1));
+        assert!(coord.completed.contains_key(&0));
+        assert!(!coord.busy());
+        assert_eq!(coord.idle_worker(), Some(0));
+        assert_eq!(coord.outcome.stale_drops, 0);
+
+        // A second #done for that shard from the now-idle worker is one
+        // stale drop, and the worker is kept.
+        coord.handle_event(w, done(0, 1));
+        assert_eq!(coord.outcome.stale_drops, 1);
+        assert_eq!(coord.idle_worker(), Some(0));
+
+        // An idle worker's fill is one dropped stale fill and records
+        // nothing.
+        coord.handle_event(w, fill(2));
+        assert_eq!(coord.outcome.stale_fills_dropped, 1);
+        coord.handle_event(w, Event::CacheQ(2));
+        assert_eq!(coord.outcome.fleet_cache_hits, 1);
+
+        // A revoked lease requeues its shard; the zombie's fill is dropped,
+        // and its late #done is one stale drop that frees the worker.
+        let index = coord.track(shard(1));
+        coord.assign(0, index);
+        coord.revoke_lease(0, "revoked");
+        assert_eq!(coord.outcome.retries, 1);
+        assert!(!coord.busy());
+        assert_eq!(coord.idle_worker(), None);
+        coord.handle_event(w, fill(3));
+        assert_eq!(coord.outcome.stale_fills_dropped, 2);
+        coord.handle_event(w, done(1, 1));
+        assert_eq!(coord.outcome.stale_drops, 2);
+        assert_eq!(coord.idle_worker(), Some(0));
+        coord.handle_event(w, Event::CacheQ(3));
+        assert_eq!(coord.outcome.fleet_cache_hits, 1);
+
+        // A #done for a shard never handed out fails the worker.
+        coord.handle_event(w, done(7, 1));
+        assert_eq!(coord.idle_worker(), None);
+        assert_eq!(coord.outcome.stale_drops, 2);
+        drop(coord);
+        std::fs::remove_file(&path).expect("the test's store");
     }
 
     #[test]

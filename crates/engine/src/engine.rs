@@ -472,6 +472,10 @@ impl Engine {
             .collect();
         let todo: Vec<usize> = (0..forms.len()).filter(|&i| known[i].is_none()).collect();
         let solved: Vec<SolveReport> = self.cfg.pool().install(|| {
+            // Every task runs with nested parallelism pinned to one thread
+            // (on the sequential path too), so a report — including
+            // branch-and-bound node counts — is bit-identical at any
+            // ambient thread count.
             todo.into_par_iter()
                 .map(|i| solve_canonical(&self.cfg, &forms[i].1))
                 .collect()
@@ -513,14 +517,6 @@ fn solve_canonical(cfg: &EngineConfig, inst: &Instance) -> SolveReport {
     let _span = Stage::MemberRace.span();
     let started = Instant::now();
     let cancel = cfg.cancel_token(started);
-    // Members run with nested parallelism pinned off (exactly as they
-    // do inside a batch's parallel operation), so a report — including
-    // branch-and-bound node counts — is bit-identical at any ambient
-    // thread count.
-    let one = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("pool handles are always constructible");
     let mut outcomes: Vec<(SolverKind, MemberOutcome)> = Vec::new();
     for (idx, &kind) in portfolio.members.iter().enumerate() {
         // Honour the deadline between members; the first member is always
@@ -542,7 +538,7 @@ fn solve_canonical(cfg: &EngineConfig, inst: &Instance) -> SolveReport {
         // A panic is a bug in that one solver: it is reported as an
         // `Invalid` run, and the other members still answer.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            one.install(|| run_solver(kind, inst, cfg, cancel.as_ref(), warm.as_ref()))
+            run_solver(kind, inst, cfg, cancel.as_ref(), warm.as_ref())
         }))
         .unwrap_or_else(|payload| {
             let reason = payload

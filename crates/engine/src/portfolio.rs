@@ -53,20 +53,6 @@ impl SolverKind {
         })
     }
 
-    /// The a-priori approximation guarantee `(num, den)` relative to the
-    /// certified lower bound `T ≤ OPT`: a completed run of this solver
-    /// proves `OPT ≤ makespan ≤ (num/den)·T` — `None` for heuristics whose
-    /// implementation reports no a-priori horizon. [`SolverKind::Exact`]
-    /// proves `makespan = OPT` (ratio 1 relative to OPT itself).
-    pub fn guarantee(self) -> Option<(u64, u64)> {
-        match self {
-            SolverKind::FiveThirds => Some((5, 3)),
-            SolverKind::ThreeHalves => Some((3, 2)),
-            SolverKind::Exact => Some((1, 1)),
-            _ => None,
-        }
-    }
-
     /// All kinds, in the canonical execution order (cheap incumbents first).
     pub fn all() -> [SolverKind; 7] {
         [
